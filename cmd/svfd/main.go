@@ -126,10 +126,10 @@ func run() int {
 	}
 
 	// Storage. With -journal, two journals under one root: completed cells
-	// (the run cache's) and job state (the service's). Without it, a
-	// memory store still keeps retry attempts and poison latches for the
-	// process lifetime.
-	cache := sim.NewRunCacheWithStore(sim.NewMemStore())
+	// (the run cache's) and job state (the service's). Without it, the
+	// cache's cell store still keeps retry attempts and poison latches for
+	// the process lifetime.
+	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
 	var cellsJr, jobsJr *journal.Journal
 	var jobsReplay *journal.Replay
 	if *journalDir != "" {

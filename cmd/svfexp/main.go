@@ -313,10 +313,10 @@ func run() int {
 	if *workers > 0 {
 		if *journalDir == "" {
 			// A sharded campaign without a journal still needs cell state
-			// that outlives individual requests: the in-memory store keeps
-			// retry attempts and poison-cell quarantine latches for the
-			// process lifetime (a plain cache would forget them).
-			cache = sim.NewRunCacheWithStore(sim.NewMemStore())
+			// that outlives individual requests: a memory-only cell store
+			// keeps retry attempts and poison-cell quarantine latches for
+			// the process lifetime (a plain cache would forget them).
+			cache, _ = sim.NewRunCacheWithJournal(nil, nil)
 		}
 		exe, err := os.Executable()
 		if err != nil {

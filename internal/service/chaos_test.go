@@ -69,7 +69,7 @@ func chaosSpecs() []string {
 // worker fleet under plan-driven chaos.
 func newChaosServer(t *testing.T, workers int, plan *faultinject.Plan, retries int) (*Server, *httptest.Server, *shard.Pool) {
 	t.Helper()
-	cache := sim.NewRunCacheWithStore(sim.NewMemStore())
+	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
 	pool, err := shard.NewPool(shard.Config{
 		Workers:  workers,
 		LeaseTTL: 5 * time.Second,
@@ -263,7 +263,9 @@ func TestChaosDaemonKillWithFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.Start()
+	// s1 is never started: a started server could finish (and journal as
+	// done) an early job before the kill, so fewer than all accepted jobs
+	// would reach the restart as unfinished.
 	ids := map[string]bool{}
 	for _, raw := range specs {
 		spec, err := ParseJobSpec([]byte(raw))

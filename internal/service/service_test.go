@@ -36,8 +36,9 @@ func testSpec() string {
 // HTTP test frontend. mut may adjust the Config before construction.
 func newTestServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
+	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
 	cfg := Config{
-		Cache:    sim.NewRunCacheWithStore(sim.NewMemStore()),
+		Cache:    cache,
 		Registry: telemetry.NewRegistry(),
 		Progress: telemetry.NewProgress(),
 		Logf:     t.Logf,

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +23,7 @@ func newTracedChaosServer(t *testing.T, workers int, plan *faultinject.Plan, ret
 	t.Helper()
 	tracer := telemetry.NewTracer()
 	reg := telemetry.NewRegistry()
-	cache := sim.NewRunCacheWithStore(sim.NewMemStore())
+	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
 	pool, err := shard.NewPool(shard.Config{
 		Workers:  workers,
 		LeaseTTL: 5 * time.Second,
@@ -209,6 +211,15 @@ func TestChaosTraceWorkerKillRetrySpans(t *testing.T) {
 	}
 	if !bytes.Contains(metrics, []byte(`trace_id="`+trace+`"`)) {
 		t.Errorf("/metrics has no exemplar for trace %s", trace)
+	}
+	// Every retry the cache counted is a retry span in the trace.
+	if m := regexp.MustCompile(`(?m)^svf_sim_retries_total (\d+)$`).FindSubmatch(metrics); m == nil {
+		t.Error("/metrics missing svf_sim_retries_total")
+	} else if string(m[1]) != strconv.Itoa(retries) {
+		t.Errorf("trace shows %d retry span(s), svf_sim_retries_total = %s", retries, m[1])
+	}
+	if !bytes.HasSuffix(bytes.TrimRight(metrics, "\n"), []byte("# EOF")) {
+		t.Error("OpenMetrics exposition does not end with # EOF")
 	}
 
 	// A plain scrape (no Accept header) must stay valid classic 0.0.4

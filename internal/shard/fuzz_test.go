@@ -60,35 +60,6 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadStoreMsg does the same for the remote-store side of the codec.
-func FuzzReadStoreMsg(f *testing.F) {
-	var req bytes.Buffer
-	if err := writeStoreMsg(&req, &storeReq{Op: opLookup, Key: "run|x"}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(req.Bytes())
-	f.Add([]byte{255, 255, 255, 255})
-	f.Add(append([]byte{2, 0, 0, 0}, '[', ']'))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
-			var msg storeReq
-			err := readStoreMsg(r, &msg)
-			if err == nil {
-				continue
-			}
-			if err != io.EOF &&
-				!errors.Is(err, ErrFrameTruncated) &&
-				!errors.Is(err, ErrFrameTooLarge) &&
-				!errors.Is(err, ErrFrameDecode) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			return
-		}
-	})
-}
-
 // TestReadFrameTruncationIsCheap pins the bounded-allocation property
 // directly: a stream whose prefix claims the full 64 MiB but delivers a
 // handful of bytes must fail with ErrFrameTruncated after allocating

@@ -103,8 +103,8 @@ type Pool struct {
 	workers   []*worker
 	idle      chan *worker
 	leaseSeq  uint64
-	assignSeq uint64                     // chaos-plan ordinal (1-based)
-	poison    map[string]map[int]bool    // cell key → worker slots it killed
+	assignSeq uint64                  // chaos-plan ordinal (1-based)
+	poison    map[string]map[int]bool // cell key → worker slots it killed
 	closed    bool
 	done      chan struct{} // closes to stop the watchdog
 
@@ -440,7 +440,7 @@ func (p *Pool) watchdog() {
 func (p *Pool) ExecRun(ctx context.Context, prof *synth.Profile, opt sim.Options) (*sim.Result, error) {
 	opt.Probe = nil // instrumentation never crosses the wire
 	cell := &Cell{Kind: CellRun, Prof: prof, Opt: &opt}
-	key := fmt.Sprintf("run|%s|%+v", prof.Fingerprint(), sim.Canonical(opt))
+	key := sim.RunCellKey(prof, opt)
 	f, err := p.execCell(ctx, cell, key, prof.ID())
 	if err != nil {
 		return nil, err
@@ -457,7 +457,7 @@ func (p *Pool) ExecTraffic(ctx context.Context, prof *synth.Profile, policy pipe
 		Kind: CellTraffic, Prof: prof,
 		Policy: policy, SizeBytes: sizeBytes, MaxInsts: maxInsts, CtxPeriod: ctxPeriod,
 	}
-	key := fmt.Sprintf("traffic|%s|%d|%d|%d|%d", prof.Fingerprint(), policy, sizeBytes, maxInsts, ctxPeriod)
+	key := sim.TrafficCellKey(prof, policy, sizeBytes, maxInsts, ctxPeriod)
 	f, err := p.execCell(ctx, cell, key, prof.ID())
 	if err != nil {
 		return 0, 0, 0, err

@@ -8,10 +8,8 @@
 // coordinator; only the simulation itself moves out of process.
 //
 // Transport is deliberately minimal: every message is a 4-byte
-// little-endian length followed by a JSON frame. Local workers speak it
-// over their stdin/stdout pipes; the same framing carries the remote
-// ResultStore protocol (store_remote.go), so a TCP listener can serve both
-// without a new codec. See DESIGN.md §5g.
+// little-endian length followed by a JSON frame, which workers speak over
+// their stdin/stdout pipes. See DESIGN.md §5g.
 package shard
 
 import (

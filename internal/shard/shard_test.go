@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -177,7 +176,7 @@ func TestWorkerKillReenqueuesAndStaysBitIdentical(t *testing.T) {
 	}
 	defer pool.Close()
 
-	cache := sim.NewRunCacheWithStore(sim.NewMemStore())
+	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
 	cache.SetExecutor(pool)
 	cache.SetRetries(2)
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
@@ -218,7 +217,7 @@ func TestWorkerStallExpiresLease(t *testing.T) {
 	}
 	defer pool.Close()
 
-	cache := sim.NewRunCacheWithStore(sim.NewMemStore())
+	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
 	cache.SetExecutor(pool)
 	cache.SetRetries(2)
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
@@ -235,7 +234,7 @@ func TestWorkerStallExpiresLease(t *testing.T) {
 // manualWorker gives a test the worker's end of the pipes so it can break
 // protocol on purpose (withhold heartbeats, send frames after expiry).
 type manualWorker struct {
-	in     *Frame      // last cell received (set by readCell)
+	in     *Frame // last cell received (set by readCell)
 	fromCo *io.PipeReader
 	toCo   *io.PipeWriter
 	killed chan struct{} // closed when the pool "kills" the process
@@ -301,7 +300,7 @@ func TestLateResultAfterExpiryDiscarded(t *testing.T) {
 	}
 	defer pool.Close()
 
-	cache := sim.NewRunCacheWithStore(sim.NewMemStore())
+	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
 	cache.SetExecutor(pool)
 	cache.SetRetries(2)
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
@@ -396,7 +395,7 @@ func TestPoisonCellQuarantine(t *testing.T) {
 	}
 	defer pool.Close()
 
-	cache := sim.NewRunCacheWithStore(sim.NewMemStore())
+	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
 	cache.SetExecutor(pool)
 	cache.SetRetries(10) // plenty of budget left when the quarantine fires
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
@@ -434,79 +433,6 @@ func TestPoisonCellQuarantine(t *testing.T) {
 	}
 	if le.Attempts != 2 || !le.Poison {
 		t.Errorf("latch = %+v, want 2 attempts with the poison flag", le)
-	}
-}
-
-// TestRemoteStoreRoundTrip drives the full sim.ResultStore surface over a
-// net.Pipe connection, then shows a second cache lazily restoring a cell
-// another cache completed — the coordinator-remote backend end to end.
-func TestRemoteStoreRoundTrip(t *testing.T) {
-	mem := sim.NewMemStore()
-	client, server := net.Pipe()
-	defer client.Close()
-	go ServeResultStore(mem, server)
-	rs := NewRemoteStore(client)
-
-	if _, ok := rs.Lookup("missing"); ok {
-		t.Error("Lookup(missing) = hit")
-	}
-	rs.Fault("cell", "bench", 1, false, errors.New("transient"))
-	if got := rs.PriorAttempts("cell"); got != 1 {
-		t.Errorf("PriorAttempts = %d, want 1", got)
-	}
-	if err := rs.Gate("cell", 2); err != nil {
-		t.Errorf("Gate under budget = %v, want nil", err)
-	}
-	rs.Fault("cell", "bench", 2, true, errors.New("final"))
-	err := rs.Gate("cell", 2)
-	var le *sim.LatchedError
-	if !errors.As(err, &le) || le.Attempts != 2 || le.Bench != "bench" {
-		t.Errorf("Gate after latch = %v, want LatchedError with 2 attempts", err)
-	}
-	if rs.Restored("cell") {
-		t.Error("Restored = true on a mem-backed store")
-	}
-	if rs.Err() != nil {
-		t.Fatalf("transport error: %v", rs.Err())
-	}
-
-	// End to end: cache1 completes a cell into the shared store; cache2,
-	// attached over the wire, serves it without executing.
-	prof := testProfile(t)
-	opt := testOptions()
-	cache1 := sim.NewRunCacheWithStore(mem)
-	want, err := cache1.Run(context.Background(), prof, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache2 := sim.NewRunCacheWithStore(rs)
-	got, err := cache2.Run(context.Background(), prof, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("remotely restored result differs from the original")
-	}
-	cs := cache2.Stats()
-	if cs.Misses != 0 || cs.Hits != 1 {
-		t.Errorf("cache2 stats = %+v, want a pure hit (0 misses)", cs)
-	}
-}
-
-// TestRemoteStoreDegradesOnTransportLoss: a broken connection must not
-// poison the campaign — lookups miss, gates admit, Err reports once.
-func TestRemoteStoreDegradesOnTransportLoss(t *testing.T) {
-	client, server := net.Pipe()
-	server.Close()
-	rs := NewRemoteStore(client)
-	if _, ok := rs.Lookup("k"); ok {
-		t.Error("Lookup over dead transport = hit")
-	}
-	if err := rs.Gate("k", 1); err != nil {
-		t.Errorf("Gate over dead transport = %v, want nil (admit)", err)
-	}
-	if rs.Err() == nil {
-		t.Error("Err() = nil after transport loss")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 	"time"
 
 	"svf/internal/journal"
@@ -15,10 +14,11 @@ import (
 	"svf/internal/telemetry"
 )
 
-// This file is the RunCache's durable backend: it encodes finished cells as
-// journal records, replays them on open so a resumed campaign serves warm
-// results from disk, and persists fault attempt counts so the bounded-retry
-// supervision survives process death. See DESIGN.md §5d.
+// This file is the journal side of the RunCache's cell store (store.go): it
+// encodes finished cells as journal records, replays them on open so a
+// resumed campaign serves warm results from disk, and restores fault
+// attempt counts so the bounded-retry supervision survives process death.
+// See DESIGN.md §5d.
 
 // Journal record kinds.
 const (
@@ -112,105 +112,6 @@ func (e *LatchedError) Error() string {
 		e.Bench, e.Attempts, e.Msg)
 }
 
-// journalBackend is the journal-backed ResultStore: it appends result/fault
-// records durably and holds the replayed per-cell state.
-type journalBackend struct {
-	j *journal.Journal
-
-	mu sync.Mutex
-	// attempts maps a cell key to its cumulative failed executions
-	// (replayed from fault records, updated as this session fails).
-	attempts map[string]uint32
-	// latched maps a cell key to its permanent-failure record.
-	latched map[string]*LatchedError
-	// restored marks the cell keys seeded from the journal replay, so the
-	// telemetry layer can tell a disk-restored hit (cache_restore) from an
-	// ordinary in-memory one (cache_hit).
-	restored map[string]bool
-	// records holds the live completed records by key (from the replay
-	// plus this session's Puts) so Lookup can serve them — the
-	// content-addressed result store a remote client reads through.
-	records map[string]journal.Record
-}
-
-// Restored implements ResultStore: whether key was seeded by the replay.
-func (b *journalBackend) Restored(key string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.restored[key]
-}
-
-// Lookup implements ResultStore.
-func (b *journalBackend) Lookup(key string) (journal.Record, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	rec, ok := b.records[key]
-	return rec, ok
-}
-
-// PriorAttempts implements ResultStore: how many times the cell has already
-// failed, including in previous sessions.
-func (b *journalBackend) PriorAttempts(key string) uint32 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.latched[key]; e != nil {
-		return e.Attempts
-	}
-	return b.attempts[key]
-}
-
-// Gate implements ResultStore: the latched error for a cell whose recorded
-// attempts meet or exceed the current budget, or nil when the cell may
-// (re)execute. A cell latched under a smaller -retries budget becomes
-// retryable again when the budget is raised: the latch stores attempts, not
-// a verdict. Poison latches are the exception — they hold at any budget.
-func (b *journalBackend) Gate(key string, budget uint32) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.latched[key]; e != nil && (e.Poison || e.Attempts >= budget) {
-		return e
-	}
-	return nil
-}
-
-// Put implements ResultStore: journals a finished cell and clears its fault
-// state. An append error only costs durability — the in-memory result is
-// already good — so it is swallowed after marking the journal dead (it
-// reports itself once via Journal.Stats/Close paths).
-func (b *journalBackend) Put(rec journal.Record) {
-	b.mu.Lock()
-	delete(b.attempts, rec.Key)
-	delete(b.latched, rec.Key)
-	b.records[rec.Key] = rec
-	b.mu.Unlock()
-	b.j.Append(rec)
-}
-
-// Fault implements ResultStore: journals one failed execution attempt
-// (cumulative count) and, when permanent, latches the cell.
-func (b *journalBackend) Fault(key, bench string, attempts uint32, permanent bool, cause error) {
-	poison := isPermanentFault(cause)
-	b.mu.Lock()
-	if permanent {
-		b.latched[key] = &LatchedError{Bench: bench, Key: key, Attempts: attempts, Msg: cause.Error(), Poison: poison}
-		delete(b.attempts, key)
-	} else {
-		b.attempts[key] = attempts
-	}
-	b.mu.Unlock()
-	data, err := json.Marshal(faultPayload{Bench: bench, Msg: cause.Error(), Poison: poison})
-	if err != nil {
-		return
-	}
-	b.j.Append(journal.Record{
-		Kind:      recKindFault,
-		Key:       key,
-		Attempts:  attempts,
-		Permanent: permanent,
-		Data:      data,
-	})
-}
-
 // RestoreStats summarises what a journal replay put back into a RunCache.
 type RestoreStats struct {
 	// Runs and Traffic count completed cells restored and served from
@@ -260,16 +161,20 @@ func (s RestoreStats) String() string {
 // exactly as they bypass the cache. Characterisation passes are not
 // journaled: they are cheap, deterministic functional passes that simply
 // recompute on resume.
+//
+// A nil j (with a nil rep) gives a memory-only cell store: retry attempts,
+// backoff, budget latches and poison quarantine behave exactly as with a
+// journal, for the process lifetime, and nothing is encoded or appended.
+// A plain NewRunCache keeps no cell state at all and retries immediately.
 func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache, RestoreStats) {
 	c := NewRunCache()
-	jb := &journalBackend{
+	s := &cellStore{
 		j:        j,
 		attempts: map[string]uint32{},
 		latched:  map[string]*LatchedError{},
 		restored: map[string]bool{},
-		records:  map[string]journal.Record{},
 	}
-	c.store = jb
+	c.store = s
 	var rs RestoreStats
 	if rep != nil {
 		rs.Journal = rep.Stats
@@ -282,8 +187,7 @@ func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache,
 					continue
 				}
 				c.runs.seed(key, res)
-				jb.restored[rec.Key] = true
-				jb.records[rec.Key] = rec
+				s.restored[rec.Key] = true
 				rs.Runs++
 			case recKindTraffic:
 				key, v, ok := decodeTrafficRecord(rec)
@@ -292,8 +196,7 @@ func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache,
 					continue
 				}
 				c.traffic.seed(key, v)
-				jb.restored[rec.Key] = true
-				jb.records[rec.Key] = rec
+				s.restored[rec.Key] = true
 				rs.Traffic++
 			case recKindFault:
 				var p faultPayload
@@ -302,12 +205,12 @@ func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache,
 					continue
 				}
 				if rec.Permanent {
-					jb.latched[rec.Key] = &LatchedError{
+					s.latched[rec.Key] = &LatchedError{
 						Bench: p.Bench, Key: rec.Key, Attempts: rec.Attempts, Msg: p.Msg, Poison: p.Poison,
 					}
 					rs.Latched++
 				} else {
-					jb.attempts[rec.Key] = rec.Attempts
+					s.attempts[rec.Key] = rec.Attempts
 					rs.Faulted++
 				}
 			default:
@@ -357,16 +260,16 @@ func (c *RunCache) Restore() RestoreStats { return c.restore }
 // RestoredFaults returns the permanently latched cells replayed from the
 // journal, in deterministic (key) order, as errors ready for a fault log.
 func (c *RunCache) RestoredFaults() []error {
-	jb, ok := c.store.(*journalBackend)
-	if !ok {
+	s := c.store
+	if s == nil || s.j == nil {
 		return nil
 	}
-	jb.mu.Lock()
-	latched := make([]*LatchedError, 0, len(jb.latched))
-	for _, e := range jb.latched {
+	s.mu.Lock()
+	latched := make([]*LatchedError, 0, len(s.latched))
+	for _, e := range s.latched {
 		latched = append(latched, e)
 	}
-	jb.mu.Unlock()
+	s.mu.Unlock()
 	sort.Slice(latched, func(i, j int) bool { return latched[i].Key < latched[j].Key })
 	out := make([]error, len(latched))
 	for i, e := range latched {
@@ -399,8 +302,9 @@ func (c *RunCache) attemptBudget() uint32 {
 // SetBackoff overrides the retry backoff policy: base doubles per attempt
 // up to cap, and seed drives the per-cell jitter. The sleeper, when
 // non-nil, replaces the real clock (tests use it to record deterministic
-// delays). Backoff applies only to journaled caches — a plain in-memory
-// cache keeps the historical immediate retry.
+// delays). Backoff applies only to caches with a cell store
+// (NewRunCacheWithJournal, journal or not) — a plain NewRunCache keeps the
+// historical immediate retry.
 func (c *RunCache) SetBackoff(base, cap time.Duration, seed int64, sleeper func(context.Context, time.Duration) error) {
 	c.backoffBase, c.backoffCap, c.backoffSeed = base, cap, seed
 	if sleeper != nil {

@@ -276,8 +276,7 @@ func TestJournaledCacheShrunkenBudgetStillRetriesOnce(t *testing.T) {
 // exponentially and respects the cap — chaos tests must replay exactly.
 func TestJournaledBackoffDeterministic(t *testing.T) {
 	mk := func(seed int64) *RunCache {
-		c := NewRunCache()
-		c.store = &journalBackend{attempts: map[string]uint32{}, latched: map[string]*LatchedError{}}
+		c, _ := NewRunCacheWithJournal(nil, nil)
 		c.SetBackoff(100*time.Millisecond, 5*time.Second, seed, nil)
 		return c
 	}

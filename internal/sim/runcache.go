@@ -53,17 +53,13 @@ type RunCache struct {
 	char    flightGroup[charKey, *synth.Characterization]
 	cnt     cacheCounters
 
-	// runFn, when non-nil, replaces RunContext for timing runs — a test
-	// seam for exercising retry accounting deterministically.
-	runFn func(context.Context, *synth.Profile, Options) (*Result, error)
-
-	// exec, when non-nil, replaces local execution of cache misses (the
-	// shard coordinator's worker pool). See SetExecutor.
+	// exec executes cache misses: in process unless SetExecutor installed
+	// another (the shard coordinator's worker pool, a test stub).
 	exec Executor
 
-	// store is the cell-state backend (nil for plain in-memory caches)
-	// and restore what a journal replay put back. See store.go/journal.go.
-	store   ResultStore
+	// store is the cell state (nil for a plain NewRunCache) and restore
+	// what a journal replay put back. See store.go/journal.go.
+	store   *cellStore
 	restore RestoreStats
 
 	// obs is the attached telemetry observer, nil when observability is
@@ -75,7 +71,7 @@ type RunCache struct {
 	retries    int
 	retriesSet bool
 
-	// Backoff policy for journaled retries (journal.go).
+	// Backoff policy for retries of cells with a store (journal.go).
 	backoffBase, backoffCap time.Duration
 	backoffSeed             int64
 	sleep                   func(context.Context, time.Duration) error
@@ -96,7 +92,7 @@ type cacheCounters struct {
 }
 
 // NewRunCache returns an empty cache.
-func NewRunCache() *RunCache { return &RunCache{} }
+func NewRunCache() *RunCache { return &RunCache{exec: localExecutor{}} }
 
 // sharedCache is the process-wide default used by experiments.Config.
 var sharedCache = NewRunCache()
@@ -137,11 +133,12 @@ func Canonical(opt Options) Options {
 // counts in cnt.errors; every re-execution in cnt.retries.
 //
 // When the cache has a store and key is non-empty, supervision spans the
-// store's lifetime (for the journal backend: across process death): prior
-// attempts count against the budget, each retry waits out the cell's seeded
+// store's lifetime (with a journal: across process death): prior attempts
+// count against the budget, each retry waits out the cell's seeded
 // exponential backoff, every failure is recorded as a fault (the final one
-// latched permanent), and a success is recorded via record so a later
-// request — or, for durable stores, a later process — restores it.
+// latched permanent), and a success clears the cell's fault state. With a
+// journal, the success is also appended, encoded by record, so a later
+// process restores it.
 func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn func(context.Context) (V, error), record func(V) (journal.Record, error)) (V, error) {
 	stored := c.store != nil && key != ""
 	budget := c.attemptBudget()
@@ -193,15 +190,13 @@ func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn fu
 			sp.End()
 		}
 		if err == nil {
-			if stored && record != nil {
-				if rec, rerr := record(v); rerr == nil {
-					c.store.Put(rec)
-				}
+			if stored {
+				c.store.Put(key, func() (journal.Record, error) { return record(v) })
 			}
 			return v, nil
 		}
 		c.cnt.errors.Inc()
-		poison := isPermanentFault(err)
+		poison := IsPermanentFault(err)
 		var f *Fault
 		if (!errors.As(err, &f) && !poison) || ctx.Err() != nil {
 			return v, err
@@ -248,14 +243,6 @@ func (c *RunCache) Run(ctx context.Context, prof *synth.Profile, opt Options) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	run := c.runFn
-	if run == nil {
-		if c.exec != nil {
-			run = c.exec.ExecRun
-		} else {
-			run = RunContext
-		}
-	}
 	// With an observer attached, every executed run carries a probe
 	// mirroring into the shared registry, so /metrics aggregates occupancy
 	// across the whole sweep. Canonical clears the probe, so keys,
@@ -270,7 +257,7 @@ func (c *RunCache) Run(ctx context.Context, prof *synth.Profile, opt Options) (*
 	execRun := func(ctx context.Context) (*Result, error) {
 		c.obs.emit(telemetry.Event{Type: "run_start", Bench: prof.ID(), Fingerprint: fp})
 		start := time.Now()
-		res, err := run(ctx, prof, opt)
+		res, err := c.exec.ExecRun(ctx, prof, opt)
 		if err == nil {
 			c.obs.observeRunFinish(res, fp, time.Since(start))
 		}
@@ -297,7 +284,6 @@ func (c *RunCache) Run(ctx context.Context, prof *synth.Profile, opt Options) (*
 			c.obs.emit(telemetry.Event{Type: "latched", Bench: prof.ID(), Key: skey, Err: gerr.Error(), Detail: "refused without execution"})
 			return nil, gerr
 		}
-		c.seedRunFromStore(key, skey)
 	}
 	var onServe func(shared bool)
 	if c.obs != nil {
@@ -344,7 +330,6 @@ func (c *RunCache) Traffic(ctx context.Context, prof *synth.Profile, policy pipe
 			c.obs.emit(telemetry.Event{Type: "latched", Bench: prof.ID(), Key: skey, Err: gerr.Error(), Detail: "refused without execution"})
 			return 0, 0, 0, gerr
 		}
-		c.seedTrafficFromStore(key, skey)
 	}
 	var onServe func(shared bool)
 	if c.obs != nil {
@@ -354,13 +339,9 @@ func (c *RunCache) Traffic(ctx context.Context, prof *synth.Profile, policy pipe
 			c.serveSpan(ctx, prof.ID(), skey, shared, restored)
 		}
 	}
-	execTraffic := TrafficOnly
-	if c.exec != nil {
-		execTraffic = c.exec.ExecTraffic
-	}
 	v, err := c.traffic.do(ctx, key, &c.cnt, onServe, func() (trafficVal, error) {
 		return cacheExec(ctx, c, skey, prof.ID(), func(ctx context.Context) (trafficVal, error) {
-			in, out, cb, err := execTraffic(ctx, prof, policy, sizeBytes, maxInsts, ctxPeriod)
+			in, out, cb, err := c.exec.ExecTraffic(ctx, prof, policy, sizeBytes, maxInsts, ctxPeriod)
 			return trafficVal{in, out, cb}, err
 		}, func(v trafficVal) (journal.Record, error) {
 			data, err := json.Marshal(trafficPayload{
@@ -560,14 +541,6 @@ func (g *flightGroup[K, V]) len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.m)
-}
-
-// has reports whether key is resident (completed or in flight).
-func (g *flightGroup[K, V]) has(key K) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.m[key]
-	return ok
 }
 
 // seed installs an already-completed entry (a cell restored from the

@@ -9,14 +9,25 @@ import (
 	"svf/internal/synth"
 )
 
-// countingRunFn installs a runFn returning the given per-call results and
-// returns the call counter.
+// stubRuns is a stub Executor: timing runs call run, traffic runs execute
+// locally.
+type stubRuns struct {
+	localExecutor
+	run func(context.Context, *synth.Profile, Options) (*Result, error)
+}
+
+func (s stubRuns) ExecRun(ctx context.Context, prof *synth.Profile, opt Options) (*Result, error) {
+	return s.run(ctx, prof, opt)
+}
+
+// countingRunFn installs a stub executor returning the given per-call
+// results and returns the call counter.
 func countingRunFn(c *RunCache, results func(call int) (*Result, error)) *int {
 	calls := new(int)
-	c.runFn = func(ctx context.Context, prof *synth.Profile, opt Options) (*Result, error) {
+	c.SetExecutor(stubRuns{run: func(context.Context, *synth.Profile, Options) (*Result, error) {
 		*calls++
 		return results(*calls)
-	}
+	}})
 	return calls
 }
 

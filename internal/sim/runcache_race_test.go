@@ -21,10 +21,10 @@ func TestRunCacheCountersExactUnderConcurrency(t *testing.T) {
 	)
 	c := NewRunCache()
 	var executions atomic.Uint64
-	c.runFn = func(_ context.Context, prof *synth.Profile, opt Options) (*Result, error) {
+	c.SetExecutor(stubRuns{run: func(_ context.Context, prof *synth.Profile, opt Options) (*Result, error) {
 		executions.Add(1)
 		return &Result{Bench: prof.ID()}, nil
-	}
+	}})
 
 	// Distinct MaxInsts values make distinct cells on one profile.
 	prof := synth.Gzip()
@@ -54,7 +54,7 @@ func TestRunCacheCountersExactUnderConcurrency(t *testing.T) {
 		t.Errorf("misses = %d, want exactly one execution per cell (%d)", st.Misses, cells)
 	}
 	if st.Misses != executions.Load() {
-		t.Errorf("misses = %d but runFn executed %d times", st.Misses, executions.Load())
+		t.Errorf("misses = %d but the executor ran %d times", st.Misses, executions.Load())
 	}
 	if st.Hits+st.Shared != wantRequests-cells {
 		t.Errorf("hits(%d) + shared(%d) = %d, want %d: every non-miss must be counted exactly once",

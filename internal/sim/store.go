@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 
 	"svf/internal/journal"
@@ -9,111 +10,45 @@ import (
 	"svf/internal/synth"
 )
 
-// ResultStore is the storage backend behind a RunCache: it persists
-// completed cells as journal records, remembers per-cell fault attempts so
-// the bounded-retry supervision survives the cache (and, for durable
-// backends, the process), and gates cells whose budget is exhausted.
+// cellStore is a RunCache's cell state: per-cell failed attempts, budget
+// and poison latches, and the cells a journal replay restored. It carries
+// the bounded-retry supervision across requests, so a faulted cell resumes
+// its attempt count and a latched cell is refused at the gate.
 //
-// Three backends exist:
+// The journal is optional. With one, every completed cell and every failed
+// attempt is also a durable journal append, and NewRunCacheWithJournal
+// replays the state on open, so it survives kill -9. Without one (a nil
+// *journal.Journal) the state holds for the process lifetime — what svfd
+// and a sharded svfexp use when no -journal is given — with identical
+// attempt, latch, poison and backoff semantics, and nothing is encoded or
+// appended.
 //
-//   - the in-memory store (NewMemStore): attempts and quarantine latches
-//     hold for the process lifetime only — what a sharded campaign without
-//     a journal uses so a poison cell stays latched;
-//   - the journaled store (NewRunCacheWithJournal): every Put/Fault is a
-//     durable journal append and the whole state survives kill -9;
-//   - the coordinator-remote store (internal/shard.RemoteStore): the same
-//     operations forwarded over the shard wire protocol, so a worker- or
-//     client-side cache shares the coordinator's durable state.
-//
-// All methods must be safe for concurrent use.
-type ResultStore interface {
-	// Lookup returns the persisted record for a completed cell, if the
-	// store has one. The cache decodes it and serves the cell without
-	// executing.
-	Lookup(key string) (journal.Record, bool)
-	// Put persists a completed cell, superseding any fault state for it.
-	Put(rec journal.Record)
-	// Fault persists one failed execution attempt (cumulative count);
-	// permanent latches the cell so Gate refuses it from now on.
-	Fault(key, bench string, attempts uint32, permanent bool, cause error)
-	// Gate returns the cell's *LatchedError when its recorded attempts
-	// meet or exceed budget, nil when it may (re)execute.
-	Gate(key string, budget uint32) error
-	// PriorAttempts returns how many times the cell has already failed,
-	// including (for durable backends) in previous sessions.
-	PriorAttempts(key string) uint32
-	// Restored reports whether the cell was seeded from a previous
-	// session (journal replay); the telemetry layer uses it to tell a
-	// cache_restore from an ordinary cache_hit.
-	Restored(key string) bool
-}
+// All methods are safe for concurrent use.
+type cellStore struct {
+	j *journal.Journal // nil: memory-only
 
-// MemStore is the in-memory ResultStore: completed records, fault attempts
-// and permanent latches held in maps for the process lifetime. Nothing is
-// durable, but the retry budget, backoff and poison-cell quarantine
-// semantics are identical to the journaled backend — which is exactly what
-// a sharded campaign without -journal needs.
-type MemStore struct {
-	mu       sync.Mutex
-	records  map[string]journal.Record
+	mu sync.Mutex
+	// attempts maps a cell key to its cumulative failed executions
+	// (replayed from fault records, updated as this session fails).
 	attempts map[string]uint32
-	latched  map[string]*LatchedError
+	// latched maps a cell key to its permanent-failure record.
+	latched map[string]*LatchedError
+	// restored marks the cell keys seeded from the journal replay, so the
+	// telemetry layer can tell a disk-restored hit (cache_restore) from an
+	// ordinary in-memory one (cache_hit).
+	restored map[string]bool
 }
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{
-		records:  map[string]journal.Record{},
-		attempts: map[string]uint32{},
-		latched:  map[string]*LatchedError{},
-	}
-}
-
-// Lookup implements ResultStore.
-func (s *MemStore) Lookup(key string) (journal.Record, bool) {
+// Restored reports whether key was seeded by the journal replay.
+func (s *cellStore) Restored(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.records[key]
-	return rec, ok
+	return s.restored[key]
 }
 
-// Put implements ResultStore.
-func (s *MemStore) Put(rec journal.Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.records[rec.Key] = rec
-	delete(s.attempts, rec.Key)
-	delete(s.latched, rec.Key)
-}
-
-// Fault implements ResultStore.
-func (s *MemStore) Fault(key, bench string, attempts uint32, permanent bool, cause error) {
-	poison := isPermanentFault(cause)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if permanent {
-		s.latched[key] = &LatchedError{Bench: bench, Key: key, Attempts: attempts, Msg: cause.Error(), Poison: poison}
-		delete(s.attempts, key)
-		return
-	}
-	s.attempts[key] = attempts
-}
-
-// Gate implements ResultStore. Like the journaled backend, the latch stores
-// attempts rather than a verdict: raising the budget past Attempts makes
-// the cell retryable again — except for poison latches, which hold at any
-// budget (the quarantine counted worker deaths, not attempts).
-func (s *MemStore) Gate(key string, budget uint32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e := s.latched[key]; e != nil && (e.Poison || e.Attempts >= budget) {
-		return e
-	}
-	return nil
-}
-
-// PriorAttempts implements ResultStore.
-func (s *MemStore) PriorAttempts(key string) uint32 {
+// PriorAttempts returns how many times the cell has already failed,
+// including in previous sessions.
+func (s *cellStore) PriorAttempts(key string) uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e := s.latched[key]; e != nil {
@@ -122,30 +57,73 @@ func (s *MemStore) PriorAttempts(key string) uint32 {
 	return s.attempts[key]
 }
 
-// Restored implements ResultStore; an in-memory store has no previous
-// session to restore from.
-func (s *MemStore) Restored(string) bool { return false }
-
-// NewRunCacheWithStore returns a cache whose cell state lives in store:
-// completed cells are Put (and served back via Lookup without
-// re-executing), failed attempts accumulate across the store's lifetime
-// under the retry budget with backoff, and latched cells are refused at the
-// gate. NewRunCacheWithJournal is this constructor specialised to the
-// journal backend; pass a MemStore for process-lifetime-only semantics or a
-// shard.RemoteStore to share a coordinator's state.
-func NewRunCacheWithStore(store ResultStore) *RunCache {
-	c := NewRunCache()
-	c.store = store
-	return c
+// Gate returns the cell's *LatchedError when its recorded attempts meet or
+// exceed budget, nil when it may (re)execute. A cell latched under a smaller
+// -retries budget becomes retryable again when the budget is raised: the
+// latch stores attempts, not a verdict. Poison latches are the exception —
+// they hold at any budget, since the quarantine counted worker deaths, not
+// attempts.
+func (s *cellStore) Gate(key string, budget uint32) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.latched[key]; e != nil && (e.Poison || e.Attempts >= budget) {
+		return e
+	}
+	return nil
 }
 
-// Store returns the cache's result store (nil for a plain cache).
-func (c *RunCache) Store() ResultStore { return c.store }
+// Put records a completed cell, clearing its fault state; a journaled
+// store also appends the record encode builds. An encode or append error
+// only costs durability — the in-memory result is already good — so it is
+// swallowed (a failed append marks the journal dead, which reports itself
+// through Journal.Stats/Close).
+func (s *cellStore) Put(key string, encode func() (journal.Record, error)) {
+	s.mu.Lock()
+	delete(s.attempts, key)
+	delete(s.latched, key)
+	s.mu.Unlock()
+	if s.j == nil {
+		return
+	}
+	if rec, err := encode(); err == nil {
+		s.j.Append(rec)
+	}
+}
 
-// Executor replaces the local execution of cache misses — the seam the
-// shard coordinator plugs its worker pool into. Everything above it
-// (single-flight dedup, the retry/backoff budget, journaling, latching,
-// telemetry) is unchanged; only the raw simulation moves out of process.
+// Fault records one failed execution attempt (cumulative count) and, when
+// permanent, latches the cell; a cause carrying the PermanentFaulter marker
+// makes it a poison latch. A journaled store also appends a fault record.
+func (s *cellStore) Fault(key, bench string, attempts uint32, permanent bool, cause error) {
+	poison := IsPermanentFault(cause)
+	s.mu.Lock()
+	if permanent {
+		s.latched[key] = &LatchedError{Bench: bench, Key: key, Attempts: attempts, Msg: cause.Error(), Poison: poison}
+		delete(s.attempts, key)
+	} else {
+		s.attempts[key] = attempts
+	}
+	s.mu.Unlock()
+	if s.j == nil {
+		return
+	}
+	data, err := json.Marshal(faultPayload{Bench: bench, Msg: cause.Error(), Poison: poison})
+	if err != nil {
+		return
+	}
+	s.j.Append(journal.Record{
+		Kind:      recKindFault,
+		Key:       key,
+		Attempts:  attempts,
+		Permanent: permanent,
+		Data:      data,
+	})
+}
+
+// Executor executes a cache's misses: in process by default, or out of
+// process through the shard coordinator's worker pool (SetExecutor).
+// Everything above it (single-flight dedup, the retry/backoff budget,
+// journaling, latching, telemetry) is the same either way; only the raw
+// simulation moves.
 //
 // Executors must honour the *Fault contract: a contained simulation
 // failure (including a worker death or an expired lease, which are faults
@@ -157,6 +135,17 @@ func (c *RunCache) Store() ResultStore { return c.store }
 type Executor interface {
 	ExecRun(ctx context.Context, prof *synth.Profile, opt Options) (*Result, error)
 	ExecTraffic(ctx context.Context, prof *synth.Profile, policy pipeline.StackPolicy, sizeBytes, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error)
+}
+
+// localExecutor runs cache misses in process; every cache starts with it.
+type localExecutor struct{}
+
+func (localExecutor) ExecRun(ctx context.Context, prof *synth.Profile, opt Options) (*Result, error) {
+	return RunContext(ctx, prof, opt)
+}
+
+func (localExecutor) ExecTraffic(ctx context.Context, prof *synth.Profile, policy pipeline.StackPolicy, sizeBytes, maxInsts int, ctxPeriod uint64) (uint64, uint64, uint64, error) {
+	return TrafficOnly(ctx, prof, policy, sizeBytes, maxInsts, ctxPeriod)
 }
 
 // SetExecutor routes this cache's simulations through ex instead of running
@@ -184,9 +173,6 @@ func IsPermanentFault(err error) bool {
 	return false
 }
 
-// isPermanentFault is the package-internal alias.
-func isPermanentFault(err error) bool { return IsPermanentFault(err) }
-
 // unwrapOnce is errors.Unwrap without the multi-error fan-out (a linear
 // chain is all the cache ever builds).
 func unwrapOnce(err error) error {
@@ -204,35 +190,4 @@ func (c *RunCache) storeRestored(key string) bool {
 		return false
 	}
 	return c.store.Restored(key)
-}
-
-// seedFromStore consults the store for a completed cell the in-memory map
-// does not have yet — how a cache over a remote (or freshly attached) store
-// restores cells lazily — and seeds it so the request is served as an
-// ordinary hit. The journal-backed cache seeds eagerly at open; this path
-// only fires for keys the replay did not cover.
-func (c *RunCache) seedRunFromStore(key runKey, skey string) {
-	if c.store == nil || c.runs.has(key) {
-		return
-	}
-	rec, ok := c.store.Lookup(skey)
-	if !ok || rec.Kind != recKindRun {
-		return
-	}
-	if k, res, ok := decodeRunRecord(rec); ok && k == key {
-		c.runs.seed(k, res)
-	}
-}
-
-func (c *RunCache) seedTrafficFromStore(key trafficKey, skey string) {
-	if c.store == nil || c.traffic.has(key) {
-		return
-	}
-	rec, ok := c.store.Lookup(skey)
-	if !ok || rec.Kind != recKindTraffic {
-		return
-	}
-	if k, v, ok := decodeTrafficRecord(rec); ok && k == key {
-		c.traffic.seed(k, v)
-	}
 }

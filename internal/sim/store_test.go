@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -16,52 +17,107 @@ type poisonErr struct{ msg string }
 func (e *poisonErr) Error() string        { return e.msg }
 func (e *poisonErr) PermanentFault() bool { return true }
 
-// TestMemStoreSemantics pins the in-memory backend's contract: attempts
-// accumulate, Put supersedes fault state, budget latches unlatch when the
-// budget rises, poison latches never do.
-func TestMemStoreSemantics(t *testing.T) {
-	s := NewMemStore()
-	if _, ok := s.Lookup("k"); ok {
-		t.Error("empty store Lookup = hit")
-	}
-	if s.Restored("k") {
-		t.Error("MemStore.Restored = true")
-	}
+// memoryOnlyCache returns a cache with a cell store but no journal.
+func memoryOnlyCache() *RunCache {
+	c, _ := NewRunCacheWithJournal(nil, nil)
+	return c
+}
 
-	s.Fault("k", "b", 1, false, errors.New("transient"))
-	if got := s.PriorAttempts("k"); got != 1 {
-		t.Errorf("PriorAttempts = %d, want 1", got)
+// TestCellStoreSemantics pins the cell store's contract in both modes,
+// memory-only and journaled: attempts accumulate, Put supersedes fault
+// state, budget latches unlatch when the budget rises, poison latches
+// never do, and only a journal replay makes a cell Restored.
+func TestCellStoreSemantics(t *testing.T) {
+	prof := synth.Gzip()
+	opt := Canonical(Options{MaxInsts: 1000})
+	k := runJournalKey(runKey{prof.Fingerprint(), opt})
+	encode := func() (journal.Record, error) {
+		data, err := json.Marshal(runPayload{Prof: prof.Fingerprint(), Opt: opt, Res: &Result{Bench: prof.ID()}})
+		return journal.Record{Kind: recKindRun, Key: k, Data: data}, err
 	}
-	if err := s.Gate("k", 2); err != nil {
-		t.Errorf("Gate with budget left = %v", err)
-	}
+	for _, tc := range []struct {
+		name      string
+		journaled bool
+	}{
+		{"memory-only", false},
+		{"journaled", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var j *journal.Journal
+			if tc.journaled {
+				var err error
+				if j, _, err = journal.Open(dir, journal.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c, _ := NewRunCacheWithJournal(j, nil)
+			s := c.store
 
-	// Budget latch: refused at the latching budget, admitted at a bigger one.
-	s.Fault("k", "b", 2, true, errors.New("final"))
-	var le *LatchedError
-	if err := s.Gate("k", 2); !errors.As(err, &le) || le.Poison {
-		t.Errorf("Gate at budget = %v, want a non-poison latch", err)
-	}
-	if err := s.Gate("k", 3); err != nil {
-		t.Errorf("Gate with raised budget = %v, want unlatched", err)
-	}
+			s.Fault(k, "b", 1, false, errors.New("transient"))
+			if got := s.PriorAttempts(k); got != 1 {
+				t.Errorf("PriorAttempts = %d, want 1", got)
+			}
+			if err := s.Gate(k, 2); err != nil {
+				t.Errorf("Gate with budget left = %v", err)
+			}
 
-	// Poison latch: holds at any budget.
-	s.Fault("p", "b", 1, true, &poisonErr{msg: "killed workers"})
-	if err := s.Gate("p", 1000); !errors.As(err, &le) || !le.Poison {
-		t.Errorf("Gate on poison cell = %v, want a poison latch", err)
-	}
+			// Budget latch: refused at the latching budget, admitted at a
+			// bigger one.
+			s.Fault(k, "b", 2, true, errors.New("final"))
+			var le *LatchedError
+			if err := s.Gate(k, 2); !errors.As(err, &le) || le.Poison {
+				t.Errorf("Gate at budget = %v, want a non-poison latch", err)
+			}
+			if err := s.Gate(k, 3); err != nil {
+				t.Errorf("Gate with raised budget = %v, want unlatched", err)
+			}
 
-	// Put supersedes every fault record.
-	s.Put(journal.Record{Kind: "run", Key: "k", Data: []byte("{}")})
-	if _, ok := s.Lookup("k"); !ok {
-		t.Error("Lookup after Put = miss")
-	}
-	if got := s.PriorAttempts("k"); got != 0 {
-		t.Errorf("PriorAttempts after Put = %d, want 0", got)
-	}
-	if err := s.Gate("k", 1); err != nil {
-		t.Errorf("Gate after Put = %v", err)
+			// Poison latch: holds at any budget.
+			s.Fault("p", "b", 1, true, &poisonErr{msg: "killed workers"})
+			if err := s.Gate("p", 1000); !errors.As(err, &le) || !le.Poison {
+				t.Errorf("Gate on poison cell = %v, want a poison latch", err)
+			}
+
+			// Put supersedes every fault record.
+			s.Put(k, encode)
+			if got := s.PriorAttempts(k); got != 0 {
+				t.Errorf("PriorAttempts after Put = %d, want 0", got)
+			}
+			if err := s.Gate(k, 1); err != nil {
+				t.Errorf("Gate after Put = %v", err)
+			}
+			if s.Restored(k) {
+				t.Error("Restored = true for a cell completed in this session")
+			}
+			if !tc.journaled {
+				return
+			}
+
+			// The journaled state survives a reopen: the completed cell is
+			// restored, the poison latch still holds.
+			if st := j.Stats(); st.Appends != 4 {
+				t.Errorf("journal appends = %d, want 3 faults + 1 put", st.Appends)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j2, rep, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			c2, rs := NewRunCacheWithJournal(j2, rep)
+			if rs.Runs != 1 || rs.Latched != 1 || rs.SkippedDecode != 0 {
+				t.Errorf("restore stats = %+v, want 1 run + 1 latched", rs)
+			}
+			if !c2.store.Restored(k) {
+				t.Error("replayed cell not Restored")
+			}
+			if err := c2.store.Gate("p", 1000); !errors.As(err, &le) || !le.Poison {
+				t.Errorf("Gate on replayed poison cell = %v, want a poison latch", err)
+			}
+		})
 	}
 }
 
@@ -70,7 +126,7 @@ func TestMemStoreSemantics(t *testing.T) {
 // retry budget to spare — the cache must not burn budget on a quarantined
 // cell, and the latch must survive a raised budget.
 func TestPermanentFaultLatchesImmediately(t *testing.T) {
-	c := NewRunCacheWithStore(NewMemStore())
+	c := memoryOnlyCache()
 	c.SetRetries(10)
 	prof := synth.Gzip()
 	calls := countingRunFn(c, func(int) (*Result, error) {
@@ -153,17 +209,5 @@ func TestExecutorSeam(t *testing.T) {
 	}
 	if in != 1 || out != 2 || cb != 3 || ex.traffics != 1 {
 		t.Errorf("traffic = (%d,%d,%d) via %d executor calls", in, out, cb, ex.traffics)
-	}
-}
-
-// TestStoreAccessor: the store a cache was built over is reachable (the
-// coordinator serves it to remote clients), and a plain cache has none.
-func TestStoreAccessor(t *testing.T) {
-	mem := NewMemStore()
-	if got := NewRunCacheWithStore(mem).Store(); got != ResultStore(mem) {
-		t.Errorf("Store() = %v, want the mem store", got)
-	}
-	if got := NewRunCache().Store(); got != nil {
-		t.Errorf("plain cache Store() = %v, want nil", got)
 	}
 }

@@ -71,7 +71,7 @@ func (c *RunCache) SetObserver(o *Observer) {
 		r.Help("svf_cache_hits_total", "requests served from a completed cache entry")
 		r.Help("svf_cache_restored_hits_total", "cache hits served from journal-restored cells")
 	}
-	if _, journaled := c.store.(*journalBackend); journaled {
+	if c.store != nil && c.store.j != nil {
 		rs := c.restore
 		o.emit(telemetry.Event{
 			Type:        "journal_restore",

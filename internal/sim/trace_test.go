@@ -88,10 +88,10 @@ func TestTracedRunsAreByteIdenticalToUntraced(t *testing.T) {
 		return buf
 	}
 
-	plain := runAll(NewRunCacheWithStore(NewMemStore()), context.Background())
+	plain := runAll(memoryOnlyCache(), context.Background())
 
 	tracer := telemetry.NewTracer()
-	traced := NewRunCacheWithStore(NewMemStore())
+	traced := memoryOnlyCache()
 	traced.SetObserver(&Observer{Tracer: tracer})
 	trace := telemetry.MintTraceID("svf-job|trace-test")
 	root := tracer.StartSpan(telemetry.SpanContext{Trace: trace}, "job")
@@ -130,7 +130,7 @@ func TestTracedRunsAreByteIdenticalToUntraced(t *testing.T) {
 // the original worker.run attempt under the same caller span.
 func TestServeAndRetrySpans(t *testing.T) {
 	tracer := telemetry.NewTracer()
-	c := NewRunCacheWithStore(NewMemStore())
+	c := memoryOnlyCache()
 	c.SetObserver(&Observer{Tracer: tracer})
 	c.SetRetries(1)
 	prof := synth.Gzip()
@@ -179,7 +179,7 @@ func TestServeAndRetrySpans(t *testing.T) {
 // quarantine span instead of leaving the attempt tree dangling.
 func TestQuarantineSpan(t *testing.T) {
 	tracer := telemetry.NewTracer()
-	c := NewRunCacheWithStore(NewMemStore())
+	c := memoryOnlyCache()
 	c.SetObserver(&Observer{Tracer: tracer})
 	c.SetRetries(1)
 	prof := synth.Gzip()

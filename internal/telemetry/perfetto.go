@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -230,11 +229,7 @@ func (t *PipelineTrace) WriteTo(w io.Writer) (int64, error) {
 	t.mu.Unlock()
 
 	cw := &countingWriter{w: w}
-	enc := json.NewEncoder(cw)
-	err := enc.Encode(struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}{events, "ms"})
+	err := writeTraceDoc(cw, events)
 	return cw.n, err
 }
 

@@ -457,8 +457,8 @@ func WriteSpanTrace(w io.Writer, spans []Span) (int64, error) {
 	return cw.n, err
 }
 
-// writeTraceDoc writes the {"traceEvents": ...} envelope (shared with the
-// pipeline exporter's shape).
+// writeTraceDoc writes the {"traceEvents": ...} envelope that both the span
+// tree and the pipeline exporter (PipelineTrace.WriteTo) render into.
 func writeTraceDoc(w io.Writer, events []traceEvent) error {
 	return json.NewEncoder(w).Encode(struct {
 		TraceEvents     []traceEvent `json:"traceEvents"`
