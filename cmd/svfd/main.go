@@ -187,7 +187,7 @@ func run() int {
 		}
 		defer pool.Close()
 		cache.SetExecutor(pool)
-		progress.SetShard(func() telemetry.ShardStatus { return pool.Status().Telemetry() })
+		progress.SetShard(pool.Status)
 		if *parallel == 0 {
 			*parallel = *workers
 		}

@@ -142,6 +142,21 @@ func postSpec(t *testing.T, d *daemon, spec string) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
+// getJSON fetches one JSON document from the daemon.
+func getJSON(t *testing.T, d *daemon, path string) map[string]any {
+	t.Helper()
+	resp, err := http.Get(d.url(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func waitDone(t *testing.T, d *daemon, id string) map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
@@ -180,8 +195,8 @@ func getResults(t *testing.T, d *daemon, id string) []byte {
 }
 
 // TestServeAndGracefulDrain: the daemon serves the full API (including
-// /readyz reporting both bound listener addresses), then SIGTERM drains
-// and exits 0.
+// /readyz reporting both bound listener addresses), concurrent identical
+// submissions dedupe onto one job, then SIGTERM drains and exits 0.
 func TestServeAndGracefulDrain(t *testing.T) {
 	d := startDaemon(t, "-obs-addr", "127.0.0.1:0")
 	if d.obs == "" {
@@ -207,6 +222,32 @@ func TestServeAndGracefulDrain(t *testing.T) {
 		t.Fatalf("submit = %d (%v)", code, sub)
 	}
 	id := sub["id"].(string)
+
+	// Four concurrent clients resubmitting the same spec all dedupe onto
+	// that job: same content fingerprint, nothing re-admitted.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(d.url("/v1/jobs"), "application/json", strings.NewReader(smallSpec()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var out map[string]any
+			json.NewDecoder(resp.Body).Decode(&out) // a bad body fails the id check
+			if resp.StatusCode != http.StatusOK || out["id"] != id {
+				t.Errorf("concurrent resubmission = %d %v, want %d %s", resp.StatusCode, out, http.StatusOK, id)
+			}
+		}()
+	}
+	wg.Wait()
+	if svc, _ := getJSON(t, d, "/v1/progress")["service"].(map[string]any); svc["jobs_total"] != float64(1) {
+		t.Errorf("/v1/progress service = %v, want jobs_total 1", svc)
+	}
+
 	waitDone(t, d, id)
 	if lines := bytes.Split(bytes.TrimSpace(getResults(t, d, id)), []byte("\n")); len(lines) != 2 {
 		t.Fatalf("results lines = %d, want 2", len(lines))
@@ -241,8 +282,9 @@ func TestServeAndGracefulDrain(t *testing.T) {
 // TestDaemonKillResume is the CLI kill -9 drill: the daemon-kill
 // injection terminates the daemon (exit 137) right after a job's
 // accepted record is durable; a restart on the same journal — now over a
-// real two-worker fleet — replays the job, finishes it, and serves
-// results byte-identical to an undisturbed daemon's.
+// real two-worker fleet — says so on stderr, replays the job, finishes it,
+// serves results byte-identical to an undisturbed daemon's, and drains to
+// exit 0 on SIGTERM.
 func TestDaemonKillResume(t *testing.T) {
 	dir := t.TempDir()
 
@@ -255,15 +297,7 @@ func TestDaemonKillResume(t *testing.T) {
 
 	revived := startDaemon(t, "-journal", dir, "-workers", "2")
 	// The client lost the 202, so discover the replayed job via /v1/progress.
-	resp, err := http.Get(revived.url("/v1/progress"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prog map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&prog); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	prog := getJSON(t, revived, "/v1/progress")
 	jobs, _ := prog["jobs"].([]any)
 	if len(jobs) != 1 {
 		t.Fatalf("restarted daemon lost the accepted job: progress = %v", prog)
@@ -288,6 +322,16 @@ func TestDaemonKillResume(t *testing.T) {
 	waitDone(t, ref, id)
 	if want := getResults(t, ref, id); !bytes.Equal(got, want) {
 		t.Errorf("post-kill results differ from the undisturbed run:\n%s\nvs\n%s", got, want)
+	}
+
+	if err := revived.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if code := revived.wait(); code != 0 {
+		t.Fatalf("restarted daemon: exit code after SIGTERM = %d, want 0; stderr:\n%s", code, revived.stderr.String())
+	}
+	if !strings.Contains(revived.stderr.String(), "unfinished re-enqueued") {
+		t.Errorf("restarted daemon does not report the re-enqueue:\n%s", revived.stderr.String())
 	}
 }
 

@@ -343,7 +343,7 @@ func run() int {
 		}
 		defer pool.Close()
 		cache.SetExecutor(pool)
-		progress.SetShard(func() telemetry.ShardStatus { return pool.Status().Telemetry() })
+		progress.SetShard(pool.Status)
 		if *parallel == 0 {
 			// Saturate the fleet: the dispatcher goroutines only wait on
 			// workers, so one per worker is the natural default.

@@ -90,12 +90,14 @@ type Plan struct {
 }
 
 // Active reports whether the plan injects simulation-level faults. The
-// journal-level faults (JournalKillWrite, JournalTornTail) and the
-// shard-level faults (WorkerKill, WorkerStall) are deliberately excluded:
-// they target the campaign journal and the worker fleet, not the machine
-// model, so such plans must not push runs onto the cache-bypassing
-// injection path — the whole point of the worker-kill chaos drill is that
-// the reclaimed cells flow through the cache and journal as usual.
+// journal-level faults (JournalKillWrite, JournalTornTail), the
+// shard-level faults (WorkerKill, WorkerStall) and the service-level
+// faults (AcceptStall, ClientDisconnect, DaemonKill) are deliberately
+// excluded: they target the campaign journal, the worker fleet and svfd,
+// not the machine model, so such plans must not push runs onto the
+// cache-bypassing injection path — the whole point of the worker-kill
+// chaos drill is that the reclaimed cells flow through the cache and
+// journal as usual.
 func (p *Plan) Active() bool {
 	if p == nil {
 		return false
@@ -123,14 +125,6 @@ func (p *Plan) JournalTearAt(seq uint64) bool {
 	return p != nil && p.JournalTornTail != 0 && p.JournalTornTail == seq
 }
 
-// ShardActive reports whether the plan injects shard-level worker faults.
-func (p *Plan) ShardActive() bool {
-	if p == nil {
-		return false
-	}
-	return p.WorkerKill != 0 || p.WorkerStall != 0
-}
-
 // WorkerKillAt reports whether the worker holding the seq'th coordinator
 // assignment (1-based) should die mid-cell.
 func (p *Plan) WorkerKillAt(seq uint64) bool {
@@ -141,17 +135,6 @@ func (p *Plan) WorkerKillAt(seq uint64) bool {
 // should wedge mid-cell until the lease watchdog reclaims it.
 func (p *Plan) WorkerStallAt(seq uint64) bool {
 	return p != nil && p.WorkerStall != 0 && p.WorkerStall == seq
-}
-
-// ServiceActive reports whether the plan injects service-daemon faults.
-// Like the journal- and shard-level plans, these are excluded from
-// Active(): they target svfd's admission and streaming paths, not the
-// machine model, so chaos cells still flow through the cache and journal.
-func (p *Plan) ServiceActive() bool {
-	if p == nil {
-		return false
-	}
-	return p.AcceptStall != 0 || p.ClientDisconnect != 0 || p.DaemonKill != 0
 }
 
 // AcceptStallAt reports whether the admission path should stall while

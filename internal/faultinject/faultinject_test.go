@@ -208,21 +208,18 @@ func TestParseShardFaults(t *testing.T) {
 // the At predicates fire on exactly the configured assignment ordinal.
 func TestShardFaultsAreFleetOnly(t *testing.T) {
 	var nilPlan *Plan
-	if nilPlan.ShardActive() || nilPlan.WorkerKillAt(1) || nilPlan.WorkerStallAt(1) {
+	if nilPlan.WorkerKillAt(1) || nilPlan.WorkerStallAt(1) {
 		t.Error("nil plan must be shard-inert")
 	}
 	p := &Plan{WorkerKill: 5}
 	if p.Active() || p.JournalActive() {
 		t.Error("a worker-kill plan must not activate sim or journal injection")
 	}
-	if !p.ShardActive() {
-		t.Error("ShardActive must see worker-kill")
-	}
 	if !p.WorkerKillAt(5) || p.WorkerKillAt(4) || p.WorkerKillAt(6) || p.WorkerStallAt(5) {
 		t.Error("WorkerKillAt must fire exactly on assignment 5, and only for kill")
 	}
 	q := &Plan{WorkerStall: 2}
-	if q.Active() || q.JournalActive() || !q.ShardActive() {
+	if q.Active() || q.JournalActive() {
 		t.Error("a worker-stall plan must be shard-only")
 	}
 	if !q.WorkerStallAt(2) || q.WorkerStallAt(1) || q.WorkerKillAt(2) {
@@ -253,15 +250,12 @@ func TestParseServiceFaults(t *testing.T) {
 // fires on exactly the configured ordinal.
 func TestServiceFaultsAreDaemonOnly(t *testing.T) {
 	var nilPlan *Plan
-	if nilPlan.ServiceActive() || nilPlan.AcceptStallAt(1) || nilPlan.ClientDisconnectAt(1) || nilPlan.DaemonKillAt(1) {
+	if nilPlan.AcceptStallAt(1) || nilPlan.ClientDisconnectAt(1) || nilPlan.DaemonKillAt(1) {
 		t.Error("nil plan must be service-inert")
 	}
 	p := &Plan{AcceptStall: 4, ClientDisconnect: 2, DaemonKill: 7}
-	if p.Active() || p.JournalActive() || p.ShardActive() {
+	if p.Active() || p.JournalActive() || p.WorkerKillAt(7) || p.WorkerStallAt(7) {
 		t.Error("service plans must not activate sim, journal, or shard injection")
-	}
-	if !p.ServiceActive() {
-		t.Error("ServiceActive must see the service faults")
 	}
 	if !p.AcceptStallAt(4) || p.AcceptStallAt(3) || p.AcceptStallAt(5) {
 		t.Error("AcceptStallAt must fire exactly on accepted job 4")

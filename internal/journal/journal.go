@@ -349,7 +349,7 @@ func (j *Journal) replayAndRepair(noCompact bool) (*Replay, error) {
 	// outnumbers the live records; the floor avoids churning tiny files.
 	dead := rep.Stats.Obsolete + rep.Stats.SkippedCorrupt
 	if !noCompact && dead >= 8 && dead > rep.Stats.Live {
-		if err := j.compactLocked(rep.Records); err != nil {
+		if err := j.compact(rep.Records); err != nil {
 			return nil, err
 		}
 		rep.Stats.Compacted = true
@@ -449,20 +449,11 @@ func (j *Journal) syncTo(end int64) error {
 	return err
 }
 
-// Compact rewrites the journal to exactly the given records: a temp file in
+// compact rewrites the journal to exactly the given records: a temp file in
 // the same directory is written and fsynced, atomically renamed over
 // journal.log, and the directory entry fsynced. The open journal keeps
-// appending to the new file.
-func (j *Journal) Compact(live []Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead != nil {
-		return j.dead
-	}
-	return j.compactLocked(live)
-}
-
-func (j *Journal) compactLocked(live []Record) error {
+// appending to the new file. Open calls it before the journal is shared.
+func (j *Journal) compact(live []Record) error {
 	tmpPath := Path(j.dir) + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {

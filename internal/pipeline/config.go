@@ -199,8 +199,8 @@ type Env struct {
 	// plan's cycle-level faults (forced panic, stalled completions) to
 	// this run. Clean runs leave it nil.
 	Inject *faultinject.Plan
-	// Probe, when non-nil, receives cycle-sampled occupancy/SVF telemetry
-	// and (via Probe.Trace) the per-stage instruction timeline. Strictly
+	// Probe, when non-nil, receives cycle-sampled occupancy telemetry and
+	// (via Probe.Trace) the per-stage instruction timeline. Strictly
 	// observational: Stats are bit-identical with or without it, and a nil
 	// probe costs the hot loop one pointer check per cycle.
 	Probe *telemetry.Probe

@@ -5,14 +5,10 @@ package pipeline
 // field read here may mutate model state, which is what keeps golden
 // stats bit-identical with the probe on.
 
-// probeSample records one occupancy (and, for SVF runs, SVF activity)
-// observation and schedules the next sample.
+// probeSample records one occupancy observation and schedules the next
+// sample.
 func (p *Pipeline) probeSample() {
 	p.probe.Sample(p.cycle, p.ruuCount, p.lsqCount, p.ifqCount)
-	if p.env.Stack.Policy == PolicySVF {
-		st := p.env.Stack.SVF.Stats()
-		p.probe.SampleSVF(p.cycle, st.MorphedRefs(), st.ReroutedRefs(), st.Fills, st.Spills)
-	}
 	p.probeNext = p.cycle + p.probe.Interval()
 }
 

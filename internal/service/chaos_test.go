@@ -84,7 +84,7 @@ func newChaosServer(t *testing.T, workers int, plan *faultinject.Plan, retries i
 	cache.SetExecutor(pool)
 	cache.SetRetries(retries)
 	progress := telemetry.NewProgress()
-	progress.SetShard(func() telemetry.ShardStatus { return pool.Status().Telemetry() })
+	progress.SetShard(pool.Status)
 	srv, err := New(Config{
 		Cache:    cache,
 		Parallel: workers,
@@ -272,7 +272,7 @@ func TestChaosDaemonKillWithFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := s1.Submit(spec, len(raw))
+		res := s1.SubmitTraced(spec, len(raw), telemetry.SpanContext{})
 		if res.shed != nil {
 			t.Fatalf("submit shed: %v", res.shed)
 		}

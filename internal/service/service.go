@@ -360,7 +360,7 @@ func (s *Server) Addrs() (listen, obs string) {
 	return s.listenAddr, s.obsAddr
 }
 
-// submitResult is Submit's outcome, shaped for the HTTP layer.
+// submitResult is SubmitTraced's outcome, shaped for the HTTP layer.
 type submitResult struct {
 	job     *Job
 	deduped bool
@@ -373,12 +373,6 @@ var errOverload = errors.New("service: admission queue full")
 
 // errDraining marks a 503 during drain.
 var errDraining = errors.New("service: draining")
-
-// Submit admits one parsed spec of rawLen bytes with no inbound trace
-// parent. See SubmitTraced.
-func (s *Server) Submit(spec *JobSpec, rawLen int) submitResult {
-	return s.SubmitTraced(spec, rawLen, telemetry.SpanContext{})
-}
 
 // SubmitTraced admits one parsed spec of rawLen bytes. It implements the
 // admission contract: dedupe first (a retry of a known job is never

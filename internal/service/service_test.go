@@ -485,7 +485,7 @@ func TestRestartReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s1.Submit(spec, len(testSpec()))
+	res := s1.SubmitTraced(spec, len(testSpec()), telemetry.SpanContext{})
 	if res.shed != nil {
 		t.Fatalf("submit shed: %v", res.shed)
 	}

@@ -654,40 +654,12 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// WorkerStatus is one fleet slot's live state.
-type WorkerStatus struct {
-	Slot  int
-	PID   int
-	Gen   int // spawn generation (1 = original process)
-	Alive bool
-	// Bench and LeaseAgeMS describe the in-flight lease, when one exists.
-	Bench      string `json:",omitempty"`
-	LeaseAgeMS int64  `json:",omitempty"`
-}
-
-// Status is a point-in-time snapshot of the fleet and its supervision
-// counters — what /progress serves and the shard summary line prints.
-type Status struct {
-	Workers []WorkerStatus
-	// Assigned counts leases handed out; Completed counts result/fault
-	// frames accepted from live leases.
-	Assigned, Completed uint64
-	// Reenqueued counts cells reclaimed from dead or expired workers and
-	// put back under the retry budget; LeaseExpired the watchdog firings;
-	// WorkerDeaths the processes lost; Respawns the replacements started.
-	Reenqueued, LeaseExpired, WorkerDeaths, Respawns uint64
-	// StaleResults and StaleHeartbeats count frames discarded because
-	// their lease had already expired or been reassigned.
-	StaleResults, StaleHeartbeats uint64
-	// Quarantined counts poison cells latched after killing K workers.
-	Quarantined uint64
-}
-
-// Status snapshots the pool.
-func (p *Pool) Status() Status {
+// Status snapshots the pool: what /progress serves and the shard summary
+// line prints.
+func (p *Pool) Status() telemetry.ShardStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := Status{
+	s := telemetry.ShardStatus{
 		Assigned:        p.assigned,
 		Completed:       p.completed,
 		Reenqueued:      p.reenqueued,
@@ -700,7 +672,7 @@ func (p *Pool) Status() Status {
 	}
 	now := time.Now()
 	for _, w := range p.workers {
-		ws := WorkerStatus{Slot: w.slot, PID: w.pid, Gen: w.gen, Alive: w.alive}
+		ws := telemetry.ShardWorker{Slot: w.slot, PID: w.pid, Gen: w.gen, Alive: w.alive}
 		if l := w.lease; l != nil {
 			ws.Bench = l.bench
 			ws.LeaseAgeMS = int64(now.Sub(l.started) / time.Millisecond)
@@ -708,52 +680,6 @@ func (p *Pool) Status() Status {
 		s.Workers = append(s.Workers, ws)
 	}
 	return s
-}
-
-// Telemetry converts the snapshot to the telemetry layer's shape, so
-// `progress.SetShard(func() telemetry.ShardStatus { return pool.Status().Telemetry() })`
-// puts the fleet on /progress.
-func (s Status) Telemetry() telemetry.ShardStatus {
-	out := telemetry.ShardStatus{
-		Assigned:        s.Assigned,
-		Completed:       s.Completed,
-		Reenqueued:      s.Reenqueued,
-		LeaseExpired:    s.LeaseExpired,
-		WorkerDeaths:    s.WorkerDeaths,
-		Respawns:        s.Respawns,
-		StaleResults:    s.StaleResults,
-		StaleHeartbeats: s.StaleHeartbeats,
-		Quarantined:     s.Quarantined,
-	}
-	for _, w := range s.Workers {
-		out.Workers = append(out.Workers, telemetry.ShardWorker{
-			Slot: w.Slot, PID: w.PID, Gen: w.Gen, Alive: w.Alive,
-			Bench: w.Bench, LeaseAgeMS: w.LeaseAgeMS,
-		})
-	}
-	return out
-}
-
-// String renders the one-line shard summary `svfexp -workers` prints next
-// to -cache-stats.
-func (s Status) String() string {
-	alive := 0
-	for _, w := range s.Workers {
-		if w.Alive {
-			alive++
-		}
-	}
-	out := fmt.Sprintf("shard: %d/%d workers alive; %d assigned, %d completed", alive, len(s.Workers), s.Assigned, s.Completed)
-	if s.WorkerDeaths > 0 || s.Reenqueued > 0 {
-		out += fmt.Sprintf("; %d worker deaths (%d lease expiries), %d cells re-enqueued, %d respawns", s.WorkerDeaths, s.LeaseExpired, s.Reenqueued, s.Respawns)
-	}
-	if s.StaleResults > 0 || s.StaleHeartbeats > 0 {
-		out += fmt.Sprintf("; %d stale results, %d stale heartbeats discarded", s.StaleResults, s.StaleHeartbeats)
-	}
-	if s.Quarantined > 0 {
-		out += fmt.Sprintf("; %d poison cells quarantined", s.Quarantined)
-	}
-	return out
 }
 
 // logf forwards to the configured logger.

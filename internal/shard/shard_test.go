@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"svf/internal/pipeline"
 	"svf/internal/sim"
 	"svf/internal/synth"
+	"svf/internal/telemetry"
 )
 
 // testProfile returns a small real workload; runs stay fast via MaxInsts.
@@ -167,7 +167,7 @@ func TestWorkerKillReenqueuesAndStaysBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Active() || plan.JournalActive() || !plan.ShardActive() {
+	if plan.Active() || plan.JournalActive() || !plan.WorkerKillAt(1) {
 		t.Fatalf("worker-kill plan classification wrong: %+v", plan)
 	}
 	pool, err := NewPool(Config{Workers: 2, Spawn: inprocSpawner(), Plan: plan, Logf: t.Logf})
@@ -465,7 +465,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 
 // TestStatusString covers the summary line's branches.
 func TestStatusString(t *testing.T) {
-	s := Status{Workers: []WorkerStatus{{Alive: true}, {}}, Assigned: 5, Completed: 4,
+	s := telemetry.ShardStatus{Workers: []telemetry.ShardWorker{{Alive: true}, {}}, Assigned: 5, Completed: 4,
 		WorkerDeaths: 1, LeaseExpired: 1, Reenqueued: 1, Respawns: 1, StaleResults: 1, Quarantined: 1}
 	out := s.String()
 	for _, want := range []string{"1/2 workers alive", "5 assigned", "re-enqueued", "stale", "quarantined"} {
@@ -473,5 +473,4 @@ func TestStatusString(t *testing.T) {
 			t.Errorf("summary %q missing %q", out, want)
 		}
 	}
-	_ = fmt.Sprintf("%v", s.Telemetry())
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 
 	"svf/internal/pipeline"
@@ -13,7 +12,7 @@ import (
 
 // Fault is a contained simulation failure: an internal panic caught by the
 // recover net, a tripped deadlock watchdog, or a pipeline consistency
-// error. It carries enough identity (benchmark, run fingerprint) and
+// error. It carries enough identity (benchmark, cell fingerprint) and
 // machine state (cycle, committed count, bounded state dump) that a failed
 // cell in a large campaign is diagnosable without re-running anything.
 //
@@ -24,8 +23,8 @@ import (
 type Fault struct {
 	// Bench is the workload's ID (or the caller-supplied stream name).
 	Bench string
-	// Fingerprint identifies the exact run: a hash of the workload's
-	// content fingerprint and the canonical options.
+	// Fingerprint identifies the exact cell: the 16-hex short form of its
+	// cell key (RunCellKey or TrafficCellKey), which events also carry.
 	Fingerprint string
 	// Cycle and Committed locate the failure in simulated time.
 	Cycle, Committed uint64
@@ -58,20 +57,6 @@ func (f *Fault) Error() string {
 
 // Unwrap exposes the underlying error to errors.Is/As.
 func (f *Fault) Unwrap() error { return f.Err }
-
-// fingerprintOf hashes arbitrary identity parts into the short run ID
-// faults report.
-func fingerprintOf(parts ...any) string {
-	h := fnv.New64a()
-	fmt.Fprint(h, parts...)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// runFingerprint hashes the workload identity and canonical options into
-// the short run ID faults report.
-func runFingerprint(identity string, opt Options) string {
-	return fingerprintOf(identity, "|", fmt.Sprintf("%+v", Canonical(opt)))
-}
 
 // maxFaultStack bounds the goroutine stack captured into a Fault.
 const maxFaultStack = 8 << 10

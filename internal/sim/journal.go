@@ -10,7 +10,6 @@ import (
 
 	"svf/internal/journal"
 	"svf/internal/pipeline"
-	"svf/internal/synth"
 	"svf/internal/telemetry"
 )
 
@@ -55,32 +54,6 @@ type faultPayload struct {
 	Bench  string
 	Msg    string
 	Poison bool `json:",omitempty"`
-}
-
-// runJournalKey renders a run cell's stable journal identity. The full
-// canonical-options rendering (not a hash) is used so distinct cells can
-// never collide; a format change across versions merely makes old records
-// unmatchable, which costs a re-execution, never a wrong result.
-func runJournalKey(k runKey) string {
-	return "run|" + k.prof + "|" + fmt.Sprintf("%+v", k.opt)
-}
-
-// trafficJournalKey renders a traffic cell's stable journal identity.
-func trafficJournalKey(k trafficKey) string {
-	return fmt.Sprintf("traffic|%s|%d|%d|%d|%d", k.prof, k.policy, k.sizeBytes, k.maxInsts, k.ctxPeriod)
-}
-
-// RunCellKey is the public form of a run cell's stable identity: the exact
-// string the cache journals the cell under. Callers above the cache (the
-// service daemon's job fingerprints, external dedup) share cell identity
-// with the journal by using this instead of inventing a parallel scheme.
-func RunCellKey(prof *synth.Profile, opt Options) string {
-	return runJournalKey(runKey{prof.Fingerprint(), Canonical(opt)})
-}
-
-// TrafficCellKey is the public form of a traffic cell's stable identity.
-func TrafficCellKey(prof *synth.Profile, policy pipeline.StackPolicy, sizeBytes, maxInsts int, ctxPeriod uint64) string {
-	return trafficJournalKey(trafficKey{prof.Fingerprint(), policy, sizeBytes, maxInsts, ctxPeriod})
 }
 
 // LatchedError reports a cell whose retry budget was exhausted in this or a
@@ -172,7 +145,6 @@ func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache,
 		j:        j,
 		attempts: map[string]uint32{},
 		latched:  map[string]*LatchedError{},
-		restored: map[string]bool{},
 	}
 	c.store = s
 	var rs RestoreStats
@@ -181,22 +153,20 @@ func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache,
 		for _, rec := range rep.Records {
 			switch rec.Kind {
 			case recKindRun:
-				key, res, ok := decodeRunRecord(rec)
+				res, ok := decodeRunRecord(rec)
 				if !ok {
 					rs.SkippedDecode++
 					continue
 				}
-				c.runs.seed(key, res)
-				s.restored[rec.Key] = true
+				c.runs.seed(rec.Key, res)
 				rs.Runs++
 			case recKindTraffic:
-				key, v, ok := decodeTrafficRecord(rec)
+				v, ok := decodeTrafficRecord(rec)
 				if !ok {
 					rs.SkippedDecode++
 					continue
 				}
-				c.traffic.seed(key, v)
-				s.restored[rec.Key] = true
+				c.traffic.seed(rec.Key, v)
 				rs.Traffic++
 			case recKindFault:
 				var p faultPayload
@@ -222,40 +192,28 @@ func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache,
 	return c, rs
 }
 
-// decodeRunRecord decodes a "run" journal record back into its typed cell.
-// The decoded options are re-canonicalised so a journal written before a
-// defaults change still lands on today's key for the same machine; a record
-// whose key no longer round-trips is rejected (costs a re-execution, never a
+// decodeRunRecord decodes a "run" journal record's result. The decoded
+// options are re-canonicalised so a journal written before a defaults
+// change still lands on today's key for the same machine; a record whose
+// key no longer round-trips is rejected (costs a re-execution, never a
 // wrong result).
-func decodeRunRecord(rec journal.Record) (runKey, *Result, bool) {
+func decodeRunRecord(rec journal.Record) (*Result, bool) {
 	var p runPayload
-	if json.Unmarshal(rec.Data, &p) != nil || p.Res == nil {
-		return runKey{}, nil, false
+	if json.Unmarshal(rec.Data, &p) != nil || p.Res == nil || runCellKey(p.Prof, Canonical(p.Opt)) != rec.Key {
+		return nil, false
 	}
-	key := runKey{p.Prof, Canonical(p.Opt)}
-	if runJournalKey(key) != rec.Key {
-		return runKey{}, nil, false
-	}
-	return key, p.Res, true
+	return p.Res, true
 }
 
-// decodeTrafficRecord decodes a "traffic" journal record back into its
-// typed cell, rejecting records whose key no longer round-trips.
-func decodeTrafficRecord(rec journal.Record) (trafficKey, trafficVal, bool) {
+// decodeTrafficRecord decodes a "traffic" journal record's result,
+// rejecting records whose key no longer round-trips.
+func decodeTrafficRecord(rec journal.Record) (trafficVal, bool) {
 	var p trafficPayload
-	if json.Unmarshal(rec.Data, &p) != nil {
-		return trafficKey{}, trafficVal{}, false
+	if json.Unmarshal(rec.Data, &p) != nil || trafficCellKey(p.Prof, p.Policy, p.SizeBytes, p.MaxInsts, p.CtxPeriod) != rec.Key {
+		return trafficVal{}, false
 	}
-	key := trafficKey{p.Prof, p.Policy, p.SizeBytes, p.MaxInsts, p.CtxPeriod}
-	if trafficJournalKey(key) != rec.Key {
-		return trafficKey{}, trafficVal{}, false
-	}
-	return key, trafficVal{p.In, p.Out, p.CtxBytes}, true
+	return trafficVal{p.In, p.Out, p.CtxBytes}, true
 }
-
-// Restore returns what the journal replay put back into this cache (zero
-// for caches without a journal).
-func (c *RunCache) Restore() RestoreStats { return c.restore }
 
 // RestoredFaults returns the permanently latched cells replayed from the
 // journal, in deterministic (key) order, as errors ready for a fault log.

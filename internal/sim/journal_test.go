@@ -61,8 +61,8 @@ func TestJournaledCachePersistsAndRestoresRuns(t *testing.T) {
 	if rs2.Runs != 1 || rs2.Traffic != 1 || rs2.Faulted != 0 || rs2.Latched != 0 || rs2.SkippedDecode != 0 {
 		t.Fatalf("restore stats = %+v, want 1 run + 1 traffic", rs2)
 	}
-	if c2.Restore() != rs2 {
-		t.Errorf("Restore() = %+v, want %+v", c2.Restore(), rs2)
+	if c2.restore != rs2 {
+		t.Errorf("cache restore stats = %+v, want %+v", c2.restore, rs2)
 	}
 	calls := countingRunFn(c2, func(int) (*Result, error) {
 		t.Error("restored cell re-executed")
@@ -195,7 +195,7 @@ func TestJournaledCachePriorAttemptsCountAgainstBudget(t *testing.T) {
 	dir := t.TempDir()
 	prof := synth.Gzip()
 	opt := Options{MaxInsts: 1000}
-	key := runJournalKey(runKey{prof.Fingerprint(), Canonical(opt)})
+	key := RunCellKey(prof, opt)
 
 	// Simulate a previous session that failed once and died before retrying.
 	j, _, err := journal.Open(dir, journal.Options{})
@@ -245,7 +245,7 @@ func TestJournaledCacheShrunkenBudgetStillRetriesOnce(t *testing.T) {
 	dir := t.TempDir()
 	prof := synth.Gzip()
 	opt := Options{MaxInsts: 1000}
-	key := runJournalKey(runKey{prof.Fingerprint(), Canonical(opt)})
+	key := RunCellKey(prof, opt)
 
 	j, _, err := journal.Open(dir, journal.Options{})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"svf/internal/journal"
@@ -15,13 +16,16 @@ import (
 	"svf/internal/telemetry"
 )
 
-// RunCache memoizes complete simulation runs. Keys are content
-// fingerprints: the full parameter set of the workload profile (not its ID
-// — see Profile.Fingerprint) combined with the canonicalized Options, so
-// two requests hit the same entry exactly when they would simulate the same
-// machine on the same workload. Concurrent requests for one key share a
-// single in-flight simulation (single-flight deduplication); later requests
-// are served from the cache.
+// RunCache memoizes complete simulation runs. A cell is keyed by its cell
+// key (RunCellKey, TrafficCellKey): the content fingerprint of the workload
+// profile (not its ID — see Profile.Fingerprint) and the canonicalized
+// Options, so two requests hit the same entry exactly when they would
+// simulate the same machine on the same workload. The key is derived once
+// per request and is the cell's only identity: the single-flight entry,
+// the store's gate and the journal record use it, and faults and events
+// carry its short form. Concurrent requests for one key share a single
+// in-flight simulation (single-flight deduplication); later requests are
+// served from the cache.
 //
 // The experiment harnesses route every timing run, traffic run and
 // characterisation pass through one RunCache (experiments.Config.Cache), so
@@ -48,8 +52,8 @@ import (
 // Results accumulate for the cache's lifetime; use a fresh cache per sweep
 // when memory matters more than reuse.
 type RunCache struct {
-	runs    flightGroup[runKey, *Result]
-	traffic flightGroup[trafficKey, trafficVal]
+	runs    flightGroup[string, *Result]    // keyed by RunCellKey
+	traffic flightGroup[string, trafficVal] // keyed by TrafficCellKey
 	char    flightGroup[charKey, *synth.Characterization]
 	cnt     cacheCounters
 
@@ -77,18 +81,18 @@ type RunCache struct {
 	sleep                   func(context.Context, time.Duration) error
 }
 
-// cacheCounters are the cache's event counters (internal/stats). Every
-// counter is atomic: the single-flight path bumps them from whichever
-// caller goroutine executes or joins a cell, so `-cache-stats` stays exact
-// under arbitrary concurrency (see TestRunCacheCountersExactUnderConcurrency).
+// cacheCounters are the cache's event counters. Every counter is atomic:
+// the single-flight path bumps them from whichever caller goroutine
+// executes or joins a cell, so `-cache-stats` stays exact under arbitrary
+// concurrency (see TestRunCacheCountersExactUnderConcurrency).
 type cacheCounters struct {
-	hits     stats.Counter // served from a completed entry
-	shared   stats.Counter // joined an in-flight simulation
-	misses   stats.Counter // simulations actually executed
-	errors   stats.Counter // execution attempts that failed (entry dropped)
-	retries  stats.Counter // bounded re-executions after a contained fault
-	latched  stats.Counter // requests refused because the cell is latched permanently failed
-	simNanos stats.Counter // wall-clock nanoseconds spent executing
+	hits     atomic.Uint64 // served from a completed entry
+	shared   atomic.Uint64 // joined an in-flight simulation
+	misses   atomic.Uint64 // simulations actually executed
+	errors   atomic.Uint64 // execution attempts that failed (entry dropped)
+	retries  atomic.Uint64 // bounded re-executions after a contained fault
+	latched  atomic.Uint64 // requests refused because the cell is latched permanently failed
+	simNanos atomic.Uint64 // wall-clock nanoseconds spent executing
 }
 
 // NewRunCache returns an empty cache.
@@ -101,12 +105,6 @@ var sharedCache = NewRunCache()
 // by default, so separate harnesses in one invocation reuse each other's
 // runs.
 func SharedCache() *RunCache { return sharedCache }
-
-// runKey identifies one unique timing simulation.
-type runKey struct {
-	prof string
-	opt  Options
-}
 
 // Canonical returns opt with defaults filled and presentation-only state
 // normalised, so equivalent configurations compare equal as cache keys: the
@@ -167,7 +165,7 @@ func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn fu
 					return zero, err
 				}
 			}
-			c.cnt.retries.Inc()
+			c.cnt.retries.Add(1)
 			c.obs.emit(telemetry.Event{Type: "retry", Bench: bench, Key: key, Attempt: attempts + 1})
 			c.obs.count("svf_sim_retries_total", 1)
 		}
@@ -195,7 +193,7 @@ func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn fu
 			}
 			return v, nil
 		}
-		c.cnt.errors.Inc()
+		c.cnt.errors.Add(1)
 		poison := IsPermanentFault(err)
 		var f *Fault
 		if (!errors.As(err, &f) && !poison) || ctx.Err() != nil {
@@ -243,75 +241,43 @@ func (c *RunCache) Run(ctx context.Context, prof *synth.Profile, opt Options) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// With an observer attached, every executed run carries a probe
-	// mirroring into the shared registry, so /metrics aggregates occupancy
-	// across the whole sweep. Canonical clears the probe, so keys,
-	// fingerprints and journal identities are untouched.
-	var fp string
-	if c.obs != nil {
-		if opt.Probe == nil && c.obs.Registry != nil {
-			opt.Probe = telemetry.NewProbe(c.obs.Registry)
-		}
-		fp = runFingerprint(prof.Fingerprint(), opt)
-	}
+	pfp, canon := prof.Fingerprint(), Canonical(opt)
+	key := runCellKey(pfp, canon)
 	execRun := func(ctx context.Context) (*Result, error) {
+		o, fp := opt, ""
+		if c.obs != nil {
+			fp = shortKey(key)
+			// With a registry attached, every executed run carries a
+			// probe mirroring into it, so /metrics aggregates occupancy
+			// across the whole sweep. The key was derived without it.
+			if o.Probe == nil && c.obs.Registry != nil {
+				o.Probe = telemetry.NewProbe(c.obs.Registry)
+			}
+		}
 		c.obs.emit(telemetry.Event{Type: "run_start", Bench: prof.ID(), Fingerprint: fp})
 		start := time.Now()
-		res, err := c.exec.ExecRun(ctx, prof, opt)
+		res, err := c.exec.ExecRun(ctx, prof, o)
 		if err == nil {
 			c.obs.observeRunFinish(res, fp, time.Since(start))
 		}
 		return res, err
 	}
 	if opt.FaultPlan.Active() && opt.FaultPlan.Matches(prof.ID()) {
-		c.cnt.misses.Inc()
+		c.cnt.misses.Add(1)
 		start := time.Now()
 		res, err := execRun(ctx)
 		c.cnt.simNanos.Add(uint64(time.Since(start)))
 		if err != nil {
-			c.cnt.errors.Inc()
+			c.cnt.errors.Add(1)
 			c.obs.count("svf_sim_run_faults_total", 1)
 			c.obs.progressFault()
 		}
 		return res, err
 	}
-	key := runKey{prof.Fingerprint(), Canonical(opt)}
-	var skey string
-	if c.store != nil {
-		skey = runJournalKey(key)
-		if gerr := c.store.Gate(skey, c.attemptBudget()); gerr != nil {
-			c.cnt.latched.Inc()
-			c.obs.emit(telemetry.Event{Type: "latched", Bench: prof.ID(), Key: skey, Err: gerr.Error(), Detail: "refused without execution"})
-			return nil, gerr
-		}
-	}
-	var onServe func(shared bool)
-	if c.obs != nil {
-		onServe = func(shared bool) {
-			restored := c.storeRestored(skey)
-			c.obs.serveEvent(prof.ID(), skey, fp, shared, restored)
-			c.serveSpan(ctx, prof.ID(), skey, shared, restored)
-		}
-	}
-	res, err := c.runs.do(ctx, key, &c.cnt, onServe, func() (*Result, error) {
-		return cacheExec(ctx, c, skey, prof.ID(), execRun, func(r *Result) (journal.Record, error) {
-			data, err := json.Marshal(runPayload{Prof: key.prof, Opt: key.opt, Res: r})
-			if err != nil {
-				return journal.Record{}, err
-			}
-			return journal.Record{Kind: recKindRun, Key: skey, Data: data}, nil
-		})
+	res, err := request(ctx, c, &c.runs, recKindRun, prof.ID(), key, execRun, func(r *Result) any {
+		return runPayload{Prof: pfp, Opt: canon, Res: r}
 	})
 	return cloneResult(res), err
-}
-
-// trafficKey identifies one unique functional traffic run.
-type trafficKey struct {
-	prof      string
-	policy    pipeline.StackPolicy
-	sizeBytes int
-	maxInsts  int
-	ctxPeriod uint64
 }
 
 type trafficVal struct{ in, out, ctx uint64 }
@@ -321,41 +287,45 @@ func (c *RunCache) Traffic(ctx context.Context, prof *synth.Profile, policy pipe
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key := trafficKey{prof.Fingerprint(), policy, sizeBytes, maxInsts, ctxPeriod}
-	var skey string
-	if c.store != nil {
-		skey = trafficJournalKey(key)
-		if gerr := c.store.Gate(skey, c.attemptBudget()); gerr != nil {
-			c.cnt.latched.Inc()
-			c.obs.emit(telemetry.Event{Type: "latched", Bench: prof.ID(), Key: skey, Err: gerr.Error(), Detail: "refused without execution"})
-			return 0, 0, 0, gerr
+	pfp := prof.Fingerprint()
+	key := trafficCellKey(pfp, policy, sizeBytes, maxInsts, ctxPeriod)
+	v, err := request(ctx, c, &c.traffic, recKindTraffic, prof.ID(), key, func(ctx context.Context) (trafficVal, error) {
+		in, out, cb, err := c.exec.ExecTraffic(ctx, prof, policy, sizeBytes, maxInsts, ctxPeriod)
+		return trafficVal{in, out, cb}, err
+	}, func(v trafficVal) any {
+		return trafficPayload{
+			Prof: pfp, Policy: policy, SizeBytes: sizeBytes, MaxInsts: maxInsts, CtxPeriod: ctxPeriod,
+			In: v.in, Out: v.out, CtxBytes: v.ctx,
 		}
-	}
-	var onServe func(shared bool)
-	if c.obs != nil {
-		onServe = func(shared bool) {
-			restored := c.storeRestored(skey)
-			c.obs.serveEvent(prof.ID(), skey, "", shared, restored)
-			c.serveSpan(ctx, prof.ID(), skey, shared, restored)
-		}
-	}
-	v, err := c.traffic.do(ctx, key, &c.cnt, onServe, func() (trafficVal, error) {
-		return cacheExec(ctx, c, skey, prof.ID(), func(ctx context.Context) (trafficVal, error) {
-			in, out, cb, err := c.exec.ExecTraffic(ctx, prof, policy, sizeBytes, maxInsts, ctxPeriod)
-			return trafficVal{in, out, cb}, err
-		}, func(v trafficVal) (journal.Record, error) {
-			data, err := json.Marshal(trafficPayload{
-				Prof: key.prof, Policy: key.policy, SizeBytes: key.sizeBytes,
-				MaxInsts: key.maxInsts, CtxPeriod: key.ctxPeriod,
-				In: v.in, Out: v.out, CtxBytes: v.ctx,
-			})
-			if err != nil {
-				return journal.Record{}, err
-			}
-			return journal.Record{Kind: recKindTraffic, Key: skey, Data: data}, nil
-		})
 	})
 	return v.in, v.out, v.ctx, err
+}
+
+// request is the one request path of a journaled cell, shared by Run and
+// Traffic: the store's gate and its latched refusal, the serve hook, the
+// single flight and the supervised execution. The kinds differ only in
+// exec, which executes a miss, and payload, which gives the JSON body of a
+// completed cell's journal record. key is the cell key the caller derived
+// once.
+func request[V any](ctx context.Context, c *RunCache, g *flightGroup[string, V], kind, bench, key string, exec func(context.Context) (V, error), payload func(V) any) (V, error) {
+	if c.store != nil {
+		if err := c.store.Gate(key, c.attemptBudget()); err != nil {
+			c.cnt.latched.Add(1)
+			c.obs.emit(telemetry.Event{Type: "latched", Bench: bench, Key: key, Err: err.Error(), Detail: "refused without execution"})
+			var zero V
+			return zero, err
+		}
+	}
+	var onServe func(shared, restored bool)
+	if c.obs != nil {
+		onServe = func(shared, restored bool) { c.served(ctx, bench, key, shared, restored) }
+	}
+	return g.do(ctx, key, &c.cnt, onServe, func() (V, error) {
+		return cacheExec(ctx, c, key, bench, exec, func(v V) (journal.Record, error) {
+			data, err := json.Marshal(payload(v))
+			return journal.Record{Kind: kind, Key: key, Data: data}, err
+		})
+	})
 }
 
 // charKey identifies one unique characterisation pass.
@@ -467,10 +437,14 @@ func (s CacheStats) Table() *stats.Table {
 }
 
 // flight is one single-flight slot: done closes when val/err are final.
+// restored marks an entry seeded from a journal replay, so the telemetry
+// layer can tell a disk-restored hit (cache_restore) from an ordinary
+// in-memory one (cache_hit).
 type flight[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+	done     chan struct{}
+	val      V
+	err      error
+	restored bool
 }
 
 // flightGroup is a memoizing single-flight map: concurrent callers of the
@@ -486,9 +460,10 @@ type flightGroup[K comparable, V any] struct {
 // in-flight execution stops waiting when its own context is cancelled (the
 // execution itself keeps running for the caller that started it). onServe,
 // when non-nil, is called for requests served without executing fn — a hit
-// on a completed entry (shared=false) or a join of an in-flight execution
-// (shared=true) — which is where the telemetry layer hangs cache events.
-func (g *flightGroup[K, V]) do(ctx context.Context, key K, cnt *cacheCounters, onServe func(shared bool), fn func() (V, error)) (V, error) {
+// on a completed entry (shared=false; restored when the journal replay
+// seeded it) or a join of an in-flight execution (shared=true) — which is
+// where the telemetry layer hangs cache events.
+func (g *flightGroup[K, V]) do(ctx context.Context, key K, cnt *cacheCounters, onServe func(shared, restored bool), fn func() (V, error)) (V, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[K]*flight[V])
@@ -508,12 +483,12 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, cnt *cacheCounters, o
 				var zero V
 				return zero, ctx.Err()
 			}
-			cnt.shared.Inc()
+			cnt.shared.Add(1)
 		} else {
-			cnt.hits.Inc()
+			cnt.hits.Add(1)
 		}
 		if onServe != nil {
-			onServe(inFlight)
+			onServe(inFlight, f.restored)
 		}
 		return f.val, f.err
 	}
@@ -521,7 +496,7 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, cnt *cacheCounters, o
 	g.m[key] = f
 	g.mu.Unlock()
 
-	cnt.misses.Inc()
+	cnt.misses.Add(1)
 	start := time.Now()
 	f.val, f.err = fn()
 	cnt.simNanos.Add(uint64(time.Since(start)))
@@ -543,9 +518,10 @@ func (g *flightGroup[K, V]) len() int {
 	return len(g.m)
 }
 
-// seed installs an already-completed entry (a cell restored from the
-// journal). Requests for it are ordinary hits. An existing entry wins: a
-// live execution is at least as fresh as a replayed record.
+// seed installs an already-completed entry marked restored (a cell
+// replayed from the journal). Requests for it count as ordinary hits. An
+// existing entry wins: a live execution is at least as fresh as a replayed
+// record.
 func (g *flightGroup[K, V]) seed(key K, val V) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -555,7 +531,7 @@ func (g *flightGroup[K, V]) seed(key K, val V) {
 	if _, ok := g.m[key]; ok {
 		return
 	}
-	f := &flight[V]{done: make(chan struct{}), val: val}
+	f := &flight[V]{done: make(chan struct{}), val: val, restored: true}
 	close(f.done)
 	g.m[key] = f
 }

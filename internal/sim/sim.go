@@ -84,8 +84,8 @@ type Options struct {
 	// clean request.
 	FaultPlan *faultinject.Plan
 
-	// Probe, when non-nil, attaches pipeline telemetry (occupancy series,
-	// SVF activity samples, optional per-stage trace) to the run. Like
+	// Probe, when non-nil, attaches pipeline telemetry (occupancy
+	// histograms, optional per-stage trace) to the run. Like
 	// FaultPlan it is a pointer so Options stays comparable, and Canonical
 	// clears it: instrumentation never affects cache keys, fingerprints,
 	// or results — golden stats are bit-identical with it on or off. The
@@ -199,8 +199,9 @@ func RunStream(ctx context.Context, name string, gen trace.Stream, opt Options) 
 	return runStream(ctx, name, name, gen, opt)
 }
 
-// runStream is the shared run body; identity feeds the run fingerprint
-// (profile contents for Run, the stream name for RunStream).
+// runStream is the shared run body; identity stands in for the profile
+// fingerprint in the cell key a fault reports (profile contents for Run,
+// the stream name for RunStream).
 func runStream(ctx context.Context, name, identity string, gen trace.Stream, opt Options) (*Result, error) {
 	opt.fillDefaults()
 
@@ -280,7 +281,7 @@ func runStream(ctx context.Context, name, identity string, gen trace.Stream, opt
 	if err != nil {
 		return nil, err
 	}
-	ps, err := runContained(ctx, name, runFingerprint(identity, opt), pl,
+	ps, err := runContained(ctx, name, shortKey(runCellKey(identity, Canonical(opt))), pl,
 		&trace.Limit{S: gen, N: opt.MaxInsts}, uint64(opt.MaxInsts))
 	if err != nil {
 		// A faulted or cancelled machine is dropped, not pooled: its
@@ -332,26 +333,28 @@ const trafficCtxCheckMask = 1<<16 - 1
 // TrafficOnly runs just the stack structure against the trace (no timing
 // pipeline), which is all Table 3 needs; it is an order of magnitude faster
 // than a full timing run. It returns quadwords (in, out). Like RunContext,
-// it is supervised: panics come back as a *Fault and cancellation as
-// ctx.Err().
+// it is supervised: panics come back as a *Fault fingerprinted by the
+// cell's TrafficCellKey, and cancellation as ctx.Err().
 func TrafficOnly(ctx context.Context, prof *synth.Profile, policy pipeline.StackPolicy, sizeBytes, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
+	cell := TrafficCellKey(prof, policy, sizeBytes, maxInsts, ctxPeriod)
 	switch policy {
 	case pipeline.PolicySVF:
-		return TrafficOnlySVF(ctx, prof, core.Config{SizeBytes: sizeBytes}, maxInsts, ctxPeriod)
+		return trafficOnlyRun(ctx, prof, cell, &core.Config{SizeBytes: sizeBytes}, stackcache.Config{}, maxInsts, ctxPeriod)
 	case pipeline.PolicyStackCache:
-		return trafficOnlyRun(ctx, prof, nil, stackcache.Config{SizeBytes: sizeBytes}, maxInsts, ctxPeriod)
+		return trafficOnlyRun(ctx, prof, cell, nil, stackcache.Config{SizeBytes: sizeBytes}, maxInsts, ctxPeriod)
 	case pipeline.PolicyRSE:
-		return trafficOnlyRSE(ctx, prof, rse.Config{Regs: sizeBytes / isa.WordSize}, maxInsts, ctxPeriod)
+		return trafficOnlyRSE(ctx, prof, cell, rse.Config{Regs: sizeBytes / isa.WordSize}, maxInsts, ctxPeriod)
 	default:
 		return 0, 0, 0, fmt.Errorf("sim: TrafficOnly needs a stack policy")
 	}
 }
 
-// trafficFault wraps a traffic-loop failure in the common Fault shape.
-func trafficFault(prof *synth.Profile, committed uint64, panicked any, cause error) *Fault {
+// trafficFault wraps a traffic-loop failure in the common Fault shape,
+// fingerprinted by cell, the traffic cell's key.
+func trafficFault(prof *synth.Profile, cell string, committed uint64, panicked any, cause error) *Fault {
 	f := &Fault{
 		Bench:       prof.ID(),
-		Fingerprint: fingerprintOf("traffic|", prof.Fingerprint()),
+		Fingerprint: shortKey(cell),
 		Committed:   committed,
 		Err:         cause,
 	}
@@ -363,7 +366,7 @@ func trafficFault(prof *synth.Profile, committed uint64, panicked any, cause err
 }
 
 // trafficOnlyRSE drives just the register stack engine over the trace.
-func trafficOnlyRSE(ctx context.Context, prof *synth.Profile, cfg rse.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
+func trafficOnlyRSE(ctx context.Context, prof *synth.Profile, cell string, cfg rse.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
 	prog, err := ProgramFor(prof)
 	if err != nil {
 		return 0, 0, 0, err
@@ -384,7 +387,7 @@ func trafficOnlyRSE(ctx context.Context, prof *synth.Profile, cfg rse.Config, ma
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = trafficFault(prof, committed, r, nil)
+			err = trafficFault(prof, cell, committed, r, nil)
 		}
 	}()
 	spKnown := false
@@ -407,7 +410,7 @@ func trafficOnlyRSE(ctx context.Context, prof *synth.Profile, cfg rse.Config, ma
 				old := sp
 				sp = uint64(int64(sp) + int64(in.Imm))
 				if uerr := eng.NotifySPUpdate(old, sp); uerr != nil {
-					return 0, 0, 0, trafficFault(prof, committed, nil, uerr)
+					return 0, 0, 0, trafficFault(prof, cell, committed, nil, uerr)
 				}
 			}
 		case in.IsMem() && in.SPRelative():
@@ -415,7 +418,7 @@ func trafficOnlyRSE(ctx context.Context, prof *synth.Profile, cfg rse.Config, ma
 				sp = in.Addr - uint64(int64(in.Imm))
 				spKnown = true
 				if uerr := eng.NotifySPUpdate(sp, sp); uerr != nil {
-					return 0, 0, 0, trafficFault(prof, committed, nil, uerr)
+					return 0, 0, 0, trafficFault(prof, cell, committed, nil, uerr)
 				}
 			}
 			eng.Access(in.Addr, in.Kind == isa.KindStore)
@@ -426,12 +429,14 @@ func trafficOnlyRSE(ctx context.Context, prof *synth.Profile, cfg rse.Config, ma
 }
 
 // TrafficOnlySVF is TrafficOnly with full control over the SVF
-// configuration (granularity and liveness-kill ablations).
+// configuration (granularity and liveness-kill ablations). Its faults name
+// the SVF traffic cell of the same size.
 func TrafficOnlySVF(ctx context.Context, prof *synth.Profile, svfCfg core.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
-	return trafficOnlyRun(ctx, prof, &svfCfg, stackcache.Config{}, maxInsts, ctxPeriod)
+	cell := TrafficCellKey(prof, pipeline.PolicySVF, svfCfg.SizeBytes, maxInsts, ctxPeriod)
+	return trafficOnlyRun(ctx, prof, cell, &svfCfg, stackcache.Config{}, maxInsts, ctxPeriod)
 }
 
-func trafficOnlyRun(ctx context.Context, prof *synth.Profile, svfCfg *core.Config, scCfg stackcache.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
+func trafficOnlyRun(ctx context.Context, prof *synth.Profile, cell string, svfCfg *core.Config, scCfg stackcache.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
 	prog, err := ProgramFor(prof)
 	if err != nil {
 		return 0, 0, 0, err
@@ -462,7 +467,7 @@ func trafficOnlyRun(ctx context.Context, prof *synth.Profile, svfCfg *core.Confi
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = trafficFault(prof, committed, r, nil)
+			err = trafficFault(prof, cell, committed, r, nil)
 		}
 	}()
 	spKnown := false

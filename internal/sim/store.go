@@ -10,10 +10,11 @@ import (
 	"svf/internal/synth"
 )
 
-// cellStore is a RunCache's cell state: per-cell failed attempts, budget
-// and poison latches, and the cells a journal replay restored. It carries
-// the bounded-retry supervision across requests, so a faulted cell resumes
-// its attempt count and a latched cell is refused at the gate.
+// cellStore is a RunCache's cell state: per-cell failed attempts and
+// budget and poison latches, keyed by cell key. It carries the bounded-retry
+// supervision across requests, so a faulted cell resumes its attempt count
+// and a latched cell is refused at the gate. (A journal-restored cell is
+// marked on its cache entry, not here.)
 //
 // The journal is optional. With one, every completed cell and every failed
 // attempt is also a durable journal append, and NewRunCacheWithJournal
@@ -33,17 +34,6 @@ type cellStore struct {
 	attempts map[string]uint32
 	// latched maps a cell key to its permanent-failure record.
 	latched map[string]*LatchedError
-	// restored marks the cell keys seeded from the journal replay, so the
-	// telemetry layer can tell a disk-restored hit (cache_restore) from an
-	// ordinary in-memory one (cache_hit).
-	restored map[string]bool
-}
-
-// Restored reports whether key was seeded by the journal replay.
-func (s *cellStore) Restored(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restored[key]
 }
 
 // PriorAttempts returns how many times the cell has already failed,
@@ -181,13 +171,4 @@ func unwrapOnce(err error) error {
 		return nil
 	}
 	return u.Unwrap()
-}
-
-// storeRestored reports whether the store seeded this key from a previous
-// session; nil-safe for plain in-memory caches.
-func (c *RunCache) storeRestored(key string) bool {
-	if c.store == nil || key == "" {
-		return false
-	}
-	return c.store.Restored(key)
 }

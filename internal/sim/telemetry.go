@@ -125,50 +125,28 @@ func (o *Observer) observeRunFinish(res *Result, fp string, dur time.Duration) {
 	o.count("svf_sim_insts_total", res.Pipe.Committed)
 }
 
-// serveSpan records a zero-width span for a cache request served without
-// execution, named by how it was served: journal.replay (a journal-seeded
-// entry — the restart path's provenance marker), cache.join (joined an
-// in-flight simulation) or cache.hit. No-op when tracing is off or the
-// context carries no trace.
-func (c *RunCache) serveSpan(ctx context.Context, bench, key string, shared, restored bool) {
-	tr := c.obs.tracer()
-	if tr == nil {
-		return
-	}
-	name := "cache.hit"
+// served reports a cache request served without execution — a hit on a
+// completed entry (restored when the journal replay seeded it) or a join
+// of an in-flight simulation — as an event and registry counts, and, when
+// the request's context carries a trace, as a zero-width span named by how
+// it was served: journal.replay (the restart path's provenance marker),
+// cache.join or cache.hit. Only called with an observer attached.
+func (c *RunCache) served(ctx context.Context, bench, key string, shared, restored bool) {
+	o := c.obs
+	ev := telemetry.Event{Type: "cache_hit", Bench: bench, Key: key, Fingerprint: shortKey(key)}
+	span := "cache.hit"
 	switch {
 	case restored:
-		name = "journal.replay"
-	case shared:
-		name = "cache.join"
-	}
-	sp := tr.StartSpan(telemetry.SpanFromContext(ctx), name)
-	if sp == nil {
-		return
-	}
-	sp.SetAttr("bench", bench)
-	if key != "" {
-		sp.SetAttr("key", key)
-	}
-	sp.End()
-}
-
-// serveEvent reports a cache request served without execution: a hit on a
-// completed entry (restored = journal-seeded) or a join of an in-flight
-// simulation.
-func (o *Observer) serveEvent(bench, key, fp string, shared, restored bool) {
-	if o == nil {
-		return
-	}
-	typ := "cache_hit"
-	detail := ""
-	switch {
-	case restored:
-		typ = "cache_restore"
+		ev.Type, span = "cache_restore", "journal.replay"
 		o.count("svf_cache_restored_hits_total", 1)
 	case shared:
-		detail = "joined in-flight simulation"
+		ev.Detail, span = "joined in-flight simulation", "cache.join"
 	}
-	o.emit(telemetry.Event{Type: typ, Bench: bench, Key: key, Fingerprint: fp, Detail: detail})
+	o.emit(ev)
 	o.count("svf_cache_hits_total", 1)
+	if sp := o.tracer().StartSpan(telemetry.SpanFromContext(ctx), span); sp != nil {
+		sp.SetAttr("bench", bench)
+		sp.SetAttr("key", key)
+		sp.End()
+	}
 }

@@ -49,6 +49,7 @@ func TestGoldenBitIdenticalWithTelemetryEnabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
+	var samples uint64 // the registry's occupancy count so far
 	for _, prof := range synth.Benchmarks() {
 		for _, c := range goldenConfigs() {
 			opt := c.opt
@@ -68,9 +69,11 @@ func TestGoldenBitIdenticalWithTelemetryEnabled(t *testing.T) {
 			if !reflect.DeepEqual(want[key], got) {
 				t.Errorf("%s: instrumented run diverged from fixture\n%s", key, diffRecords(want[key], got))
 			}
-			if opt.Probe.Occ.Len() == 0 {
+			n := reg.Histogram("svf_pipeline_ruu_occupancy").Count()
+			if n == samples {
 				t.Errorf("%s: probe recorded no occupancy samples", key)
 			}
+			samples = n
 			// The echoed options must not leak the probe into results.
 			if r.Opt.Probe != nil {
 				t.Errorf("%s: Result.Opt still carries the probe", key)
@@ -101,10 +104,6 @@ func TestTelemetryRegistryRaceUnderConcurrentRuns(t *testing.T) {
 			opt := Options{Policy: pipeline.PolicySVF, StackPorts: 2, MaxInsts: 3_000, Probe: probe}
 			if _, err := RunContext(context.Background(), profs[i%len(profs)], opt); err != nil {
 				t.Error(err)
-				return
-			}
-			if probe.Occ.Len() == 0 {
-				t.Error("probe recorded no samples")
 			}
 		}(i)
 	}
@@ -120,8 +119,8 @@ func TestTelemetryRegistryRaceUnderConcurrentRuns(t *testing.T) {
 	}()
 	wg.Wait()
 	<-renders
-	if n := reg.Histogram("svf_pipeline_ruu_occupancy").Count(); n == 0 {
-		t.Error("no occupancy observations reached the shared registry")
+	if n := reg.Histogram("svf_pipeline_ruu_occupancy").Count(); n < 8 {
+		t.Errorf("%d occupancy observations reached the shared registry, want at least one per run", n)
 	}
 }
 
@@ -267,7 +266,7 @@ func TestJournaledResumeEmitsRestoreRetryLatchEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pendingKey := runJournalKey(runKey{prof.Fingerprint(), Canonical(retryOpt)})
+	pendingKey := RunCellKey(prof, retryOpt)
 	if err := j1.Append(journal.Record{Kind: "fault", Key: pendingKey, Attempts: 1, Data: data}); err != nil {
 		t.Fatal(err)
 	}

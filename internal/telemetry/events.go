@@ -34,7 +34,8 @@ type Event struct {
 	Name   string `json:"name,omitempty"`
 	// Bench is the workload ID the event concerns.
 	Bench string `json:"bench,omitempty"`
-	// Fingerprint is the 16-hex run fingerprint (run_* events).
+	// Fingerprint is the 16-hex short form of the cell's Key (run_* and
+	// cache events, and run_fault events whose fault carries one).
 	Fingerprint string `json:"fp,omitempty"`
 	// Key is the cell's journal/cache identity (cache and journal events).
 	Key string `json:"key,omitempty"`

@@ -2,37 +2,26 @@ package telemetry
 
 // Probe is the pipeline-side instrumentation point. A nil *Probe is the
 // disabled state: the pipeline hot loop pays exactly one nil pointer check
-// per cycle and nothing else. A non-nil probe records cycle-sampled
-// occupancy series (RUU/LSQ/IFQ), SVF activity rates, scheduler
-// fast-forward spans, and — when Trace is set — the per-instruction stage
-// timeline the Perfetto exporter renders.
+// per cycle and nothing else. A non-nil probe feeds cycle-sampled
+// occupancy (RUU/LSQ/IFQ) and scheduler fast-forward spans into its
+// registry's histograms and — when Trace is set — the per-instruction
+// stage timeline the Perfetto exporter renders.
 //
-// A Probe belongs to exactly one run: the series appends are not
-// concurrency-safe. The Registry it mirrors into IS safe to share across
-// concurrent runs (every registry operation is atomic), which is how a
-// campaign aggregates per-run probes into one /metrics page.
+// A Probe belongs to exactly one run: its cached handles and the trace are
+// not concurrency-safe. The Registry it mirrors into IS safe to share
+// across concurrent runs (every registry operation is atomic), which is
+// how a campaign aggregates per-run probes into one /metrics page.
 type Probe struct {
-	// Registry, when non-nil, receives aggregate histograms and counters
-	// (occupancy distributions, fast-forward spans) alongside the per-run
-	// series. Safe to share between concurrent probes.
+	// Registry, when non-nil, receives the occupancy and fast-forward span
+	// histograms. Safe to share between concurrent probes.
 	Registry *Registry
 	// SampleEvery is the occupancy sampling period in cycles; 0 selects
 	// DefaultSampleEvery.
 	SampleEvery uint64
 	// Trace, when non-nil, captures per-instruction stage timestamps for
-	// the Perfetto exporter. Expensive relative to the sampled series —
+	// the Perfetto exporter. Expensive relative to the sampled histograms —
 	// intended for single diagnostic runs, not whole sweeps.
 	Trace *PipelineTrace
-
-	// Occ is the cycle-sampled occupancy series of the run.
-	Occ OccupancySeries
-	// SVF is the cycle-sampled SVF activity series (empty for non-SVF
-	// runs).
-	SVF SVFSeries
-
-	// FastForwards and FastForwardedCycles count the scheduler's idle
-	// jumps and the cycles they skipped.
-	FastForwards, FastForwardedCycles uint64
 
 	// Cached registry handles, resolved lazily on first use.
 	hRUU, hLSQ, hIFQ, hFF *Histogram
@@ -44,31 +33,10 @@ type Probe struct {
 const DefaultSampleEvery = 1024
 
 // NewProbe returns a probe mirroring into reg (which may be nil for a
-// series-only probe).
+// trace-only probe).
 func NewProbe(reg *Registry) *Probe {
 	return &Probe{Registry: reg}
 }
-
-// OccupancySeries is the cycle-stamped structure-occupancy record of one
-// run.
-type OccupancySeries struct {
-	// Cycle holds the sample times; RUU/LSQ/IFQ the occupancies at each.
-	Cycle, RUU, LSQ, IFQ []uint64
-}
-
-// Len returns the number of samples.
-func (s *OccupancySeries) Len() int { return len(s.Cycle) }
-
-// SVFSeries is the cycle-stamped SVF activity record of one run. Values
-// are cumulative counters as of each sample; consumers difference
-// neighbouring samples for rates.
-type SVFSeries struct {
-	Cycle                            []uint64
-	Morphed, Rerouted, Fills, Spills []uint64
-}
-
-// Len returns the number of samples.
-func (s *SVFSeries) Len() int { return len(s.Cycle) }
 
 // Interval returns the effective sampling period.
 func (p *Probe) Interval() uint64 {
@@ -84,10 +52,6 @@ var occupancyBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // Sample records one occupancy observation at the given cycle.
 func (p *Probe) Sample(cycle uint64, ruu, lsq, ifq int) {
-	p.Occ.Cycle = append(p.Occ.Cycle, cycle)
-	p.Occ.RUU = append(p.Occ.RUU, uint64(ruu))
-	p.Occ.LSQ = append(p.Occ.LSQ, uint64(lsq))
-	p.Occ.IFQ = append(p.Occ.IFQ, uint64(ifq))
 	if p.Registry != nil {
 		if p.hRUU == nil {
 			p.hRUU = p.Registry.Histogram("svf_pipeline_ruu_occupancy", occupancyBounds...)
@@ -103,16 +67,6 @@ func (p *Probe) Sample(cycle uint64, ruu, lsq, ifq int) {
 	}
 }
 
-// SampleSVF records one SVF activity observation (cumulative counters) at
-// the given cycle.
-func (p *Probe) SampleSVF(cycle, morphed, rerouted, fills, spills uint64) {
-	p.SVF.Cycle = append(p.SVF.Cycle, cycle)
-	p.SVF.Morphed = append(p.SVF.Morphed, morphed)
-	p.SVF.Rerouted = append(p.SVF.Rerouted, rerouted)
-	p.SVF.Fills = append(p.SVF.Fills, fills)
-	p.SVF.Spills = append(p.SVF.Spills, spills)
-}
-
 // fastForwardBounds bucket the idle-jump span histogram (cycles skipped
 // per jump).
 var fastForwardBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
@@ -120,8 +74,6 @@ var fastForwardBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // FastForward records one scheduler idle jump that skipped the given
 // cycles, ending at cycle `to`.
 func (p *Probe) FastForward(to, skipped uint64) {
-	p.FastForwards++
-	p.FastForwardedCycles += skipped
 	if p.Registry != nil {
 		if p.hFF == nil {
 			p.hFF = p.Registry.Histogram("svf_pipeline_fastforward_span_cycles", fastForwardBounds...)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -59,7 +60,7 @@ func (p *Progress) Latched() {
 type ShardWorker struct {
 	Slot  int  `json:"slot"`
 	PID   int  `json:"pid"`
-	Gen   int  `json:"gen"`
+	Gen   int  `json:"gen"` // spawn generation (1 = original process)
 	Alive bool `json:"alive"`
 	// Bench and LeaseAgeMS describe the in-flight lease, when one exists.
 	Bench      string `json:"bench,omitempty"`
@@ -68,19 +69,49 @@ type ShardWorker struct {
 
 // ShardStatus is the sharded campaign's supervision state: per-worker
 // liveness and lease age plus the coordinator's re-enqueue/quarantine
-// counters. The shard package populates it; telemetry only carries it so
-// /progress can serve the fleet without an import cycle.
+// counters. shard.Pool.Status returns it; it lives here so /progress can
+// serve the fleet without an import cycle.
 type ShardStatus struct {
-	Workers         []ShardWorker `json:"workers"`
-	Assigned        uint64        `json:"assigned"`
-	Completed       uint64        `json:"completed"`
-	Reenqueued      uint64        `json:"reenqueued"`
-	LeaseExpired    uint64        `json:"lease_expired"`
-	WorkerDeaths    uint64        `json:"worker_deaths"`
-	Respawns        uint64        `json:"respawns"`
-	StaleResults    uint64        `json:"stale_results"`
-	StaleHeartbeats uint64        `json:"stale_heartbeats"`
-	Quarantined     uint64        `json:"quarantined"`
+	Workers []ShardWorker `json:"workers"`
+	// Assigned counts leases handed out; Completed the result/fault frames
+	// accepted from live leases.
+	Assigned  uint64 `json:"assigned"`
+	Completed uint64 `json:"completed"`
+	// Reenqueued counts cells reclaimed from dead or expired workers,
+	// LeaseExpired the watchdog firings, WorkerDeaths the processes lost
+	// and Respawns their replacements.
+	Reenqueued   uint64 `json:"reenqueued"`
+	LeaseExpired uint64 `json:"lease_expired"`
+	WorkerDeaths uint64 `json:"worker_deaths"`
+	Respawns     uint64 `json:"respawns"`
+	// StaleResults and StaleHeartbeats count frames discarded because
+	// their lease had expired or been reassigned; Quarantined counts the
+	// poison cells latched after killing K workers.
+	StaleResults    uint64 `json:"stale_results"`
+	StaleHeartbeats uint64 `json:"stale_heartbeats"`
+	Quarantined     uint64 `json:"quarantined"`
+}
+
+// String renders the one-line shard summary `svfexp -workers` prints next
+// to -cache-stats.
+func (s ShardStatus) String() string {
+	alive := 0
+	for _, w := range s.Workers {
+		if w.Alive {
+			alive++
+		}
+	}
+	out := fmt.Sprintf("shard: %d/%d workers alive; %d assigned, %d completed", alive, len(s.Workers), s.Assigned, s.Completed)
+	if s.WorkerDeaths > 0 || s.Reenqueued > 0 {
+		out += fmt.Sprintf("; %d worker deaths (%d lease expiries), %d cells re-enqueued, %d respawns", s.WorkerDeaths, s.LeaseExpired, s.Reenqueued, s.Respawns)
+	}
+	if s.StaleResults > 0 || s.StaleHeartbeats > 0 {
+		out += fmt.Sprintf("; %d stale results, %d stale heartbeats discarded", s.StaleResults, s.StaleHeartbeats)
+	}
+	if s.Quarantined > 0 {
+		out += fmt.Sprintf("; %d poison cells quarantined", s.Quarantined)
+	}
+	return out
 }
 
 // SetShard attaches a live fleet-status source; every Snapshot (and thus

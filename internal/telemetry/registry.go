@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's zero-cost-when-disabled
 // observability layer: a lock-light metrics registry (counters, gauges,
 // histograms) rendered in Prometheus text format, a per-run pipeline Probe
-// recording cycle-sampled occupancy series and per-stage instruction
+// feeding cycle-sampled occupancy histograms and per-stage instruction
 // timelines, a structured NDJSON event log for campaign lifecycle events,
 // a Chrome trace-event / Perfetto exporter, and a small HTTP endpoint
 // (/metrics, /progress, /debug/pprof) for watching live sweeps.
@@ -56,7 +56,7 @@ type Histogram struct {
 	bounds    []float64
 	buckets   []atomic.Uint64 // len(bounds)+1, cumulative on render
 	count     atomic.Uint64
-	sumBits   atomic.Uint64            // float64 sum, CAS-accumulated
+	sumBits   atomic.Uint64              // float64 sum, CAS-accumulated
 	exemplars []atomic.Pointer[exemplar] // last exemplar per bucket
 }
 

@@ -227,25 +227,21 @@ func TestEventLogNilAndClose(t *testing.T) {
 	}
 }
 
-func TestProbeSamplesSeriesAndRegistry(t *testing.T) {
+func TestProbeSamplesIntoRegistry(t *testing.T) {
 	r := NewRegistry()
 	p := NewProbe(r)
 	p.Sample(100, 8, 4, 2)
 	p.Sample(200, 16, 8, 4)
-	p.SampleSVF(100, 10, 5, 2, 1)
 	p.FastForward(500, 300)
 
-	if p.Occ.Len() != 2 || p.Occ.RUU[1] != 16 {
-		t.Fatalf("occupancy series = %+v", p.Occ)
-	}
-	if p.SVF.Len() != 1 || p.SVF.Morphed[0] != 10 {
-		t.Fatalf("svf series = %+v", p.SVF)
-	}
-	if p.FastForwards != 1 || p.FastForwardedCycles != 300 {
-		t.Fatalf("ff = %d/%d", p.FastForwards, p.FastForwardedCycles)
-	}
 	if got := r.Histogram("svf_pipeline_ruu_occupancy").Count(); got != 2 {
 		t.Fatalf("ruu histogram count = %d, want 2", got)
+	}
+	if got := r.Histogram("svf_pipeline_ruu_occupancy").Sum(); got != 24 {
+		t.Fatalf("ruu histogram sum = %v, want 24", got)
+	}
+	if got := r.Histogram("svf_pipeline_fastforward_span_cycles").Count(); got != 1 {
+		t.Fatalf("ff histogram count = %d, want 1", got)
 	}
 	if got := r.Histogram("svf_pipeline_fastforward_span_cycles").Sum(); got != 300 {
 		t.Fatalf("ff histogram sum = %v, want 300", got)
