@@ -73,7 +73,6 @@ func run() int {
 	workers := flag.Int("workers", 0, "execute cells on this many supervised worker processes (0 = in-process)")
 	workerMode := flag.Bool("worker", false, "run as a shard worker speaking frames over stdin/stdout (internal; spawned by -workers)")
 	leaseTTL := flag.Duration("lease", 30*time.Second, "sharded mode: lease TTL before a silent worker's cell is reclaimed")
-	heartbeat := flag.Duration("heartbeat", 0, "sharded mode: worker heartbeat period (0 = lease/4)")
 	poisonK := flag.Int("poison-k", 3, "sharded mode: quarantine a cell once it has killed this many distinct workers")
 	flag.Parse()
 
@@ -170,16 +169,15 @@ func run() int {
 			return 1
 		}
 		pool, err = shard.NewPool(shard.Config{
-			Workers:   *workers,
-			LeaseTTL:  *leaseTTL,
-			Heartbeat: *heartbeat,
-			PoisonK:   *poisonK,
-			Plan:      plan,
-			Spawn:     shard.CommandSpawner(exe, "-worker"),
-			Logf:      func(format string, args ...any) { logf("svfd: "+format, args...) },
-			Registry:  registry,
-			Events:    events,
-			Tracer:    tracer,
+			Workers:  *workers,
+			LeaseTTL: *leaseTTL,
+			PoisonK:  *poisonK,
+			Plan:     plan,
+			Spawn:    shard.CommandSpawner(exe, "-worker"),
+			Logf:     func(format string, args ...any) { logf("svfd: "+format, args...) },
+			Registry: registry,
+			Events:   events,
+			Tracer:   tracer,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svfd: -workers: %v\n", err)

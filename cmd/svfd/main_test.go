@@ -507,3 +507,32 @@ func TestTraceKillResume(t *testing.T) {
 		t.Error("/metrics has no trace exemplars")
 	}
 }
+
+// TestShardedTraceWorkerKill: a two-worker job that loses a worker to an
+// injected kill -9 still completes, its trace document is byte-identical
+// across refetches, and the daemon drains to exit 0 on SIGTERM.
+func TestShardedTraceWorkerKill(t *testing.T) {
+	d := startDaemon(t, "-workers", "2", "-retries", "3", "-inject", "worker-kill=1")
+	spec := `{"cells":[
+		{"kind":"run","bench":"186.crafty.ref","opt":{"Policy":1,"SVFInfinite":true,"MaxInsts":200000}},
+		{"kind":"run","bench":"164.gzip.log","opt":{"Policy":1,"SVFInfinite":true,"MaxInsts":200000}}
+	]}`
+	code, sub := postSpec(t, d, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d (%v)", code, sub)
+	}
+	id := sub["id"].(string)
+	waitDone(t, d, id)
+	if first, second := getTrace(t, d, id), getTrace(t, d, id); !bytes.Equal(first, second) {
+		t.Errorf("trace document differs between refetches:\n%s\nvs\n%s", first, second)
+	}
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if code := d.wait(); code != 0 {
+		t.Fatalf("exit code after SIGTERM = %d, want 0; stderr:\n%s", code, d.stderr.String())
+	}
+	if !strings.Contains(d.stderr.String(), "re-enqueued") {
+		t.Errorf("the injected worker kill was not reported:\n%s", d.stderr.String())
+	}
+}

@@ -47,7 +47,7 @@
 // Sharded campaigns (-workers N, DESIGN.md §5g) farm every simulation out
 // to N supervised worker processes (this binary re-exec'd with -worker)
 // over a length-prefixed pipe protocol. Cells are held under time-bounded
-// leases with heartbeats (-lease, -heartbeat): a worker that crashes, is
+// leases with heartbeats every lease/4 (-lease): a worker that crashes, is
 // kill -9'd, or wedges past its lease has the cell reclaimed and
 // re-enqueued under the same -retries budget, and a cell that kills
 // -poison-k distinct workers is quarantined as a poison cell (latched
@@ -129,7 +129,6 @@ func run() int {
 	workers := flag.Int("workers", 0, "shard the campaign across this many supervised worker processes (0 = simulate in-process)")
 	workerMode := flag.Bool("worker", false, "run as a shard worker speaking frames over stdin/stdout (internal; spawned by -workers)")
 	leaseTTL := flag.Duration("lease", 30*time.Second, "sharded mode: how long a worker's cell may go without a heartbeat before the lease expires and the cell is re-enqueued")
-	heartbeat := flag.Duration("heartbeat", 0, "sharded mode: worker heartbeat period (0 = lease/4)")
 	poisonK := flag.Int("poison-k", 3, "sharded mode: quarantine a cell as poison (latch it permanently) once it has killed this many distinct workers")
 	flag.Parse()
 	sim.SetTraceCacheBudget(*traceCacheMB << 20)
@@ -324,12 +323,11 @@ func run() int {
 			return 1
 		}
 		pool, err = shard.NewPool(shard.Config{
-			Workers:   *workers,
-			LeaseTTL:  *leaseTTL,
-			Heartbeat: *heartbeat,
-			PoisonK:   *poisonK,
-			Plan:      plan,
-			Spawn:     shard.CommandSpawner(exe, "-worker", fmt.Sprintf("-trace-cache-mb=%d", *traceCacheMB)),
+			Workers:  *workers,
+			LeaseTTL: *leaseTTL,
+			PoisonK:  *poisonK,
+			Plan:     plan,
+			Spawn:    shard.CommandSpawner(exe, "-worker", fmt.Sprintf("-trace-cache-mb=%d", *traceCacheMB)),
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "svfexp: "+format+"\n", args...)
 			},
@@ -362,166 +360,27 @@ func run() int {
 		Progress: progress,
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	all := want["all"]
-
-	type expFn struct {
-		name  string
-		title string
-		run   func() (fmt.Stringer, error)
-	}
-	fns := []expFn{
-		{"table1", "Table 1: SPEC CPU2000 integer benchmark inventory", func() (fmt.Stringer, error) {
-			return experiments.Table1(), nil
-		}},
-		{"table2", "Table 2: Processor models", func() (fmt.Stringer, error) {
-			return experiments.Table2(), nil
-		}},
-		{"fig1", "Figure 1: Run-time memory access distribution", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig1(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-		{"fig2", "Figure 2: Stack depth variation (summary; series in library API)", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig2(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-		{"fig3", "Figure 3: Offset locality within a function", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig3(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-		{"fig5", "Figure 5: Speedup of morphing all stack accesses (infinite SVF), %", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig5(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-		{"fig6", "Figure 6: Progressive performance analysis (16-wide), %", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig6(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-		{"fig7", "Figure 7: SVF vs stack cache vs baseline ports, % over (2+0)", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig7(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-		{"fig8", "Figure 8: Breakdown of SVF reference types", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig8(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-		{"fig9", "Figure 9: SVF speedups over baseline, %", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig9(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-		{"table3", "Table 3: Memory traffic, stack cache vs SVF (quadwords)", func() (fmt.Stringer, error) {
-			r, err := experiments.Table3(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"table4", "Table 4: Memory traffic on context switches (bytes/switch)", func() (fmt.Stringer, error) {
-			r, err := experiments.Table4(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"x86", "x86 extension (§7): partial-word flavour vs Alpha flavour under the SVF", func() (fmt.Stringer, error) {
-			r, err := experiments.X86(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"scorecard", "Reproduction scorecard: the paper's headline claims, graded", func() (fmt.Stringer, error) {
-			r, err := experiments.RunScorecard(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"rse", "Structure comparison: SVF vs stack cache vs register stack engine (§6)", func() (fmt.Stringer, error) {
-			r, err := experiments.RSE(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"sweep", "Design-space sweep: SVF capacity x ports (mean over benchmarks)", func() (fmt.Stringer, error) {
-			r, err := experiments.Sweep(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"famperf", "Stack-stress families: speedup over (2+0) baseline, %", func() (fmt.Stringer, error) {
-			r, err := experiments.FamilyPerf(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-		{"famtraffic", "Stack-stress families: memory traffic (quadwords; bytes/ctx-switch)", func() (fmt.Stringer, error) {
-			r, err := experiments.FamilyTraffic(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), writeSVG(r.Chart())
-		}},
-	}
-
 	ran, failed := 0, 0
-	for _, f := range fns {
+	for _, e := range selectExperiments(*exp) {
 		if ctx.Err() != nil {
 			break // interrupted: skip straight to the summaries
 		}
-		if (f.name == "sweep" || f.name == "x86" || f.name == "rse" || f.name == "scorecard" ||
-			f.name == "famperf" || f.name == "famtraffic") && !want[f.name] {
-			continue // opt-in: costly extension experiments
-		}
-		if !all && !want[f.name] {
-			continue
-		}
 		start := time.Now()
-		events.Emit(telemetry.Event{Type: "experiment_start", Experiment: f.name})
-		out, err := f.run()
-		fin := telemetry.Event{Type: "experiment_finish", Experiment: f.name,
+		events.Emit(telemetry.Event{Type: "experiment_start", Experiment: e.name})
+		out, err := e.execute(cfg, writeSVG)
+		fin := telemetry.Event{Type: "experiment_finish", Experiment: e.name,
 			DurMS: float64(time.Since(start)) / float64(time.Millisecond)}
 		if err != nil {
 			// Keep going: a failed experiment (or SVG write) must not
 			// discard the results of the rest of the suite.
-			fmt.Fprintf(os.Stderr, "svfexp: %s: %v\n", f.name, err)
+			fmt.Fprintf(os.Stderr, "svfexp: %s: %v\n", e.name, err)
 			failed++
 			fin.Err = err.Error()
 		}
 		events.Emit(fin)
 		if out != nil {
-			fmt.Printf("=== %s (%s, %.1fs) ===\n%s\n", f.name, f.title, time.Since(start).Seconds(), out)
-			report.AddSection(f.title, out.String())
+			fmt.Printf("=== %s (%s, %.1fs) ===\n%s\n", e.name, e.title, time.Since(start).Seconds(), out)
+			report.AddSection(e.title, out.String())
 			ran++
 		}
 	}

@@ -20,8 +20,6 @@ type Predictor interface {
 	Predict(pc uint64, actual bool) bool
 	// Update trains the predictor with the branch's actual outcome.
 	Update(pc uint64, actual bool)
-	// Name identifies the predictor in stats dumps.
-	Name() string
 }
 
 // Perfect always predicts correctly.
@@ -35,9 +33,6 @@ func (*Perfect) Predict(pc uint64, actual bool) bool { return actual }
 
 // Update implements Predictor.
 func (*Perfect) Update(pc uint64, actual bool) {}
-
-// Name implements Predictor.
-func (*Perfect) Name() string { return "perfect" }
 
 // counter is a 2-bit saturating counter.
 type counter uint8
@@ -80,15 +75,6 @@ func NewGshare(bits uint) (*Gshare, error) {
 	return g, nil
 }
 
-// MustNewGshare is NewGshare panicking on error.
-func MustNewGshare(bits uint) *Gshare {
-	g, err := NewGshare(bits)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 func (g *Gshare) idx(pc uint64) uint64 { return ((pc >> 2) ^ g.history) & g.mask }
 
 // Predict implements Predictor.
@@ -105,9 +91,6 @@ func (g *Gshare) Update(pc uint64, actual bool) {
 		g.history |= 1
 	}
 }
-
-// Name implements Predictor.
-func (g *Gshare) Name() string { return "gshare" }
 
 // Bimodal is a per-PC table of 2-bit counters.
 type Bimodal struct {
@@ -128,15 +111,6 @@ func NewBimodal(bits uint) (*Bimodal, error) {
 	return b, nil
 }
 
-// MustNewBimodal is NewBimodal panicking on error.
-func MustNewBimodal(bits uint) *Bimodal {
-	b, err := NewBimodal(bits)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Predict implements Predictor.
 func (b *Bimodal) Predict(pc uint64, actual bool) bool {
 	return b.table[(pc>>2)&b.mask].taken()
@@ -147,6 +121,3 @@ func (b *Bimodal) Update(pc uint64, actual bool) {
 	i := (pc >> 2) & b.mask
 	b.table[i] = b.table[i].update(actual)
 }
-
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return "bimodal" }

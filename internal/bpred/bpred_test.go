@@ -5,6 +5,25 @@ import (
 	"testing"
 )
 
+// mustGshare and mustBimodal build the tests' valid predictors.
+func mustGshare(t *testing.T, bits uint) *Gshare {
+	t.Helper()
+	g, err := NewGshare(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func mustBimodal(t *testing.T, bits uint) *Bimodal {
+	t.Helper()
+	b, err := NewBimodal(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestPerfect(t *testing.T) {
 	p := NewPerfect()
 	for _, actual := range []bool{true, false} {
@@ -13,9 +32,6 @@ func TestPerfect(t *testing.T) {
 		}
 	}
 	p.Update(0x1000, true) // must not panic
-	if p.Name() != "perfect" {
-		t.Error("wrong name")
-	}
 }
 
 func TestCounterSaturation(t *testing.T) {
@@ -41,7 +57,7 @@ func TestCounterSaturation(t *testing.T) {
 }
 
 func TestGshareLearnsAlwaysTaken(t *testing.T) {
-	g := MustNewGshare(12)
+	g := mustGshare(t, 12)
 	pc := uint64(0x4000)
 	for i := 0; i < 100; i++ {
 		g.Update(pc, true)
@@ -53,7 +69,7 @@ func TestGshareLearnsAlwaysTaken(t *testing.T) {
 
 func TestGshareLearnsAlternating(t *testing.T) {
 	// A strictly alternating branch is learnable through global history.
-	g := MustNewGshare(12)
+	g := mustGshare(t, 12)
 	pc := uint64(0x4000)
 	outcome := func(i int) bool { return i%2 == 0 }
 	for i := 0; i < 2000; i++ {
@@ -74,8 +90,8 @@ func TestGshareLearnsAlternating(t *testing.T) {
 func TestGshareBeatsBimodalOnPeriodic(t *testing.T) {
 	// A period-4 pattern defeats a bimodal predictor (it just saturates
 	// toward taken) but gshare's history disambiguates the phases.
-	g := MustNewGshare(14)
-	b := MustNewBimodal(14)
+	g := mustGshare(t, 14)
+	b := mustBimodal(t, 14)
 	pc := uint64(0x4000)
 	outcome := func(i int) bool { return i%4 != 3 }
 	gc, bc := 0, 0
@@ -101,7 +117,7 @@ func TestGshareBeatsBimodalOnPeriodic(t *testing.T) {
 }
 
 func TestBimodalLearnsBiased(t *testing.T) {
-	b := MustNewBimodal(10)
+	b := mustBimodal(t, 10)
 	pc := uint64(0x8000)
 	for i := 0; i < 50; i++ {
 		b.Update(pc, false)
@@ -121,18 +137,15 @@ func TestPredictorValidation(t *testing.T) {
 	if _, err := NewBimodal(0); err == nil {
 		t.Error("bimodal bits=0 should fail")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNewGshare(0) should panic")
-		}
-	}()
-	MustNewGshare(0)
+	if _, err := NewBimodal(25); err == nil {
+		t.Error("bimodal bits=25 should fail")
+	}
 }
 
 func TestGshareAccuracyOnRandomIsNearBias(t *testing.T) {
 	// A pure coin with bias p can be predicted at best ~max(p, 1-p);
 	// gshare should achieve close to that, not much worse.
-	g := MustNewGshare(12)
+	g := mustGshare(t, 12)
 	rng := rand.New(rand.NewPCG(7, 7))
 	pc := uint64(0x4000)
 	const p = 0.9
@@ -147,14 +160,5 @@ func TestGshareAccuracyOnRandomIsNearBias(t *testing.T) {
 	acc := float64(correct) / float64(n)
 	if acc < 0.8 {
 		t.Errorf("gshare accuracy %.3f on 90%%-biased coin; want >= 0.8", acc)
-	}
-}
-
-func TestNames(t *testing.T) {
-	if MustNewGshare(10).Name() != "gshare" {
-		t.Error("gshare name")
-	}
-	if MustNewBimodal(10).Name() != "bimodal" {
-		t.Error("bimodal name")
 	}
 }

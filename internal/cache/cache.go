@@ -14,8 +14,6 @@ type Level interface {
 	// Access performs a read (write=false) or write (write=true) of the
 	// block containing addr and returns the total latency in cycles.
 	Access(addr uint64, write bool) int
-	// Name returns the level's configured name.
-	Name() string
 }
 
 // Config describes one cache level.
@@ -130,26 +128,11 @@ func New(cfg Config, next Level) (*Cache, error) {
 	return c, nil
 }
 
-// MustNew is New panicking on error, for static configurations.
-func MustNew(cfg Config, next Level) *Cache {
-	c, err := New(cfg, next)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Name implements Level.
-func (c *Cache) Name() string { return c.cfg.Name }
-
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Reset returns the cache to its just-built cold state — every line
 // invalid, counters and the LRU clock zeroed — without reallocating the
@@ -227,19 +210,6 @@ func (c *Cache) writebackVictim(v line, probeAddr uint64) {
 	c.next.Access(victimAddr, true)
 }
 
-// Probe reports whether addr currently hits without touching LRU state or
-// statistics (used by tests and by structures that must check residency).
-func (c *Cache) Probe(addr uint64) bool {
-	tag := addr >> c.tagShift
-	set := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // FlushAll writes back every dirty line and invalidates the whole cache,
 // returning the number of dirty lines written back (context switches).
 func (c *Cache) FlushAll() int {
@@ -290,6 +260,3 @@ func (m *Memory) Access(addr uint64, write bool) int {
 	}
 	return m.Latency
 }
-
-// Name implements Level.
-func (m *Memory) Name() string { return "mem" }

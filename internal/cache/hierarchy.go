@@ -66,12 +66,3 @@ func (h *Hierarchy) Reset() {
 	h.UL2.Reset()
 	h.Mem.Reset()
 }
-
-// MustNewHierarchy is NewHierarchy panicking on error.
-func MustNewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	h, err := NewHierarchy(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}

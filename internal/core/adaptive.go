@@ -56,9 +56,6 @@ func (s *SVF) EnableAdaptiveDisable(window uint64, threshold float64, period uin
 	s.adapt = adaptiveState{enabled: true, window: window, threshold: threshold, period: period}
 }
 
-// Disabled reports whether the SVF is currently switched off.
-func (s *SVF) Disabled() bool { return s.adapt.off }
-
 // adaptNote feeds the monitor after each access; traffic is the number of
 // L1 transfers the access caused.
 func (s *SVF) adaptNote(traffic uint64) {

@@ -90,7 +90,7 @@ func TestAccessSizedWordFallsBack(t *testing.T) {
 }
 
 func TestInfiniteSVFSubWord(t *testing.T) {
-	s := MustNew(Config{Infinite: true}, nil)
+	s := mustNew(Config{Infinite: true}, nil)
 	s.NotifySPUpdate(base, base-64)
 	if lat := s.AccessSized(base-64, 2, true, false); lat != s.Config().HitLatency {
 		t.Error("infinite SVF partial store should be free")
@@ -104,19 +104,19 @@ func TestInfiniteSVFSubWord(t *testing.T) {
 
 func TestAdaptiveDisableEngagesOnThrashing(t *testing.T) {
 	l1 := newRecording()
-	s := MustNew(Config{SizeBytes: 128, AdaptiveDisable: true}, l1)
+	s := mustNew(Config{SizeBytes: 128, AdaptiveDisable: true}, l1)
 	s.EnableAdaptiveDisable(64, 0.35, 256) // small epochs for the test
 	s.NotifySPUpdate(base, base-64)
 	// Thrash: every load hits an invalid word (never stored) at
 	// rotating addresses, so every access fills.
-	for i := 0; i < 200 && !s.Disabled(); i++ {
+	for i := 0; i < 200 && !s.adapt.off; i++ {
 		addr := base - 64 + uint64(i%8)*isa.WordSize
 		s.Access(addr, false, false)
 		// Invalidate behind ourselves by faking deallocation churn.
 		s.NotifySPUpdate(base-64, base)
 		s.NotifySPUpdate(base, base-64)
 	}
-	if !s.Disabled() {
+	if !s.adapt.off {
 		t.Fatal("monitor never disabled a thrashing SVF")
 	}
 	if s.Stats().DisablePeriods != 1 {
@@ -130,15 +130,15 @@ func TestAdaptiveDisableEngagesOnThrashing(t *testing.T) {
 
 func TestAdaptiveDisableReenables(t *testing.T) {
 	l1 := newRecording()
-	s := MustNew(Config{SizeBytes: 128}, l1)
+	s := mustNew(Config{SizeBytes: 128}, l1)
 	s.EnableAdaptiveDisable(16, 0.1, 32)
 	s.NotifySPUpdate(base, base-64)
-	for i := 0; i < 64 && !s.Disabled(); i++ {
+	for i := 0; i < 64 && !s.adapt.off; i++ {
 		s.Access(base-64+uint64(i%8)*isa.WordSize, false, false)
 		s.NotifySPUpdate(base-64, base)
 		s.NotifySPUpdate(base, base-64)
 	}
-	if !s.Disabled() {
+	if !s.adapt.off {
 		t.Fatal("did not disable")
 	}
 	// The disabled period is counted in Contains probes.
@@ -147,7 +147,7 @@ func TestAdaptiveDisableReenables(t *testing.T) {
 			t.Fatal("contained while disabled")
 		}
 	}
-	if s.Disabled() {
+	if s.adapt.off {
 		t.Error("should have re-enabled after the period")
 	}
 	if !s.Contains(base - 64) {
@@ -159,19 +159,19 @@ func TestAdaptiveDisableFlushesDirtyData(t *testing.T) {
 	// The §3.3 disable must not lose dirty live words: they flush to the
 	// L1 before references start bypassing the SVF.
 	l1 := newRecording()
-	s := MustNew(Config{SizeBytes: 128}, l1)
+	s := mustNew(Config{SizeBytes: 128}, l1)
 	s.EnableAdaptiveDisable(8, 0.05, 64)
 	s.NotifySPUpdate(base, base-64)
 	// Dirty live word above the churned range so it survives until the
 	// disable-time flush.
 	s.Access(base-24, true, false)
-	for i := 0; i < 32 && !s.Disabled(); i++ {
+	for i := 0; i < 32 && !s.adapt.off; i++ {
 		s.Access(base-64+uint64(i%2)*8, false, false)
 		// churn invalidation of the lower half to drive the fill rate up
 		s.NotifySPUpdate(base-64, base-32)
 		s.NotifySPUpdate(base-32, base-64)
 	}
-	if !s.Disabled() {
+	if !s.adapt.off {
 		t.Skip("monitor did not trip with this pattern")
 	}
 	if l1.writes[base-24] == 0 {
@@ -181,7 +181,7 @@ func TestAdaptiveDisableFlushesDirtyData(t *testing.T) {
 
 func TestAdaptiveStaysOffWhenHealthy(t *testing.T) {
 	l1 := newRecording()
-	s := MustNew(Config{SizeBytes: 128}, l1)
+	s := mustNew(Config{SizeBytes: 128}, l1)
 	s.EnableAdaptiveDisable(64, 0.35, 256)
 	s.NotifySPUpdate(base, base-64)
 	// Healthy pattern: store then load the same slots.
@@ -190,7 +190,7 @@ func TestAdaptiveStaysOffWhenHealthy(t *testing.T) {
 		s.Access(addr, true, false)
 		s.Access(addr, false, false)
 	}
-	if s.Disabled() {
+	if s.adapt.off {
 		t.Error("healthy access pattern should never trip the monitor")
 	}
 	if s.Stats().DisablePeriods != 0 {

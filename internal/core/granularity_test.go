@@ -56,7 +56,7 @@ func TestCoarseGranuleWriteDirtiesWholeGranule(t *testing.T) {
 	// track sub-granule dirtiness) …
 	s.Access(base-128, true, false)
 	for off := uint64(0); off < 4*isa.WordSize; off += isa.WordSize {
-		v, d := s.EntryState(base - 128 + off)
+		v, d := entryState(s, base-128+off)
 		if !v || !d {
 			t.Errorf("granule word +%d: valid=%v dirty=%v, want true/true", off, v, d)
 		}

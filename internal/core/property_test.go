@@ -40,7 +40,7 @@ func TestIndexStableAcrossSlides(t *testing.T) {
 	s.NotifySPUpdate(base, base-16*isa.WordSize)
 	idx0 := s.index(addr)
 	for i := 0; i < 10; i++ {
-		s.NotifySPUpdate(s.SP(), s.SP()-isa.WordSize)
+		s.NotifySPUpdate(s.sp, s.sp-isa.WordSize)
 		if !s.Contains(addr) {
 			break
 		}
@@ -55,7 +55,7 @@ func TestIndexStableAcrossSlides(t *testing.T) {
 func TestQuadWordConservation(t *testing.T) {
 	f := func(ops []uint16) bool {
 		l1 := newRecording()
-		s := MustNew(Config{SizeBytes: 128}, l1)
+		s := mustNew(Config{SizeBytes: 128}, l1)
 		sp := base
 		s.NotifySPUpdate(sp, sp)
 		var loads uint64

@@ -68,7 +68,7 @@ func TestFullSlideDeallocDisableKillsWritesBackNotKills(t *testing.T) {
 	// behaviour) credited the ablated configuration with the very
 	// optimisation it ablates.
 	l1 := newRecording()
-	s := MustNew(Config{SizeBytes: 128, DisableKills: true}, l1)
+	s := mustNew(Config{SizeBytes: 128, DisableKills: true}, l1)
 	s.NotifySPUpdate(base, base)
 	s.NotifySPUpdate(base, base-64)
 	s.Access(base-64, true, false)

@@ -186,15 +186,6 @@ func New(cfg Config, l1 cache.Level) (*SVF, error) {
 	return s, nil
 }
 
-// MustNew is New panicking on error.
-func MustNew(cfg Config, l1 cache.Level) *SVF {
-	s, err := New(cfg, l1)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Config returns the configuration with defaults filled.
 func (s *SVF) Config() Config { return s.cfg }
 
@@ -203,9 +194,6 @@ func (s *SVF) Stats() Stats { return s.stats }
 
 // Entries returns the number of 64-bit entries (0 when infinite).
 func (s *SVF) Entries() int { return s.entries }
-
-// SP returns the SVF's view of the top of stack.
-func (s *SVF) SP() uint64 { return s.sp }
 
 // index maps a word-aligned address to its circular entry.
 func (s *SVF) index(addr uint64) uint64 { return (addr / isa.WordSize) & s.mask }
@@ -217,16 +205,6 @@ func (s *SVF) Bank(addr uint64) int {
 		return 0
 	}
 	return int((addr / isa.WordSize) & uint64(s.cfg.Banks-1))
-}
-
-// EntryState reports the valid and dirty bits of the entry addr currently
-// maps to (debug/test introspection; meaningless for infinite SVFs).
-func (s *SVF) EntryState(addr uint64) (valid, dirty bool) {
-	if s.cfg.Infinite || s.entries == 0 {
-		return true, false
-	}
-	i := s.index(addr)
-	return s.valid[i], s.dirty[i]
 }
 
 // Contains reports whether addr falls inside the SVF's current window.
@@ -369,11 +347,25 @@ func (s *SVF) invalidateAllCounting(killCounter *uint64) {
 	}
 }
 
-// Access services one reference to an address inside the window (the caller
-// must have checked Contains). rerouted marks references that were not
-// $sp-relative and reached the SVF after address generation. It returns the
-// access latency in cycles, including any demand-fill delay.
+// Access services one full-word reference to an address inside the window
+// (the caller must have checked Contains). rerouted marks references that
+// were not $sp-relative and reached the SVF after address generation. It
+// returns the access latency in cycles, including any demand-fill delay.
 func (s *SVF) Access(addr uint64, write, rerouted bool) int {
+	return s.AccessSized(addr, isa.WordSize, write, rerouted)
+}
+
+// AccessSized is Access for a reference of size bytes (1, 2, 4 or 8; any
+// other size is a full word) — the partial-word references of the x86
+// extension the paper names as its next step (§7).
+//
+// Status bits are per 64-bit word (§3.3), so a sub-word store to an invalid
+// entry cannot just mark it valid: the word's other bytes would be garbage.
+// It first fetches the word from the L1 and merges — a read-modify-write
+// that erodes the allocation-kill advantage, as the paper anticipates for
+// x86-style code. Sub-word loads behave like word loads (a fill brings the
+// whole word).
+func (s *SVF) AccessSized(addr uint64, size int, write, rerouted bool) int {
 	lat := s.cfg.HitLatency
 	if rerouted {
 		lat += s.cfg.RerouteLatency
@@ -395,13 +387,18 @@ func (s *SVF) Access(addr uint64, write, rerouted bool) int {
 	i := s.index(addr)
 	if write {
 		traffic := uint64(0)
-		if s.cfg.DisableKills && !s.valid[i] {
-			// Without allocation kills the structure cannot know the
-			// word is dead: a write miss fetches it first, exactly
-			// like a cache's write-allocate fill.
+		partial := size > 0 && size < isa.WordSize
+		if (partial || s.cfg.DisableKills) && !s.valid[i] {
+			// A partial store read-modify-writes the word. Without
+			// allocation kills the structure cannot know the word is
+			// dead, so even a full-word write miss fetches it first,
+			// exactly like a cache's write-allocate fill.
+			if partial {
+				s.stats.SubWordRMWs++
+			}
 			s.stats.Fills++
 			s.stats.QuadWordsIn++
-			lat += s.l1.Access(addr, false)
+			lat += s.l1.Access(addr&^(isa.WordSize-1), false)
 			traffic = 1
 		}
 		s.markValidDirty(addr)

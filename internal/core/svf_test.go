@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"svf/internal/cache"
 	"svf/internal/isa"
 )
 
@@ -25,9 +26,23 @@ func (r *recordingLevel) Access(addr uint64, write bool) int {
 	return 3
 }
 
-func (r *recordingLevel) Name() string { return "recording" }
-
 const base = uint64(0x7fff_0000)
+
+// mustNew is New for the tests' valid static configurations.
+func mustNew(cfg Config, l1 cache.Level) *SVF {
+	s, err := New(cfg, l1)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// entryState reports the valid and dirty bits of the entry addr currently
+// maps to.
+func entryState(s *SVF, addr uint64) (valid, dirty bool) {
+	i := s.index(addr)
+	return s.valid[i], s.dirty[i]
+}
 
 func newSVF(t *testing.T, size int) (*SVF, *recordingLevel) {
 	t.Helper()
@@ -57,7 +72,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Infinite: true}, nil); err != nil {
 		t.Errorf("infinite SVF needs no L1: %v", err)
 	}
-	s := MustNew(Config{SizeBytes: 8 << 10}, l1)
+	s := mustNew(Config{SizeBytes: 8 << 10}, l1)
 	if s.Entries() != 1024 {
 		t.Errorf("8KB SVF should have 1024 entries, got %d", s.Entries())
 	}
@@ -159,7 +174,7 @@ func TestWindowSlideSpillsLiveDirtyWords(t *testing.T) {
 		t.Errorf("stats = %+v", s.Stats())
 	}
 	// The reused slot must be invalid (fresh allocation).
-	if v, _ := s.EntryState(base - 128 + (deep - (base - 64))); v {
+	if v, _ := entryState(s, base-128+(deep-(base-64))); v {
 		t.Error("slot reused by new allocation should be invalid")
 	}
 }
@@ -176,7 +191,7 @@ func TestFullWindowSlide(t *testing.T) {
 	}
 	// Everything invalid afterwards.
 	for a := base - 64 - 256; a < base-256; a += 8 {
-		if v, _ := s.EntryState(a); v {
+		if v, _ := entryState(s, a); v {
 			t.Errorf("entry %#x valid after full slide", a)
 		}
 	}
@@ -259,7 +274,7 @@ func TestCtxSwitchBytesZeroWhenNone(t *testing.T) {
 }
 
 func TestInfiniteSVF(t *testing.T) {
-	s := MustNew(Config{Infinite: true}, nil)
+	s := mustNew(Config{Infinite: true}, nil)
 	s.NotifySPUpdate(base, base-1<<20)
 	if !s.Contains(0x1234) {
 		t.Error("infinite SVF contains everything")
@@ -293,7 +308,7 @@ func TestNoDirtyLiveDataLost(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewPCG(seed, seed^0x1234))
 		l1 := newRecording()
-		s := MustNew(Config{SizeBytes: 256}, l1) // 32 entries
+		s := mustNew(Config{SizeBytes: 256}, l1) // 32 entries
 		sp := base
 		s.NotifySPUpdate(sp, sp)
 		// dirtyLive tracks words written and not yet deallocated/spilled.
@@ -311,7 +326,7 @@ func TestNoDirtyLiveDataLost(t *testing.T) {
 					delete(dirtyLive, addr)
 					continue
 				}
-				v, d := s.EntryState(addr)
+				v, d := entryState(s, addr)
 				if v && d {
 					continue
 				}
@@ -375,7 +390,7 @@ func TestNoDirtyLiveDataLost(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(99, 7))
 	l1 := newRecording()
-	s := MustNew(Config{SizeBytes: 128}, l1)
+	s := mustNew(Config{SizeBytes: 128}, l1)
 	sp := base
 	s.NotifySPUpdate(sp, sp)
 	for i := 0; i < 5000; i++ {
@@ -423,7 +438,7 @@ func TestDisableKillsWritesBackDeadData(t *testing.T) {
 	// Ablation semantics: without liveness knowledge, deallocated dirty
 	// words are written back (like a cache) and first stores fetch.
 	l1 := newRecording()
-	s := MustNew(Config{SizeBytes: 128, DisableKills: true}, l1)
+	s := mustNew(Config{SizeBytes: 128, DisableKills: true}, l1)
 	s.NotifySPUpdate(base, base)
 	s.NotifySPUpdate(base, base-64)
 	// First store must fetch the word (no allocation kill).
@@ -443,7 +458,7 @@ func TestDisableKillsWritesBackDeadData(t *testing.T) {
 
 func TestDisableKillsFullWindowShrink(t *testing.T) {
 	l1 := newRecording()
-	s := MustNew(Config{SizeBytes: 128, DisableKills: true}, l1)
+	s := mustNew(Config{SizeBytes: 128, DisableKills: true}, l1)
 	s.NotifySPUpdate(base, base)
 	s.NotifySPUpdate(base, base-64)
 	s.Access(base-64, true, false)
@@ -457,14 +472,14 @@ func TestDisableKillsFullWindowShrink(t *testing.T) {
 
 func TestBankMapping(t *testing.T) {
 	l1 := newRecording()
-	s := MustNew(Config{SizeBytes: 256, Banks: 4}, l1)
+	s := mustNew(Config{SizeBytes: 256, Banks: 4}, l1)
 	if s.Bank(base) == s.Bank(base+8) {
 		t.Error("adjacent words should interleave across banks")
 	}
 	if s.Bank(base) != s.Bank(base+32) {
 		t.Error("bank stride should be banks*8 bytes")
 	}
-	flat := MustNew(Config{SizeBytes: 256}, l1)
+	flat := mustNew(Config{SizeBytes: 256}, l1)
 	if flat.Bank(base) != 0 || flat.Bank(base+8) != 0 {
 		t.Error("unbanked SVF maps everything to bank 0")
 	}

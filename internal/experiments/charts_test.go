@@ -130,8 +130,8 @@ func TestReportBuilder(t *testing.T) {
 	r.AddSection("Table 4: Memory traffic on context switches", "bench x\nrow 9\n")
 	r.AddChart(ChartSVG{Name: "fig9.svg", SVG: "<svg>marker9</svg>"})
 	r.AddChart(ChartSVG{Name: "fig5.svg", SVG: "<svg>marker5</svg>"})
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
+	if len(r.sections) != 2 {
+		t.Fatalf("%d sections, want 2", len(r.sections))
 	}
 	out := r.Render()
 	for _, want := range []string{

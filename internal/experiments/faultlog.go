@@ -46,30 +46,6 @@ func (l *FaultLog) AddReplayed(err error) {
 	l.mu.Unlock()
 }
 
-// Len returns the number of recorded failures, fresh and replayed.
-func (l *FaultLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.faults) + len(l.replayed)
-}
-
-// All returns a snapshot of the recorded failures: fresh faults in arrival
-// order, then replayed ones.
-func (l *FaultLog) All() []error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]error, 0, len(l.faults)+len(l.replayed))
-	out = append(out, l.faults...)
-	out = append(out, l.replayed...)
-	return out
-}
-
 // Summary renders the multi-line fault report svfexp prints after a
 // degraded suite: a headline count, then one line per fault, with faults
 // replayed from a journal labelled as such. Empty when nothing failed.

@@ -32,9 +32,6 @@ func (r *ReportBuilder) AddChart(c ChartSVG) {
 	r.charts[strings.TrimSuffix(c.Name, ".svg")] = c.SVG
 }
 
-// Len reports how many sections have been added.
-func (r *ReportBuilder) Len() int { return len(r.sections) }
-
 // Render produces the final HTML document.
 func (r *ReportBuilder) Render() string {
 	var b strings.Builder

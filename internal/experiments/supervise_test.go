@@ -93,12 +93,12 @@ func TestFig5ContinuesPastInjectedPanic(t *testing.T) {
 	if math.IsNaN(r.Mean16) {
 		t.Error("means must skip the faulted benchmark, not absorb its NaN")
 	}
-	if cfg.Faults.Len() == 0 {
+	if len(faultsOf(cfg.Faults)) == 0 {
 		t.Fatal("no fault recorded")
 	}
 	var f *sim.Fault
-	if !errors.As(cfg.Faults.All()[0], &f) {
-		t.Fatalf("logged error %v is not a *sim.Fault", cfg.Faults.All()[0])
+	if !errors.As(faultsOf(cfg.Faults)[0], &f) {
+		t.Fatalf("logged error %v is not a *sim.Fault", faultsOf(cfg.Faults)[0])
 	}
 	if f.Cycle < 400 || len(f.Fingerprint) != 16 || !strings.Contains(f.Bench, "crafty") {
 		t.Errorf("fault identity incomplete: cycle=%d fingerprint=%q bench=%q", f.Cycle, f.Fingerprint, f.Bench)
@@ -143,8 +143,8 @@ func TestRunTimeoutIsRecordedAndDegradable(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if cfg.Faults.Len() != 1 {
-		t.Errorf("faults logged = %d, want the deadline expiry recorded", cfg.Faults.Len())
+	if len(faultsOf(cfg.Faults)) != 1 {
+		t.Errorf("faults logged = %d, want the deadline expiry recorded", len(faultsOf(cfg.Faults)))
 	}
 	if d := cfg.degrade(err); d != nil {
 		t.Errorf("degrade(%v) = %v, want nil under FaultContinue", err, d)
@@ -152,7 +152,7 @@ func TestRunTimeoutIsRecordedAndDegradable(t *testing.T) {
 	// Suite cancellation, by contrast, is never recorded and never degraded.
 	cancelErr := context.Canceled
 	cfg.record(cancelErr)
-	if cfg.Faults.Len() != 1 {
+	if len(faultsOf(cfg.Faults)) != 1 {
 		t.Error("suite cancellation was recorded as a fault")
 	}
 	if cfg.degrade(cancelErr) == nil {
@@ -181,7 +181,7 @@ func TestParseFaultPolicy(t *testing.T) {
 func TestFaultLog(t *testing.T) {
 	var nilLog *FaultLog
 	nilLog.Add(errors.New("x")) // must not panic
-	if nilLog.Len() != 0 || nilLog.Summary() != "" || nilLog.All() != nil {
+	if nilLog.Summary() != "" || faultsOf(nilLog) != nil {
 		t.Error("nil log must be inert")
 	}
 	l := NewFaultLog()
@@ -191,8 +191,8 @@ func TestFaultLog(t *testing.T) {
 	l.Add(nil) // ignored
 	l.Add(errors.New("boom"))
 	l.Add(errors.New("bang"))
-	if l.Len() != 2 {
-		t.Errorf("Len = %d, want 2", l.Len())
+	if len(faultsOf(l)) != 2 {
+		t.Errorf("%d faults, want 2", len(faultsOf(l)))
 	}
 	s := l.Summary()
 	for _, part := range []string{"2 simulation fault(s)", "[1] boom", "[2] bang"} {

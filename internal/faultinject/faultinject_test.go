@@ -78,9 +78,19 @@ func TestActiveAndMatches(t *testing.T) {
 	}
 }
 
+// drain reads a stream to its end.
+func drain(s trace.Stream) []isa.Inst {
+	var out []isa.Inst
+	var in isa.Inst
+	for s.Next(&in) {
+		out = append(out, in)
+	}
+	return out
+}
+
 func TestWrapStreamEOFTruncates(t *testing.T) {
 	p := &Plan{EOFAfter: 7}
-	got := trace.Collect(p.WrapStream(trace.NewSliceStream(sampleInsts(100))), 0)
+	got := drain(p.WrapStream(trace.NewSliceStream(sampleInsts(100))))
 	if len(got) != 7 {
 		t.Errorf("EOFAfter=7 yielded %d instructions", len(got))
 	}
@@ -103,7 +113,7 @@ func TestWrapStreamCorruptionIsDeterministic(t *testing.T) {
 	base := sampleInsts(60)
 	collect := func(seed int64) []isa.Inst {
 		p := &Plan{Seed: seed, CorruptEvery: 3}
-		return trace.Collect(p.WrapStream(trace.NewSliceStream(append([]isa.Inst(nil), base...))), 0)
+		return drain(p.WrapStream(trace.NewSliceStream(append([]isa.Inst(nil), base...))))
 	}
 	a, b := collect(42), collect(42)
 	if !reflect.DeepEqual(a, b) {

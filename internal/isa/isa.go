@@ -97,9 +97,6 @@ const (
 	// adding an immediate constant to $sp; the decode stage can track it
 	// speculatively without an interlock.
 	FlagSPImmediate
-	// FlagCtxSwitch marks an instruction at which the operating system
-	// performs a context switch (used by the Table 4 experiment).
-	FlagCtxSwitch
 )
 
 // Inst is one dynamic (already-executed) instruction from a workload trace.
@@ -149,17 +146,10 @@ func (in *Inst) Taken() bool { return in.Flags&FlagTaken != 0 }
 // the decode stage can track speculatively.
 func (in *Inst) SPImmediate() bool { return in.Flags&FlagSPImmediate != 0 }
 
-// CtxSwitch reports whether a context switch occurs at this instruction.
-func (in *Inst) CtxSwitch() bool { return in.Flags&FlagCtxSwitch != 0 }
-
 // SPRelative reports whether the instruction is a memory reference using
 // the ±IMM($sp) addressing mode. Such references are identified in the
 // pre-decode circuit and are candidates for morphing into register moves.
 func (in *Inst) SPRelative() bool { return in.IsMem() && in.Base == RegSP }
-
-// FPRelative reports whether the instruction is a memory reference through
-// the frame pointer.
-func (in *Inst) FPRelative() bool { return in.IsMem() && in.Base == RegFP }
 
 // WritesSP reports whether the instruction writes the stack pointer.
 func (in *Inst) WritesSP() bool { return in.Kind == KindSPAdjust || in.Dst == RegSP }

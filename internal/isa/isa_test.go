@@ -67,10 +67,6 @@ func TestFlags(t *testing.T) {
 	if !in.SPImmediate() {
 		t.Error("SPImmediate() should be true with FlagSPImmediate")
 	}
-	in = Inst{Flags: FlagCtxSwitch}
-	if !in.CtxSwitch() {
-		t.Error("CtxSwitch() should be true with FlagCtxSwitch")
-	}
 }
 
 func TestSPRelative(t *testing.T) {
@@ -80,9 +76,6 @@ func TestSPRelative(t *testing.T) {
 	}
 	if (&Inst{Kind: KindLoad, Base: RegFP}).SPRelative() {
 		t.Error("load with Base=RegFP should not be SPRelative")
-	}
-	if !(&Inst{Kind: KindStore, Base: RegFP}).FPRelative() {
-		t.Error("store with Base=RegFP should be FPRelative")
 	}
 	// Non-memory instructions are never SP-relative even with Base set.
 	if (&Inst{Kind: KindALU, Base: RegSP}).SPRelative() {

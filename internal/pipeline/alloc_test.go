@@ -25,8 +25,8 @@ func allocTestSetup(t *testing.T) (Env, *trace.SliceStream) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := trace.NewSliceStream(trace.Collect(synth.NewGeneratorFor(prog), allocTestInsts))
-	hier := cache.MustNewHierarchy(cache.DefaultHierarchyConfig())
+	stream := trace.NewSliceStream(synth.TraceFor(prog, allocTestInsts))
+	hier := must(cache.NewHierarchy(cache.DefaultHierarchyConfig()))
 	env := Env{
 		Machine: SixteenWide(),
 		Hier:    hier,
@@ -34,7 +34,7 @@ func allocTestSetup(t *testing.T) (Env, *trace.SliceStream) {
 		Layout:  regions.DefaultLayout(),
 		Stack: StackStructs{
 			Policy: PolicySVF,
-			SVF:    core.MustNew(core.Config{Infinite: true}, hier.DL1),
+			SVF:    must(core.New(core.Config{Infinite: true}, hier.DL1)),
 		},
 	}
 	return env, stream

@@ -30,7 +30,7 @@ func benchPipeline(b *testing.B, mkEnv func() Env) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream := trace.NewSliceStream(trace.Collect(synth.NewGeneratorFor(prog), benchRawInsts))
+	stream := trace.NewSliceStream(synth.TraceFor(prog, benchRawInsts))
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
@@ -57,7 +57,7 @@ func benchPipeline(b *testing.B, mkEnv func() Env) {
 // configuration the ISSUE's ≥3× insts/sec target is defined on.
 func BenchmarkPipelineRaw(b *testing.B) {
 	benchPipeline(b, func() Env {
-		hier := cache.MustNewHierarchy(cache.DefaultHierarchyConfig())
+		hier := must(cache.NewHierarchy(cache.DefaultHierarchyConfig()))
 		return Env{
 			Machine: SixteenWide(),
 			Hier:    hier,
@@ -65,7 +65,7 @@ func BenchmarkPipelineRaw(b *testing.B) {
 			Layout:  regions.DefaultLayout(),
 			Stack: StackStructs{
 				Policy: PolicySVF,
-				SVF:    core.MustNew(core.Config{Infinite: true}, hier.DL1),
+				SVF:    must(core.New(core.Config{Infinite: true}, hier.DL1)),
 			},
 		}
 	})
@@ -75,7 +75,7 @@ func BenchmarkPipelineRaw(b *testing.B) {
 // DL1-only baseline machine: the scheduler cost without SVF morphing.
 func BenchmarkPipelineRawBaseline(b *testing.B) {
 	benchPipeline(b, func() Env {
-		hier := cache.MustNewHierarchy(cache.DefaultHierarchyConfig())
+		hier := must(cache.NewHierarchy(cache.DefaultHierarchyConfig()))
 		return Env{
 			Machine: SixteenWide(),
 			Hier:    hier,

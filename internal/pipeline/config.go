@@ -15,6 +15,7 @@ package pipeline
 import (
 	"fmt"
 
+	"svf/internal/bpred"
 	"svf/internal/cache"
 	"svf/internal/core"
 	"svf/internal/faultinject"
@@ -188,7 +189,7 @@ type Env struct {
 	// Stack is the stack-structure configuration.
 	Stack StackStructs
 	// Pred is the branch direction predictor.
-	Pred Predictor
+	Pred bpred.Predictor
 	// Layout classifies addresses into regions.
 	Layout regions.Layout
 	// CtxSwitchPeriod, when non-zero, triggers a context switch (stack
@@ -204,12 +205,4 @@ type Env struct {
 	// observational: Stats are bit-identical with or without it, and a nil
 	// probe costs the hot loop one pointer check per cycle.
 	Probe *telemetry.Probe
-}
-
-// Predictor is the branch-direction interface consumed by the pipeline
-// (satisfied by the bpred package).
-type Predictor interface {
-	Predict(pc uint64, actual bool) bool
-	Update(pc uint64, actual bool)
-	Name() string
 }

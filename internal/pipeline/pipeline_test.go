@@ -24,13 +24,13 @@ func tinyMachine() MachineConfig {
 
 func testEnv(t *testing.T, mc MachineConfig, policy StackPolicy, stackPorts int) Env {
 	t.Helper()
-	hier := cache.MustNewHierarchy(cache.DefaultHierarchyConfig())
+	hier := must(cache.NewHierarchy(cache.DefaultHierarchyConfig()))
 	env := Env{Machine: mc, Hier: hier, Pred: bpred.NewPerfect(), Layout: regions.DefaultLayout()}
 	switch policy {
 	case PolicySVF:
-		env.Stack = StackStructs{Policy: policy, SVF: core.MustNew(core.Config{SizeBytes: 8 << 10}, hier.DL1), Ports: stackPorts}
+		env.Stack = StackStructs{Policy: policy, SVF: must(core.New(core.Config{SizeBytes: 8 << 10}, hier.DL1)), Ports: stackPorts}
 	case PolicyStackCache:
-		env.Stack = StackStructs{Policy: policy, SC: stackcache.MustNew(stackcache.Config{SizeBytes: 8 << 10}, hier.UL2), Ports: stackPorts}
+		env.Stack = StackStructs{Policy: policy, SC: must(stackcache.New(stackcache.Config{SizeBytes: 8 << 10}, hier.UL2)), Ports: stackPorts}
 	}
 	return env
 }
@@ -146,7 +146,6 @@ type wrongPredictor struct{}
 
 func (wrongPredictor) Predict(pc uint64, actual bool) bool { return !actual }
 func (wrongPredictor) Update(pc uint64, actual bool)       {}
-func (wrongPredictor) Name() string                        { return "wrong" }
 
 func TestBranchMispredictBubbles(t *testing.T) {
 	var insts []isa.Inst

@@ -38,7 +38,7 @@ func TestStoreTabAgainstMap(t *testing.T) {
 			seq++
 			r := lsqRef{idx: int32(rng.Intn(8)), seq: seq}
 			if rng.Intn(2) == 0 {
-				tab.put(addr, r)
+				tab.putGet(addr, r)
 			} else {
 				prev, ok := tab.putGet(addr, r)
 				wprev, wok := ref[addr]

@@ -74,17 +74,6 @@ func (t *storeTab) get(addr uint64) (lsqRef, bool) {
 	}
 }
 
-// put records ref as the youngest store for addr.
-func (t *storeTab) put(addr uint64, ref lsqRef) {
-	for i := t.home(addr); ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if s.idx < 0 || s.addr == addr {
-			s.addr, s.idx, s.seq = addr, ref.idx, ref.seq
-			return
-		}
-	}
-}
-
 // putGet records ref as the youngest store for addr and returns the ref it
 // supersedes, if any — the store-dispatch get+put pair in one probe chain.
 func (t *storeTab) putGet(addr uint64, ref lsqRef) (lsqRef, bool) {

@@ -35,9 +35,6 @@ const (
 	axisColor     = "#b9b8b2"
 )
 
-// MaxSeries is the number of distinguishable series a chart accepts.
-const MaxSeries = len("12345678")
-
 // Series is one named line of (x, y) points.
 type Series struct {
 	Name string

@@ -170,17 +170,3 @@ func MethodOf(base uint8) Method {
 		return MethodGPR
 	}
 }
-
-// Depth returns the stack depth of addr in bytes: how far below the stack
-// base the address lies. It panics if addr is not a stack address, since
-// callers are expected to classify first.
-func (l Layout) Depth(addr uint64) uint64 {
-	if !l.InStack(addr) {
-		panic(fmt.Sprintf("regions: Depth of non-stack address %#x", addr))
-	}
-	return l.StackBase - addr
-}
-
-// DepthWords returns the stack depth of addr in 64-bit units, the unit used
-// by Figure 2's y-axis (1000 units = 8KB).
-func (l Layout) DepthWords(addr uint64) uint64 { return l.Depth(addr) / isa.WordSize }

@@ -71,22 +71,6 @@ func TestMethodOf(t *testing.T) {
 	}
 }
 
-func TestDepth(t *testing.T) {
-	l := DefaultLayout()
-	if d := l.Depth(l.StackBase - 8); d != 8 {
-		t.Errorf("Depth = %d, want 8", d)
-	}
-	if d := l.DepthWords(l.StackBase - 8000); d != 1000 {
-		t.Errorf("DepthWords = %d, want 1000 (8KB = 1000 units)", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Depth of non-stack address should panic")
-		}
-	}()
-	l.Depth(l.GlobalBase)
-}
-
 func TestStringNames(t *testing.T) {
 	for r := Region(0); int(r) < NumRegions; r++ {
 		if r.String() == "" {

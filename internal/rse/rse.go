@@ -104,24 +104,8 @@ func New(cfg Config, l1 cache.Level) (*RSE, error) {
 	return &RSE{cfg: cfg, l1: l1}, nil
 }
 
-// MustNew is New panicking on error.
-func MustNew(cfg Config, l1 cache.Level) *RSE {
-	r, err := New(cfg, l1)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Config returns the configuration with defaults filled.
-func (r *RSE) Config() Config { return r.cfg }
-
 // Stats returns a copy of the counters.
 func (r *RSE) Stats() Stats { return r.stats }
-
-// ResidentWords reports how many registers are currently allocated and
-// resident.
-func (r *RSE) ResidentWords() int { return r.residentWords }
 
 // TakePenalty returns and clears the accumulated overflow/underflow stall
 // cycles (2 registers move per cycle, the usual RSE bandwidth assumption).

@@ -24,8 +24,6 @@ func (r *recordingLevel) Access(addr uint64, write bool) int {
 	return 3
 }
 
-func (r *recordingLevel) Name() string { return "rec" }
-
 const base = uint64(0x7fff_0000)
 
 func newRSE(t *testing.T, regs int) (*RSE, *recordingLevel) {
@@ -46,8 +44,11 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Config{Regs: 64}, nil); err == nil {
 		t.Error("nil backing store should fail")
 	}
-	r := MustNew(Config{Regs: 64}, newRecording())
-	if r.Config().HitLatency != 1 {
+	r, err := New(Config{Regs: 64}, newRecording())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.cfg.HitLatency != 1 {
 		t.Error("default hit latency not filled")
 	}
 }
@@ -159,8 +160,8 @@ func TestReturnDiscardsWithoutWriteback(t *testing.T) {
 	if len(l1.writes) != 0 {
 		t.Errorf("return wrote back: %v", l1.writes)
 	}
-	if r.ResidentWords() != 0 {
-		t.Errorf("ResidentWords = %d after full pop", r.ResidentWords())
+	if r.residentWords != 0 {
+		t.Errorf("ResidentWords = %d after full pop", r.residentWords)
 	}
 }
 
@@ -205,8 +206,8 @@ func TestPartialDeallocation(t *testing.T) {
 	r.NotifySPUpdate(base, base-64) // 8 words
 	// Shrink by half the frame (alloca-style adjustment).
 	r.NotifySPUpdate(base-64, base-32)
-	if r.ResidentWords() != 4 {
-		t.Errorf("ResidentWords = %d, want 4 after partial pop", r.ResidentWords())
+	if r.residentWords != 4 {
+		t.Errorf("ResidentWords = %d, want 4 after partial pop", r.residentWords)
 	}
 	if !r.Resident(base - 32) {
 		t.Error("kept half should stay resident")
@@ -282,8 +283,8 @@ func TestRepeatedContextSwitchCtxBytesExact(t *testing.T) {
 	if want := uint64((12 + 4) * isa.WordSize); st.CtxBytes != want {
 		t.Errorf("CtxBytes = %d, want %d", st.CtxBytes, want)
 	}
-	if r.ResidentWords() != 4 {
-		t.Errorf("ResidentWords = %d after second switch, want 4", r.ResidentWords())
+	if r.residentWords != 4 {
+		t.Errorf("ResidentWords = %d after second switch, want 4", r.residentWords)
 	}
 }
 
@@ -305,7 +306,7 @@ func TestPopNeverRefillsOversizeFrame(t *testing.T) {
 	if r.Resident(sp) {
 		t.Error("oversized frame became resident via pop refill")
 	}
-	if rw := r.ResidentWords(); rw > 16 {
+	if rw := r.residentWords; rw > 16 {
 		t.Errorf("ResidentWords = %d exceeds capacity 16", rw)
 	}
 	st := r.Stats()
@@ -321,7 +322,7 @@ func TestPopNeverRefillsOversizeFrame(t *testing.T) {
 	if got := r.Stats().Underflows - st.Underflows; got != 1 {
 		t.Errorf("underflows for the A refill = %d, want 1", got)
 	}
-	if rw := r.ResidentWords(); rw != 8 {
+	if rw := r.residentWords; rw != 8 {
 		t.Errorf("ResidentWords = %d, want 8", rw)
 	}
 }
@@ -337,7 +338,7 @@ func TestContextSwitchKeepsCapacityInvariant(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		r.ContextSwitch()
-		if rw := r.ResidentWords(); rw > 16 {
+		if rw := r.residentWords; rw > 16 {
 			t.Fatalf("switch %d: ResidentWords = %d exceeds capacity", i, rw)
 		}
 		if !r.Resident(sp) {

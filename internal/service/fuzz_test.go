@@ -44,7 +44,7 @@ func FuzzParseJobSpec(f *testing.F) {
 			t.Fatal("accepted spec has no identity")
 		}
 		for i, c := range spec.Cells {
-			if c.Key() == "" {
+			if c.key == "" {
 				t.Fatalf("cell %d accepted without a resolved identity", i)
 			}
 			if c.prof == nil {

@@ -140,9 +140,6 @@ type Job struct {
 	finished chan struct{}
 }
 
-// Trace returns the job's trace ID.
-func (j *Job) Trace() string { return j.trace }
-
 func (j *Job) setState(s string) {
 	j.mu.Lock()
 	j.state = s

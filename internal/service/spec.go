@@ -102,9 +102,6 @@ type CellSpec struct {
 	key    string
 }
 
-// Key returns the cell's canonical identity (valid after resolve).
-func (c *CellSpec) Key() string { return c.key }
-
 // BenchID returns the resolved workload's display ID.
 func (c *CellSpec) BenchID() string { return c.prof.ID() }
 

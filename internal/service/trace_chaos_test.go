@@ -104,7 +104,7 @@ func TestChaosTraceWorkerKillRetrySpans(t *testing.T) {
 	}
 
 	j, _ := srv.Job(id)
-	trace := j.Trace()
+	trace := j.trace
 	if trace != resp["trace_id"] {
 		t.Errorf("job trace %s != submit response trace %v", trace, resp["trace_id"])
 	}

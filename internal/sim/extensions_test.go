@@ -14,6 +14,15 @@ import (
 	"svf/internal/trace"
 )
 
+// must unwraps a constructor's result for the tests' valid static
+// configurations.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // TestRecordedTraceMatchesLiveGenerator is the trace-driven workflow's
 // correctness anchor: simulating a recorded-and-reloaded trace must give
 // bit-identical timing to simulating the live generator.
@@ -36,14 +45,14 @@ func TestRecordedTraceMatchesLiveGenerator(t *testing.T) {
 	}
 
 	runOn := func(s trace.Stream) pipeline.Stats {
-		hier := cache.MustNewHierarchy(cache.DefaultHierarchyConfig())
+		hier := must(cache.NewHierarchy(cache.DefaultHierarchyConfig()))
 		env := pipeline.Env{
 			Machine: pipeline.SixteenWide(), Hier: hier,
 			Pred: bpred.NewPerfect(), Layout: regions.DefaultLayout(),
 		}
 		env.Stack = pipeline.StackStructs{
 			Policy: pipeline.PolicySVF,
-			SVF:    core.MustNew(core.Config{SizeBytes: 8 << 10}, hier.DL1),
+			SVF:    must(core.New(core.Config{SizeBytes: 8 << 10}, hier.DL1)),
 			Ports:  2,
 		}
 		p, err := pipeline.New(env)

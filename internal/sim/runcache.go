@@ -11,7 +11,6 @@ import (
 
 	"svf/internal/journal"
 	"svf/internal/pipeline"
-	"svf/internal/stats"
 	"svf/internal/synth"
 	"svf/internal/telemetry"
 )
@@ -426,14 +425,6 @@ func (s CacheStats) String() string {
 		out += fmt.Sprintf("; %d refused (latched permanent)", s.Latched)
 	}
 	return out
-}
-
-// Table renders the stats in the report-table form the experiment harnesses
-// use everywhere else.
-func (s CacheStats) Table() *stats.Table {
-	t := stats.NewTable("requests", "simulated", "hits", "deduped", "errors", "retries", "latched", "entries", "sim time")
-	t.AddRow(s.Requests(), s.Misses, s.Hits, s.Shared, s.Errors, s.Retries, s.Latched, s.Entries, s.SimTime.Round(time.Millisecond).String())
-	return t
 }
 
 // flight is one single-flight slot: done closes when val/err are final.

@@ -217,7 +217,7 @@ func runStream(ctx context.Context, name, identity string, gen trace.Stream, opt
 		return nil, err
 	}
 
-	var pred pipeline.Predictor
+	var pred bpred.Predictor
 	switch opt.Predictor {
 	case PredPerfect:
 		pred = bpred.NewPerfect()

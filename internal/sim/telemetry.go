@@ -88,9 +88,6 @@ func (c *RunCache) SetObserver(o *Observer) {
 	}
 }
 
-// Observer returns the attached observer (nil when none).
-func (c *RunCache) Observer() *Observer { return c.obs }
-
 // progressFault/progressLatched forward to the progress tracker.
 func (o *Observer) progressFault() {
 	if o == nil {

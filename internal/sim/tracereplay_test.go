@@ -7,7 +7,6 @@ import (
 
 	"svf/internal/pipeline"
 	"svf/internal/synth"
-	"svf/internal/tracecache"
 )
 
 // replayInsts is the per-run budget for the replay-equivalence tests:
@@ -56,14 +55,14 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := tracecache.Key{FP: prof.Fingerprint(), N: replayInsts}
-			if !traceCache.Contains(key) {
-				t.Fatal("run did not record its trace")
-			}
 			// Second run replays the recorded entry.
+			hits := traceCache.Stats().Hits
 			got2, err := Run(prof, replayOpt())
 			if err != nil {
 				t.Fatal(err)
+			}
+			if traceCache.Stats().Hits != hits+1 {
+				t.Fatal("second run did not replay a recorded trace")
 			}
 
 			// The generator-fed result came through RunStream, whose
@@ -101,19 +100,23 @@ func TestTraceEvictionFallsBackToGenerator(t *testing.T) {
 	if _, err := Run(a, replayOpt()); err != nil {
 		t.Fatal(err)
 	}
-	keyA := tracecache.Key{FP: a.Fingerprint(), N: replayInsts}
-	if !traceCache.Contains(keyA) {
-		t.Fatal("trace for a not recorded under the one-entry budget")
+	if st := traceCache.Stats(); st.Entries != 1 {
+		t.Fatalf("%d traces resident under the one-entry budget, want a's alone", st.Entries)
 	}
+	evictions := traceCache.Stats().Evictions
 	if _, err := Run(b, replayOpt()); err != nil {
 		t.Fatal(err)
 	}
-	if traceCache.Contains(keyA) {
+	if traceCache.Stats().Evictions == evictions {
 		t.Fatal("recording b did not evict a under a one-entry budget")
 	}
+	misses := traceCache.Stats().Misses
 	evicted, err := Run(a, replayOpt())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if traceCache.Stats().Misses != misses+1 {
+		t.Fatal("a's trace was still resident after b's recording")
 	}
 	if !reflect.DeepEqual(evicted, wantA) {
 		t.Errorf("post-eviction run diverges:\n got %+v\nwant %+v", evicted, wantA)

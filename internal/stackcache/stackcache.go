@@ -74,15 +74,6 @@ func New(cfg Config, l2 cache.Level) (*StackCache, error) {
 	return &StackCache{cfg: cfg, inner: inner, l2: l2}, nil
 }
 
-// MustNew is New panicking on error.
-func MustNew(cfg Config, l2 cache.Level) *StackCache {
-	sc, err := New(cfg, l2)
-	if err != nil {
-		panic(err)
-	}
-	return sc
-}
-
 // Config returns the configuration (with defaults filled).
 func (s *StackCache) Config() Config { return s.cfg }
 
@@ -91,11 +82,6 @@ func (s *StackCache) Config() Config { return s.cfg }
 func (s *StackCache) Access(addr uint64, write bool) int {
 	return s.inner.Access(addr, write)
 }
-
-// NotifySPUpdate is a no-op: a stack cache has no architectural knowledge
-// of the stack pointer. It exists so the stack cache and the SVF satisfy a
-// common interface in the simulator.
-func (s *StackCache) NotifySPUpdate(oldSP, newSP uint64) {}
 
 // ContextSwitch models a context switch: every dirty line is written back
 // (whole lines — the stack cache's dirty granularity is the line) and the
@@ -127,6 +113,3 @@ func (s *StackCache) CtxSwitchBytes() uint64 {
 	}
 	return s.ctxBytes / s.ctxFlushes
 }
-
-// CtxSwitches returns the number of context switches observed.
-func (s *StackCache) CtxSwitches() uint64 { return s.ctxFlushes }

@@ -10,7 +10,10 @@ import (
 func newSC(t *testing.T, size int) (*StackCache, *cache.Memory) {
 	t.Helper()
 	mem := cache.NewMemory(60)
-	l2 := cache.MustNew(cache.Config{Name: "l2", SizeBytes: 512 << 10, LineBytes: 64, Assoc: 4, HitLatency: 16}, mem)
+	l2, err := cache.New(cache.Config{Name: "l2", SizeBytes: 512 << 10, LineBytes: 64, Assoc: 4, HitLatency: 16}, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc, err := New(Config{SizeBytes: size}, l2)
 	if err != nil {
 		t.Fatal(err)
@@ -73,25 +76,14 @@ func TestDeallocatedDataStillWrittenBack(t *testing.T) {
 	}
 }
 
-func TestNotifySPUpdateIsNoOp(t *testing.T) {
-	sc, _ := newSC(t, 2<<10)
-	sc.Access(base, true)
-	before := sc.Stats()
-	sc.NotifySPUpdate(base, base-4096)
-	sc.NotifySPUpdate(base-4096, base)
-	if sc.Stats() != before {
-		t.Error("NotifySPUpdate should not touch a stack cache")
-	}
-}
-
 func TestContextSwitch(t *testing.T) {
 	sc, _ := newSC(t, 2<<10)
 	sc.Access(base, true)
 	sc.Access(base+32, true)
 	sc.Access(base+64, false) // clean
 	sc.ContextSwitch()
-	if sc.CtxSwitches() != 1 {
-		t.Errorf("CtxSwitches = %d", sc.CtxSwitches())
+	if sc.ctxFlushes != 1 {
+		t.Errorf("ctxFlushes = %d", sc.ctxFlushes)
 	}
 	if got := sc.CtxSwitchBytes(); got != 64 {
 		t.Errorf("CtxSwitchBytes = %d, want 64 (two 32-byte lines)", got)

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit shared by the
 // characterisation tools, the timing simulator, and the experiment harness:
-// counters, histograms, cumulative distributions, time-series samplers, and
-// speedup/aggregation helpers.
+// histograms, time-series samplers, tables, and speedup/aggregation
+// helpers.
 package stats
 
 import (
@@ -74,49 +74,6 @@ func (h *Histogram) CumulativeAt(bound uint64) float64 {
 	return float64(c) / float64(h.Total)
 }
 
-// CDF summarises an empirical distribution from raw samples.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds a CDF from the samples (which are copied and sorted).
-func NewCDF(samples []float64) *CDF {
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// At returns the fraction of samples <= x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the samples.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	i := int(q * float64(len(c.sorted)))
-	if i >= len(c.sorted) {
-		i = len(c.sorted) - 1
-	}
-	return c.sorted[i]
-}
-
-// Len returns the number of samples.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // Series is a down-sampled time series: it keeps at most Cap points by
 // recording every k-th sample, used for Figure 2's stack-depth-over-time
 // plots without storing every $sp update.
@@ -159,17 +116,6 @@ func (s *Series) Add(x, y uint64) {
 // Len returns the number of retained points.
 func (s *Series) Len() int { return len(s.X) }
 
-// MaxY returns the largest retained y value.
-func (s *Series) MaxY() uint64 {
-	var m uint64
-	for _, y := range s.Y {
-		if y > m {
-			m = y
-		}
-	}
-	return m
-}
-
 // Speedup returns the speedup of a configuration over a baseline given their
 // cycle counts: baseline/config. Values above 1 mean the configuration is
 // faster. Returns 0 for a zero config cycle count.
@@ -183,18 +129,6 @@ func Speedup(baselineCycles, configCycles uint64) float64 {
 // PercentImprovement converts a speedup ratio to the "% improvement" form
 // the paper reports (speedup 1.29 → 29%).
 func PercentImprovement(speedup float64) float64 { return (speedup - 1) * 100 }
-
-// Mean returns the arithmetic mean of xs, or 0 if empty.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // MeanValid returns the arithmetic mean of the non-NaN entries of xs, or
 // NaN if none are valid. Supervised experiment suites use it so a failed
@@ -213,22 +147,6 @@ func MeanValid(xs []float64) float64 {
 		return math.NaN()
 	}
 	return s / float64(n)
-}
-
-// GeoMean returns the geometric mean of xs (all must be positive), or 0 if
-// empty.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Ratio returns a/b, or 0 when b is 0.

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -51,45 +50,6 @@ func TestHistogramBadBoundsPanics(t *testing.T) {
 	NewHistogram(10, 10)
 }
 
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{3, 1, 2, 4})
-	if got := c.At(2); got != 0.5 {
-		t.Errorf("At(2) = %g, want 0.5", got)
-	}
-	if got := c.At(0.5); got != 0 {
-		t.Errorf("At(0.5) = %g, want 0", got)
-	}
-	if got := c.At(4); got != 1 {
-		t.Errorf("At(4) = %g, want 1", got)
-	}
-	if got := c.Quantile(0.5); got != 3 {
-		t.Errorf("Quantile(0.5) = %g, want 3", got)
-	}
-	if got := c.Quantile(0); got != 1 {
-		t.Errorf("Quantile(0) = %g, want 1", got)
-	}
-	if got := c.Quantile(1); got != 4 {
-		t.Errorf("Quantile(1) = %g, want 4", got)
-	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d, want 4", c.Len())
-	}
-}
-
-func TestCDFMonotoneQuick(t *testing.T) {
-	// Property: At is monotone non-decreasing in x.
-	c := NewCDF([]float64{5, 1, 9, 2, 6, 6, 3})
-	f := func(a, b float64) bool {
-		if a > b {
-			a, b = b, a
-		}
-		return c.At(a) <= c.At(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSeriesThinning(t *testing.T) {
 	s := NewSeries(64)
 	for i := uint64(0); i < 10000; i++ {
@@ -107,8 +67,11 @@ func TestSeriesThinning(t *testing.T) {
 			t.Fatalf("series X not sorted at %d", i)
 		}
 	}
-	if s.MaxY() == 0 {
-		t.Error("MaxY should be positive")
+	// Thinning keeps whole points: every retained y is still its x's.
+	for i := range s.X {
+		if s.Y[i] != 2*s.X[i] {
+			t.Fatalf("point %d = (%d, %d), want y = 2x", i, s.X[i], s.Y[i])
+		}
 	}
 }
 
@@ -125,17 +88,8 @@ func TestSpeedupAndPercent(t *testing.T) {
 }
 
 func TestMeans(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %g, want 2", got)
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-9 {
-		t.Errorf("GeoMean = %g, want 2", got)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with non-positive input should be 0")
+	if got := Ratio(3, 2); got != 1.5 {
+		t.Errorf("Ratio(3, 2) = %g, want 1.5", got)
 	}
 	if Ratio(1, 0) != 0 {
 		t.Error("Ratio with zero denominator should be 0")

@@ -8,6 +8,16 @@ import (
 	"svf/internal/regions"
 )
 
+// mustBuild builds a bundled (pre-validated) profile's program.
+func mustBuild(t *testing.T, prof *Profile) *Program {
+	t.Helper()
+	p, err := BuildProgram(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func testBuilder(prof *Profile) *builder {
 	b := &builder{
 		prof:   prof,
@@ -153,7 +163,7 @@ func TestMainFunctionShape(t *testing.T) {
 }
 
 func TestBranchPartnersInRange(t *testing.T) {
-	prog := MustBuildProgram(Eon())
+	prog := mustBuild(t, Eon())
 	for _, f := range prog.funcs {
 		for i, tm := range f.tmpls {
 			switch tm.kind {
@@ -169,7 +179,7 @@ func TestBranchPartnersInRange(t *testing.T) {
 					t.Fatalf("loop end partner at %d is %v", tm.partner, f.tmpls[tm.partner].kind)
 				}
 			case tCall:
-				if int(tm.callee) <= 0 || int(tm.callee) >= prog.NumFuncs() {
+				if int(tm.callee) <= 0 || int(tm.callee) >= len(prog.funcs) {
 					t.Fatalf("callee %d out of range", tm.callee)
 				}
 			}
@@ -186,7 +196,7 @@ func TestCalibrationConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calibrated := MustBuildProgram(prof)
+	calibrated := mustBuild(t, prof)
 	mRaw := measureMix(raw, 400_000)
 	mCal := measureMix(calibrated, 400_000)
 	errRaw := abs(mRaw.mem-prof.MemFrac) + abs(mRaw.stack-prof.StackFrac)

@@ -5,7 +5,6 @@ import (
 
 	"svf/internal/isa"
 	"svf/internal/regions"
-	"svf/internal/trace"
 )
 
 // maxFrames bounds the activation stack so a badly parameterised profile
@@ -194,13 +193,6 @@ func (g *Generator) scheduleRedraw() {
 	e := float64(g.prog.Prof.EpisodeLen)
 	g.redrawAt = g.emitted + uint64(e*(0.5+g.rng.Float64()))
 }
-
-// Emitted returns how many instructions have been produced since the last
-// reset.
-func (g *Generator) Emitted() uint64 { return g.emitted }
-
-// SP returns the current architectural stack pointer.
-func (g *Generator) SP() uint64 { return g.sp }
 
 // DepthWords returns the current stack depth in 64-bit words below the
 // program's entry stack pointer.
@@ -610,13 +602,4 @@ func Trace(prof *Profile, n int) ([]isa.Inst, error) {
 		out = append(out, in)
 	}
 	return out, nil
-}
-
-// Stream returns a bounded stream of the profile's first n instructions.
-func Stream(prof *Profile, n int) (trace.Stream, error) {
-	g, err := NewGenerator(prof)
-	if err != nil {
-		return nil, err
-	}
-	return &trace.Limit{S: g, N: n}, nil
 }

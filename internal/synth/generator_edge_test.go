@@ -9,10 +9,12 @@ import (
 )
 
 func TestStreamHelperBounds(t *testing.T) {
-	s, err := Stream(Gzip(), 1234)
+	// The simulator bounds a run's generator with trace.Limit.
+	g, err := NewGenerator(Gzip())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := &trace.Limit{S: g, N: 1234}
 	n := 0
 	var in isa.Inst
 	for s.Next(&in) {
@@ -42,12 +44,12 @@ func TestGeneratorEmittedCounter(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		g.Next(&in)
 	}
-	if g.Emitted() != 500 {
-		t.Errorf("Emitted = %d, want 500", g.Emitted())
+	if g.emitted != 500 {
+		t.Errorf("emitted = %d, want 500", g.emitted)
 	}
 	g.Reset()
-	if g.Emitted() != 0 {
-		t.Errorf("Emitted after Reset = %d", g.Emitted())
+	if g.emitted != 0 {
+		t.Errorf("emitted after Reset = %d", g.emitted)
 	}
 }
 
@@ -109,8 +111,8 @@ func TestDepthTracksSPExactly(t *testing.T) {
 			t.Fatalf("inst %d: DepthWords %d, trace-derived %d", i, g.DepthWords(), want)
 		}
 	}
-	if g.SP() != sp {
-		t.Errorf("SP() %#x, trace-derived %#x", g.SP(), sp)
+	if g.sp != sp {
+		t.Errorf("sp %#x, trace-derived %#x", g.sp, sp)
 	}
 }
 

@@ -98,9 +98,6 @@ type Program struct {
 	switchPC uint64
 }
 
-// NumFuncs returns the number of functions in the program.
-func (p *Program) NumFuncs() int { return len(p.funcs) }
-
 // scratch registers available for compute results (avoids $sp, $fp, $ra,
 // $zero, and the reserved pointer registers r27-r29).
 var scratchRegs = func() []uint8 {
@@ -289,16 +286,6 @@ func buildOnce(prof *Profile, memP, stackP float64, methodW [3]float64) (*Progra
 		return nil, fmt.Errorf("synth: program text overflows region (%#x)", pc)
 	}
 	return p, nil
-}
-
-// MustBuildProgram is BuildProgram panicking on error, for the bundled
-// (pre-validated) profiles.
-func MustBuildProgram(prof *Profile) *Program {
-	p, err := BuildProgram(prof)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 type builder struct {

@@ -151,19 +151,6 @@ func (t *PipelineTrace) Commit(seq, cycle uint64, route string, forwarded, mispr
 	}
 }
 
-// Squash drops the in-flight record for seq (wrong-path flush) and marks
-// the flush as an instant event on the scheduler lane.
-func (t *PipelineTrace) Squash(seq, cycle uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.pending[seq]; !ok {
-		return
-	}
-	delete(t.pending, seq)
-	t.push(traceEvent{Name: "squash", Ph: "i", TS: cycle, PID: 1, TID: laneScheduler,
-		Args: map[string]any{"seq": seq, "s": "t"}})
-}
-
 // Marker emits an instant event on the scheduler lane without touching
 // in-flight records — squash bubbles and context switches, where the
 // instruction still commits later.

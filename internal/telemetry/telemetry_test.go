@@ -258,7 +258,7 @@ func TestPipelineTraceStructure(t *testing.T) {
 	tr.counterSample(15, 3, 1, 2)
 	tr.Commit(1, 20, "svf", true, false)
 	tr.Dispatch(2, 0x400004, "branch", 11, 13)
-	tr.Squash(2, 16)
+	tr.Marker("squash", 16)
 	tr.span("fast-forward", 30, 60, laneScheduler)
 
 	var buf bytes.Buffer

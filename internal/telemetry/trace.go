@@ -126,7 +126,7 @@ type Span struct {
 }
 
 // DefaultMaxSpansPerTrace bounds one trace's recorded spans; beyond it
-// spans are counted as dropped rather than growing without bound.
+// spans are dropped rather than growing without bound.
 const DefaultMaxSpansPerTrace = 16384
 
 // DefaultMaxTraces bounds how many distinct traces the tracer retains.
@@ -145,9 +145,8 @@ type Tracer struct {
 
 	// MaxTraces caps how many distinct traces are retained (0 selects
 	// DefaultMaxTraces). Recording a span for a new trace beyond the cap
-	// evicts the least-recently-recorded trace wholesale; evictions are
-	// counted (EvictedTraces), mirroring the per-trace span cap. Set
-	// before the first span.
+	// evicts the least-recently-recorded trace wholesale. Set before the
+	// first span.
 	MaxTraces int
 
 	epoch time.Time
@@ -157,8 +156,6 @@ type Tracer struct {
 	spans   map[string][]Span
 	lastUse map[string]uint64 // per-trace recency stamp for eviction
 	useSeq  uint64
-	dropped uint64
-	evicted uint64
 	events  *EventLog
 }
 
@@ -285,9 +282,7 @@ func (t *Tracer) record(sp Span) {
 	t.useSeq++
 	t.lastUse[sp.Trace] = t.useSeq
 	var events *EventLog
-	if len(t.spans[sp.Trace]) >= limit {
-		t.dropped++
-	} else {
+	if len(t.spans[sp.Trace]) < limit {
 		t.spans[sp.Trace] = append(t.spans[sp.Trace], sp)
 		events = t.events
 	}
@@ -314,27 +309,6 @@ func (t *Tracer) evictOldestLocked() {
 	}
 	delete(t.spans, oldest)
 	delete(t.lastUse, oldest)
-	t.evicted++
-}
-
-// Dropped returns how many spans the per-trace cap rejected.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// EvictedTraces returns how many whole traces the MaxTraces cap evicted.
-func (t *Tracer) EvictedTraces() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evicted
 }
 
 // Spans returns the trace's completed spans in deterministic order:

@@ -24,7 +24,7 @@ func TestParseSpanContext(t *testing.T) {
 		{"DEADBEEFDEADBEEF", SpanContext{Trace: "deadbeefdeadbeef"}, true}, // case-normalised
 		{"nothex", SpanContext{}, false},
 		{"deadbeefdeadbeef/xyz", SpanContext{}, false},
-		{"abc", SpanContext{}, false},      // too short
+		{"abc", SpanContext{}, false}, // too short
 		{"deadbeef deadbeef", SpanContext{}, false},
 	}
 	for _, c := range cases {
@@ -90,9 +90,6 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	}
 	if tr.Spans("deadbeefdeadbeef") != nil {
 		t.Error("nil tracer returned spans")
-	}
-	if tr.Dropped() != 0 {
-		t.Error("nil tracer dropped spans")
 	}
 	tr.SetEvents(nil)
 	// A live tracer with an invalid parent is equally silent.
@@ -202,9 +199,6 @@ func TestTracerSpanCap(t *testing.T) {
 	if got := len(tr.Spans(trace)); got != 4 {
 		t.Errorf("recorded %d spans, want 4", got)
 	}
-	if tr.Dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", tr.Dropped())
-	}
 }
 
 // TestTracerTraceCap: the tracer retains at most MaxTraces traces,
@@ -228,9 +222,6 @@ func TestTracerTraceCap(t *testing.T) {
 	}
 	if got := len(tr.Spans(c)); got != 1 {
 		t.Errorf("new trace has %d spans, want 1", got)
-	}
-	if tr.EvictedTraces() != 1 {
-		t.Errorf("evicted = %d, want 1", tr.EvictedTraces())
 	}
 	// Reading a trace refreshes it: after fetching a, overflowing again
 	// must evict c (least recently touched), not a.

@@ -58,20 +58,6 @@ func (s *SliceStream) Reset() { s.pos = 0 }
 // Len returns the total number of instructions in the stream.
 func (s *SliceStream) Len() int { return len(s.insts) }
 
-// Collect drains a stream into a slice, up to max instructions (max <= 0
-// means no limit).
-func Collect(s Stream, max int) []isa.Inst {
-	var out []isa.Inst
-	var in isa.Inst
-	for s.Next(&in) {
-		out = append(out, in)
-		if max > 0 && len(out) >= max {
-			break
-		}
-	}
-	return out
-}
-
 // Limit wraps a stream, truncating it after n instructions.
 type Limit struct {
 	S Stream

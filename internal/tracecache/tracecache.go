@@ -110,15 +110,6 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// Contains reports whether a trace for key is currently recorded (without
-// touching recency).
-func (c *Cache) Contains(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
 func (e *entry) unlink() {
 	e.prev.next = e.next
 	e.next.prev = e.prev

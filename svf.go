@@ -220,7 +220,7 @@ func NewRunCache() *RunCache { return sim.NewRunCache() }
 // harnesses use when ExperimentConfig.Cache is nil. Use it directly for
 // ad-hoc runs that should reuse the experiments' results:
 //
-//	r, err := svf.SharedRunCache().Run(prof, opt)
+//	r, err := svf.SharedRunCache().Run(ctx, prof, opt)
 func SharedRunCache() *RunCache { return sim.SharedCache() }
 
 // Journal is a crash-safe, append-only on-disk campaign journal; pair it
@@ -269,7 +269,6 @@ type (
 	Table4Result = experiments.Table4Result
 	SweepResult  = experiments.SweepResult
 	X86Result    = experiments.X86Result
-	RSEResult    = experiments.RSEResult
 )
 
 // Fig1 reproduces Figure 1 (memory access distribution).
@@ -309,10 +308,6 @@ func Sweep(cfg ExperimentConfig) (*SweepResult, error) { return experiments.Swee
 // X86 runs the §7 future-work experiment: every benchmark in Alpha and
 // x86 (partial-word) flavours under the SVF.
 func X86(cfg ExperimentConfig) (*X86Result, error) { return experiments.X86(cfg) }
-
-// RSEComparison runs the three-way structure comparison (SVF vs stack
-// cache vs register stack engine — §5.3 and §6).
-func RSEComparison(cfg ExperimentConfig) (*RSEResult, error) { return experiments.RSE(cfg) }
 
 // Scorecard grades every headline claim of the paper's evaluation against
 // fresh measurements.

@@ -150,8 +150,23 @@ func TestPublicAPIX86AndPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.NumFuncs() != x86.NumFuncs {
-		t.Errorf("NumFuncs = %d, want %d", prog.NumFuncs(), x86.NumFuncs)
+	if prog.Prof != x86 {
+		t.Error("BuildProgram should keep the profile it built")
+	}
+	// The built x86 program's trace carries the partial-word references.
+	g, err := svf.NewGenerator(x86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in svf.Inst
+	partial := 0
+	for i := 0; i < 50_000 && g.Next(&in); i++ {
+		if in.IsMem() && in.Size < 8 {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Error("x86 variant emitted no partial-word references")
 	}
 }
 
