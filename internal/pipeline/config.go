@@ -17,11 +17,8 @@ import (
 
 	"svf/internal/bpred"
 	"svf/internal/cache"
-	"svf/internal/core"
 	"svf/internal/faultinject"
 	"svf/internal/regions"
-	"svf/internal/rse"
-	"svf/internal/stackcache"
 	"svf/internal/telemetry"
 )
 
@@ -165,28 +162,14 @@ func (p StackPolicy) String() string {
 	}
 }
 
-// StackStructs bundles the stack-side structure for a run.
-type StackStructs struct {
-	// Policy selects the routing.
-	Policy StackPolicy
-	// SVF is used when Policy == PolicySVF.
-	SVF *core.SVF
-	// SC is used when Policy == PolicyStackCache.
-	SC *stackcache.StackCache
-	// RSE is used when Policy == PolicyRSE.
-	RSE *rse.RSE
-	// Ports is the stack structure's port count (0 = unlimited) — the
-	// "S" in the paper's (R+S) configuration notation.
-	Ports int
-}
-
 // Env is everything a pipeline run needs besides the instruction stream.
 type Env struct {
 	// Machine is the core model.
 	Machine MachineConfig
 	// Hier is the DL1/UL2/Mem chain.
 	Hier *cache.Hierarchy
-	// Stack is the stack-structure configuration.
+	// Stack is the run's stack side; the pipeline drives its $sp shadow,
+	// routing and structures from dispatch and commit.
 	Stack StackStructs
 	// Pred is the branch direction predictor.
 	Pred bpred.Predictor

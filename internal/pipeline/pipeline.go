@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"svf/internal/bpred"
-	"svf/internal/core"
 	"svf/internal/faultinject"
 	"svf/internal/isa"
 	"svf/internal/telemetry"
@@ -45,17 +44,6 @@ type dep struct {
 
 const noDep = int32(-1)
 
-// route says which structure services a memory reference.
-type route uint8
-
-const (
-	routeNone route = iota
-	routeDL1
-	routeStack // decoupled stack cache
-	routeSVF
-	routeRSE // register stack engine
-)
-
 // The RUU is laid out struct-of-arrays: the issue/commit/wakeup loops touch
 // one dense parallel slice per field they need instead of striding over
 // ~144-byte entry structs. ruuInfo packs every field the issue loop's
@@ -84,7 +72,7 @@ const (
 )
 
 // infoRoute extracts the servicing structure.
-func infoRoute(info uint32) route { return route(info >> infoRouteShift & 7) }
+func infoRoute(info uint32) Route { return Route(info >> infoRouteShift & 7) }
 
 // lsqMeta is the cold side of one in-flight memory operation; the
 // program-order disambiguation walks read lsqAddr/lsqSeq, which stay in
@@ -293,19 +281,10 @@ type Pipeline struct {
 	// Layout.Classify call: addr-stackLo < stackSpan ⇔ InStack(addr).
 	stackLo   uint64
 	stackSpan uint64
-	// policy/svf mirror env.Stack.Policy/env.Stack.SVF so the
-	// per-reference routing switch loads one word off the Pipeline
-	// instead of chasing through the embedded Env.
-	policy StackPolicy
-	svf    *core.SVF
 	// predPerfect short-circuits the branch-predictor interface calls:
 	// the perfect predictor is stateless and always right, so fetch can
 	// skip Predict/Update entirely.
 	predPerfect bool
-
-	// decSP is the decode stage's speculative $sp copy.
-	decSP      uint64
-	decSPKnown bool
 
 	// Front-end stall machinery.
 	fetchBlocked   bool
@@ -464,14 +443,11 @@ func (p *Pipeline) Reset(env Env) error {
 	p.il1HitLat = env.Hier.IL1.Config().HitLatency
 	p.stackLo = env.Layout.StackBase - env.Layout.StackMax
 	p.stackSpan = env.Layout.StackMax
-	p.policy = env.Stack.Policy
-	p.svf = env.Stack.SVF
 	_, p.predPerfect = env.Pred.(*bpred.Perfect)
 
 	p.depBuf = [3]dep{}
 	p.ndeps = 0
 
-	p.decSP, p.decSPKnown = 0, false
 	p.fetchBlocked = false
 	p.fetchResumeAt = 0
 	p.dispatchHoldTo = 0
@@ -624,8 +600,8 @@ func (p *Pipeline) StateDump(maxEntries int) string {
 		p.readyCount, p.eventCount)
 	fmt.Fprintf(&b, " fetchBlocked=%v fetchResumeAt=%d interlock=%v drained=%v",
 		p.fetchBlocked, p.fetchResumeAt, p.interlock.idx != noDep, p.drained)
-	if p.decSPKnown {
-		fmt.Fprintf(&b, " decSP=%#x", p.decSP)
+	if st := &p.env.Stack; st.spKnown {
+		fmt.Fprintf(&b, " decSP=%#x", st.sp)
 	}
 	for i := 0; i < p.ruuCount && i < maxEntries; i++ {
 		j := (p.ruuHead + i) & p.ruuMask
@@ -663,11 +639,11 @@ func (p *Pipeline) commit() {
 		if info&infoIsMem != 0 {
 			p.stats.MemRefs++
 			switch infoRoute(info) {
-			case routeDL1:
+			case RouteDL1:
 				p.stats.DL1Refs++
-			case routeStack:
+			case RouteStack:
 				p.stats.StackRefs++
-			case routeSVF, routeRSE:
+			case RouteSVF, RouteRSE:
 				p.stats.SVFRefs++
 			}
 			// The LSQ retires in program order with its RUU entries.
@@ -700,15 +676,8 @@ func (p *Pipeline) commit() {
 
 func (p *Pipeline) contextSwitch() {
 	p.stats.CtxSwitches++
-	switch p.env.Stack.Policy {
-	case PolicySVF:
-		p.env.Stack.SVF.ContextSwitch()
-	case PolicyStackCache:
-		p.env.Stack.SC.ContextSwitch()
-	case PolicyRSE:
-		p.env.Stack.RSE.ContextSwitch()
-		p.holdDispatch(p.cycle + uint64(p.env.Stack.RSE.TakePenalty()))
-	}
+	p.env.Stack.ContextSwitch()
+	p.holdForRSE()
 }
 
 // ---- issue ----
@@ -788,13 +757,13 @@ func (p *Pipeline) issue() {
 					}
 					slots = 2
 				}
-				if rt := infoRoute(info); rt == routeDL1 {
+				if rt := infoRoute(info); rt == RouteDL1 {
 					if dl1Ports >= dl1Max {
 						dl1Conf++
 						continue
 					}
 					dl1Ports++
-				} else if rt == routeSVF && p.svfBanked {
+				} else if rt == RouteSVF && p.svfBanked {
 					// A banked SVF serves one access per bank per cycle
 					// (§7); the bank index was precomputed at dispatch.
 					bit := uint64(1) << (info >> infoBankShift & 63)
@@ -883,6 +852,18 @@ out:
 func (p *Pipeline) holdDispatch(until uint64) {
 	if until > p.dispatchHoldTo {
 		p.dispatchHoldTo = until
+	}
+}
+
+// holdForRSE stalls the front end behind the register stack engine's
+// pending spill/fill work (frame overflow, underflow or a context-switch
+// flush).
+func (p *Pipeline) holdForRSE() {
+	if p.env.Stack.Policy != PolicyRSE {
+		return
+	}
+	if pen := p.env.Stack.RSE.TakePenalty(); pen > 0 {
+		p.holdDispatch(p.cycle + uint64(pen))
 	}
 }
 
@@ -1017,24 +998,11 @@ func (p *Pipeline) dispatchSPAdjust(idx int32) bool {
 	}
 	// Update the decode-stage $sp shadow (and the SVF window / RSE
 	// frame stack).
-	if p.decSPKnown {
-		oldSP := p.decSP
-		p.decSP = uint64(int64(p.decSP) + int64(inst.Imm))
-		switch p.env.Stack.Policy {
-		case PolicySVF:
-			p.env.Stack.SVF.NotifySPUpdate(oldSP, p.decSP)
-		case PolicyRSE:
-			if err := p.env.Stack.RSE.NotifySPUpdate(oldSP, p.decSP); err != nil {
-				p.fatal = fmt.Errorf("pipeline: at pc %#x: %w", inst.PC, err)
-				return true
-			}
-			if pen := p.env.Stack.RSE.TakePenalty(); pen > 0 {
-				// Overflow/underflow occupies the spill/fill engine;
-				// the front end stalls behind it.
-				p.holdDispatch(p.cycle + uint64(pen))
-			}
-		}
+	if err := p.env.Stack.AdjustSP(inst); err != nil {
+		p.fatal = err
+		return true
 	}
+	p.holdForRSE()
 	p.setProducer(isa.RegSP, idx, seq)
 	if !inst.SPImmediate() && p.env.Stack.Policy == PolicySVF {
 		// §3.1: the decode interlock stalls until the computed $sp
@@ -1045,85 +1013,36 @@ func (p *Pipeline) dispatchSPAdjust(idx int32) bool {
 	return false
 }
 
-// anchorSP initialises the decode $sp shadow from an $sp-relative
-// reference's resolved address. A shadow that disagrees with the trace —
-// a corrupted stream or a tracking bug — is returned as an error rather
-// than panicking, so the failure is reportable even when the pipeline is
-// driven outside sim.Run's recover net.
-func (p *Pipeline) anchorSP(inst *isa.Inst) error {
-	sp := inst.Addr - uint64(int64(inst.Imm))
-	if !p.decSPKnown {
-		p.decSP = sp
-		p.decSPKnown = true
-		switch p.env.Stack.Policy {
-		case PolicySVF:
-			p.env.Stack.SVF.NotifySPUpdate(sp, sp)
-		case PolicyRSE:
-			return p.env.Stack.RSE.NotifySPUpdate(sp, sp)
-		}
-		return nil
-	}
-	if p.decSP != sp {
-		return fmt.Errorf("pipeline: $sp shadow %#x disagrees with trace (%#x at pc %#x)", p.decSP, sp, inst.PC)
-	}
-	return nil
-}
-
 func (p *Pipeline) dispatchMem(idx int32, info uint32) (uint32, bool) {
 	inst := &p.ruuInst[idx]
 	seq := p.ruuSeq[idx]
 	info |= infoIsMem
 	isStore := inst.Kind == isa.KindStore
+	st := &p.env.Stack
 	if inst.SPRelative() {
-		if err := p.anchorSP(inst); err != nil {
+		if err := st.AnchorSP(inst); err != nil {
 			p.fatal = err
 			return info, true
 		}
 	}
 	inStack := inst.Addr-p.stackLo < p.stackSpan
-
-	// Routing decision.
-	rt := routeDL1
-	rerouted := false // SVF access that needed the post-AGEN bounds check
-	switch p.policy {
-	case PolicySVF:
-		if inStack && p.svf.Contains(inst.Addr) {
-			rt = routeSVF
-			rerouted = !inst.SPRelative()
-			if p.svfInfinite {
-				// Figure 5's limit study assumes every stack
-				// reference morphs into a register move.
-				rerouted = false
-			}
-			if p.cfg.NoMorph {
-				// Ablation: no decode-stage morphing; everything
-				// reaches the SVF only after address generation.
-				rerouted = true
-			}
-		}
-	case PolicyStackCache:
-		if inStack {
-			rt = routeStack
-		}
-	case PolicyRSE:
-		// Registers are not memory-addressable: only $sp-relative
-		// references to resident frames are served; everything else —
-		// pointer-addressed locals, spilled frames — uses the cache.
-		if inst.SPRelative() && p.env.Stack.RSE.Resident(inst.Addr) {
-			rt = routeRSE
-		}
-	}
+	rt := st.Route(inst, inStack)
+	// A non-$sp SVF reference reaches the SVF only after address
+	// generation and the bounds check (§3.2). Figure 5's limit study
+	// morphs every stack reference into a register move; the NoMorph
+	// ablation morphs none.
+	rerouted := rt == RouteSVF && (p.cfg.NoMorph || !inst.SPRelative() && !p.svfInfinite)
 
 	// Dependencies.
 	dropBase := false
-	if rt == routeSVF && !rerouted {
+	if rt == RouteSVF && !rerouted {
 		// Morphed: the address comes from the decode-stage $sp copy.
 		dropBase = true
 	}
 	if p.cfg.NoAddrCalcOp && inStack && inst.SPRelative() {
 		dropBase = true
 	}
-	if inst.SPRelative() && (p.policy == PolicySVF || p.policy == PolicyRSE) {
+	if inst.SPRelative() && (st.Policy == PolicySVF || st.Policy == PolicyRSE) {
 		// Even outside the window, $sp+imm resolves in decode.
 		dropBase = true
 	}
@@ -1143,7 +1062,7 @@ func (p *Pipeline) dispatchMem(idx int32, info uint32) (uint32, bool) {
 	forwarded := false
 	squash := false
 	switch {
-	case rt == routeSVF && !rerouted:
+	case rt == RouteSVF && !rerouted:
 		svfIdx := (inst.Addr / isa.WordSize) & p.svfProdMask
 		if !isStore {
 			// Morphed load: renamed against the youngest morphed
@@ -1163,35 +1082,14 @@ func (p *Pipeline) dispatchMem(idx int32, info uint32) (uint32, bool) {
 				}
 			}
 		}
-		memLat = int32(p.svf.AccessSized(inst.Addr, int(inst.Size), isStore, false))
+		memLat = int32(st.Access(rt, inst, false))
 		if isStore {
 			p.svfProd[svfIdx] = dep{idx: idx, seq: seq}
 		}
-	case rt == routeRSE:
-		lat, ok := p.env.Stack.RSE.Access(inst.Addr, isStore)
-		if !ok {
-			// Raced out of residency between routing and access;
-			// fall back to the cache.
-			rt = routeDL1
-			memLat = p.accessMem(rt, inst, isStore, &forwarded)
-			break
-		}
-		memLat = int32(lat)
-	case rt == routeSVF:
-		// Rerouted into the SVF after address generation and the bounds
-		// check (§3.2). LSQ forwarding still applies to loads.
-		if !isStore {
-			if si := p.findLSQStore(inst.Addr, false); si >= 0 {
-				forwarded = true
-				p.stats.Forwards++
-				p.addDepRaw(dep{idx: p.lsqMeta[si].ruuIdx, seq: p.lsqSeq[si]})
-				memLat = int32(p.cfg.StoreForwardLat)
-				break
-			}
-		}
-		memLat = int32(p.svf.AccessSized(inst.Addr, int(inst.Size), isStore, true))
+	case rt == RouteRSE:
+		memLat = int32(st.Access(rt, inst, false))
 	default:
-		memLat = p.accessMem(rt, inst, isStore, &forwarded)
+		memLat = p.accessMem(rt, inst, isStore, rerouted, &forwarded)
 	}
 
 	// Every memory reference occupies an LSQ slot, including morphed
@@ -1220,11 +1118,11 @@ func (p *Pipeline) dispatchMem(idx int32, info uint32) (uint32, bool) {
 	if forwarded {
 		info |= infoForwarded
 	}
-	if (rt == routeSVF || rt == routeRSE) && !rerouted && isStore {
+	if (rt == RouteSVF || rt == RouteRSE) && !rerouted && isStore {
 		info |= infoCost1
 	}
-	if rt == routeSVF && p.svfBanked {
-		info |= uint32(p.svf.Bank(inst.Addr)) << infoBankShift
+	if rt == RouteSVF && p.svfBanked {
+		info |= uint32(st.SVF.Bank(inst.Addr)) << infoBankShift
 	}
 
 	if squash {
@@ -1239,9 +1137,10 @@ func (p *Pipeline) dispatchMem(idx int32, info uint32) (uint32, bool) {
 	return info, false
 }
 
-// accessMem performs the functional access for DL1/stack-cache routes,
+// accessMem performs the functional access of a reference that went
+// through address generation — DL1, stack cache or rerouted SVF —
 // applying store-to-load forwarding, and returns the load-use latency.
-func (p *Pipeline) accessMem(rt route, inst *isa.Inst, isStore bool, forwarded *bool) int32 {
+func (p *Pipeline) accessMem(rt Route, inst *isa.Inst, isStore, rerouted bool, forwarded *bool) int32 {
 	if !isStore {
 		if si := p.findLSQStore(inst.Addr, false); si >= 0 {
 			// LSQ forwarding: the load's value comes from the store
@@ -1252,24 +1151,22 @@ func (p *Pipeline) accessMem(rt route, inst *isa.Inst, isStore bool, forwarded *
 			return int32(p.cfg.StoreForwardLat)
 		}
 	}
-	var lat int
-	switch rt {
-	case routeStack:
-		lat = p.env.Stack.SC.Access(inst.Addr, isStore)
-		if isStore && lat > p.scHitLat {
-			// A stack-cache write miss must read the rest of the line
-			// before the write completes (§5.3.2); the fill occupies
-			// the small structure's port, so the store cannot slip
-			// into a write buffer. The SVF's allocation kills make
-			// the equivalent first store to a new frame free.
-			return int32(lat)
+	if rt == RouteDL1 {
+		lat := p.env.Hier.DL1.Access(inst.Addr, isStore)
+		if isStore {
+			// Stores retire into the store buffer; the fill happens off
+			// the critical path.
+			return 1
 		}
-	default:
-		lat = p.env.Hier.DL1.Access(inst.Addr, isStore)
+		return int32(lat)
 	}
-	if isStore {
-		// Stores retire into the store buffer; the fill happens off
-		// the critical path.
+	lat := p.env.Stack.Access(rt, inst, rerouted)
+	if isStore && rt == RouteStack && lat <= p.scHitLat {
+		// A stack-cache write hit retires into the store buffer. A write
+		// miss must read the rest of the line before the write completes
+		// (§5.3.2); the fill occupies the small structure's port, so the
+		// store cannot slip into a write buffer. The SVF's allocation
+		// kills make the equivalent first store to a new frame free.
 		return 1
 	}
 	return int32(lat)

@@ -13,15 +13,15 @@ func (p *Pipeline) probeSample() {
 }
 
 // routeName renders a route for trace args.
-func routeName(r route) string {
+func routeName(r Route) string {
 	switch r {
-	case routeDL1:
+	case RouteDL1:
 		return "dl1"
-	case routeStack:
+	case RouteStack:
 		return "stackcache"
-	case routeSVF:
+	case RouteSVF:
 		return "svf"
-	case routeRSE:
+	case RouteRSE:
 		return "rse"
 	default:
 		return ""

@@ -102,6 +102,31 @@ func TestX86VariantEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTrafficOnlyPartialWordsMatchTiming holds the functional traffic loop
+// to the timing run on x86-flavoured workloads: both must read-modify-write
+// partial first-writes, so their SVF fill traffic agrees to within the few
+// fills a timing run skips by forwarding rerouted loads from the LSQ.
+func TestTrafficOnlyPartialWordsMatchTiming(t *testing.T) {
+	const insts = 200_000
+	for _, base := range []*synth.Profile{synth.Crafty(), synth.Eon(), synth.Gcc()} {
+		x86 := synth.X86Variant(base)
+		r, err := Run(x86, Options{Policy: pipeline.PolicySVF, StackPorts: 2, MaxInsts: insts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, _, _, err := TrafficOnly(context.Background(), x86, pipeline.PolicySVF, 8<<10, insts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.SVF.SubWordRMWs == 0 {
+			t.Fatalf("%s: timing run made no sub-word RMWs", x86.ID())
+		}
+		if diff := int64(in) - int64(r.SVFQWIn); 100*max(diff, -diff) > 3*int64(r.SVFQWIn) {
+			t.Errorf("%s: traffic-only fill %d QW, timing run %d QW: more than 3%% apart", x86.ID(), in, r.SVFQWIn)
+		}
+	}
+}
+
 // TestAdaptiveDisableOption checks the sim-level plumbing of the §3.3
 // monitor on a deliberately thrashing workload.
 func TestAdaptiveDisableOption(t *testing.T) {

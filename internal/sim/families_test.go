@@ -48,9 +48,9 @@ func TestFamiliesRunClean(t *testing.T) {
 	}
 }
 
-// TestFamiliesTrafficLoops runs the functional traffic loops (SVF, stack
-// cache, RSE) over the families: these use an independent $sp shadow and
-// will fault on any NotifySPUpdate disagreement.
+// TestFamiliesTrafficLoops runs the functional traffic loop over the
+// families for every stack policy (SVF, stack cache, RSE): its $sp shadow
+// faults on any disagreement with the trace or NotifySPUpdate failure.
 func TestFamiliesTrafficLoops(t *testing.T) {
 	const insts = 400_000
 	ctx := context.Background()

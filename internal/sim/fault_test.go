@@ -156,7 +156,7 @@ func TestRunDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// The functional traffic loops honour cancellation for every policy.
+// The functional traffic loop honours cancellation for every policy.
 func TestTrafficOnlyPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -14,10 +14,12 @@ import (
 	"svf/internal/synth"
 )
 
-// updateGolden rewrites the recorded fixture from the current scheduler.
+// updateGolden rewrites the recorded fixtures from the current model.
 // Run `go test ./internal/sim -run TestGoldenDeterminism -update-golden`
-// only when a change is *meant* to alter timing.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_stats.json from the current scheduler")
+// only when a change is *meant* to alter timing, and
+// `go test ./internal/sim -run TestTrafficGolden -update-golden` only when
+// it is meant to alter functional traffic.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_stats.json and testdata/traffic_golden.json from the current model")
 
 const goldenInsts = 50_000
 

@@ -244,37 +244,15 @@ func runStream(ctx context.Context, name, identity string, gen trace.Stream, opt
 		gen = opt.FaultPlan.WrapStream(gen)
 		env.Inject = opt.FaultPlan
 	}
-	var svf *core.SVF
-	var sc *stackcache.StackCache
-	var eng *rse.RSE
-	switch opt.Policy {
-	case pipeline.PolicySVF:
-		svf, err = core.New(core.Config{
-			SizeBytes:       opt.StackSizeBytes,
-			Ports:           opt.StackPorts,
-			Infinite:        opt.SVFInfinite,
-			AdaptiveDisable: opt.SVFAdaptiveDisable,
-			Banks:           opt.SVFBanks,
-		}, hier.DL1)
-		if err != nil {
-			return nil, err
-		}
-		env.Stack = pipeline.StackStructs{Policy: opt.Policy, SVF: svf, Ports: opt.StackPorts}
-	case pipeline.PolicyStackCache:
-		sc, err = stackcache.New(stackcache.Config{
-			SizeBytes: opt.StackSizeBytes,
-			Ports:     opt.StackPorts,
-		}, hier.UL2)
-		if err != nil {
-			return nil, err
-		}
-		env.Stack = pipeline.StackStructs{Policy: opt.Policy, SC: sc, Ports: opt.StackPorts}
-	case pipeline.PolicyRSE:
-		eng, err = rse.New(rse.Config{Regs: opt.StackSizeBytes / isa.WordSize}, hier.DL1)
-		if err != nil {
-			return nil, err
-		}
-		env.Stack = pipeline.StackStructs{Policy: opt.Policy, RSE: eng, Ports: opt.StackPorts}
+	env.Stack, err = newStack(opt.Policy, core.Config{
+		SizeBytes:       opt.StackSizeBytes,
+		Ports:           opt.StackPorts,
+		Infinite:        opt.SVFInfinite,
+		AdaptiveDisable: opt.SVFAdaptiveDisable,
+		Banks:           opt.SVFBanks,
+	}, hier)
+	if err != nil {
+		return nil, err
 	}
 
 	pl, err := machinePool.Get(env)
@@ -302,32 +280,53 @@ func runStream(ctx context.Context, name, identity string, gen trace.Stream, opt
 		UL2:         hier.UL2.Stats(),
 		MemAccesses: hier.Mem.Accesses,
 	}
-	if svf != nil {
-		st := svf.Stats()
-		res.SVF = &st
-		res.SVFQWIn, res.SVFQWOut = st.QuadWordsIn, st.QuadWordsOut
-		res.SVFCtxBytes = svf.CtxSwitchBytes()
-	}
-	if sc != nil {
-		st := sc.Stats()
-		res.SC = &st
-		res.SCQWIn, res.SCQWOut = sc.QuadWordsIn(), sc.QuadWordsOut()
-		res.SCCtxBytes = sc.CtxSwitchBytes()
-	}
-	if eng != nil {
-		st := eng.Stats()
-		res.RSE = &st
-		res.RSEQWIn, res.RSEQWOut = st.QuadWordsIn, st.QuadWordsOut
-		res.RSECtxBytes = eng.CtxSwitchBytes()
-	}
+	res.setStack(&env.Stack)
 	// Every counter is harvested; the hierarchy can serve the next run.
 	// (The stack structures hold references into it, but they die here.)
 	putHierarchy(hcfg, hier)
 	return res, nil
 }
 
+// newStack builds the stack side of one run, timed or traffic-only: the
+// structure policy selects, spilling into hier, behind a fresh $sp
+// shadow. svf configures the SVF; its SizeBytes also sizes the stack
+// cache and the RSE, and its Ports is the structure's port count.
+func newStack(policy pipeline.StackPolicy, svf core.Config, hier *cache.Hierarchy) (pipeline.StackStructs, error) {
+	st := pipeline.StackStructs{Policy: policy, Ports: svf.Ports}
+	var err error
+	switch policy {
+	case pipeline.PolicyNone:
+		// The baseline routes everything to the DL1.
+	case pipeline.PolicySVF:
+		st.SVF, err = core.New(svf, hier.DL1)
+	case pipeline.PolicyStackCache:
+		st.SC, err = stackcache.New(stackcache.Config{SizeBytes: svf.SizeBytes, Ports: svf.Ports}, hier.UL2)
+	case pipeline.PolicyRSE:
+		st.RSE, err = rse.New(rse.Config{Regs: svf.SizeBytes / isa.WordSize}, hier.DL1)
+	default:
+		err = fmt.Errorf("sim: unknown stack policy %v", policy)
+	}
+	return st, err
+}
+
+// setStack harvests the stack side's counters into the policy's fields.
+func (r *Result) setStack(st *pipeline.StackStructs) {
+	in, out, ctxBytes := st.Traffic()
+	switch st.Policy {
+	case pipeline.PolicySVF:
+		s := st.SVF.Stats()
+		r.SVF, r.SVFQWIn, r.SVFQWOut, r.SVFCtxBytes = &s, in, out, ctxBytes
+	case pipeline.PolicyStackCache:
+		s := st.SC.Stats()
+		r.SC, r.SCQWIn, r.SCQWOut, r.SCCtxBytes = &s, in, out, ctxBytes
+	case pipeline.PolicyRSE:
+		s := st.RSE.Stats()
+		r.RSE, r.RSEQWIn, r.RSEQWOut, r.RSECtxBytes = &s, in, out, ctxBytes
+	}
+}
+
 // trafficCtxCheckMask is how often (in instructions, power of two minus
-// one) the functional traffic loops poll their context.
+// one) the functional traffic loop polls its context.
 const trafficCtxCheckMask = 1<<16 - 1
 
 // TrafficOnly runs just the stack structure against the trace (no timing
@@ -336,17 +335,17 @@ const trafficCtxCheckMask = 1<<16 - 1
 // it is supervised: panics come back as a *Fault fingerprinted by the
 // cell's TrafficCellKey, and cancellation as ctx.Err().
 func TrafficOnly(ctx context.Context, prof *synth.Profile, policy pipeline.StackPolicy, sizeBytes, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
-	cell := TrafficCellKey(prof, policy, sizeBytes, maxInsts, ctxPeriod)
-	switch policy {
-	case pipeline.PolicySVF:
-		return trafficOnlyRun(ctx, prof, cell, &core.Config{SizeBytes: sizeBytes}, stackcache.Config{}, maxInsts, ctxPeriod)
-	case pipeline.PolicyStackCache:
-		return trafficOnlyRun(ctx, prof, cell, nil, stackcache.Config{SizeBytes: sizeBytes}, maxInsts, ctxPeriod)
-	case pipeline.PolicyRSE:
-		return trafficOnlyRSE(ctx, prof, cell, rse.Config{Regs: sizeBytes / isa.WordSize}, maxInsts, ctxPeriod)
-	default:
+	if policy == pipeline.PolicyNone {
 		return 0, 0, 0, fmt.Errorf("sim: TrafficOnly needs a stack policy")
 	}
+	return trafficLoop(ctx, prof, policy, core.Config{SizeBytes: sizeBytes}, maxInsts, ctxPeriod)
+}
+
+// TrafficOnlySVF is TrafficOnly with full control over the SVF
+// configuration (granularity and liveness-kill ablations). Its faults name
+// the SVF traffic cell of the same size.
+func TrafficOnlySVF(ctx context.Context, prof *synth.Profile, svfCfg core.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
+	return trafficLoop(ctx, prof, pipeline.PolicySVF, svfCfg, maxInsts, ctxPeriod)
 }
 
 // trafficFault wraps a traffic-loop failure in the common Fault shape,
@@ -365,8 +364,15 @@ func trafficFault(prof *synth.Profile, cell string, committed uint64, panicked a
 	return f
 }
 
-// trafficOnlyRSE drives just the register stack engine over the trace.
-func trafficOnlyRSE(ctx context.Context, prof *synth.Profile, cell string, cfg rse.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
+// trafficLoop is the functional traffic loop: it drives the stack side
+// through the same $sp shadow, context switches, routing and functional
+// access as the pipeline's dispatch and commit stages, in program order,
+// with no timing. Only references routed to the stack structure touch the
+// hierarchy, and nothing is forwarded from an LSQ, so the traffic depends
+// on the trace and the structure alone. Faults name the policy's traffic
+// cell of svfCfg's size.
+func trafficLoop(ctx context.Context, prof *synth.Profile, policy pipeline.StackPolicy, svfCfg core.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
+	cell := TrafficCellKey(prof, policy, svfCfg.SizeBytes, maxInsts, ctxPeriod)
 	prog, err := ProgramFor(prof)
 	if err != nil {
 		return 0, 0, 0, err
@@ -376,102 +382,20 @@ func trafficOnlyRSE(ctx context.Context, prof *synth.Profile, cell string, cfg r
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	eng, err := rse.New(cfg, hier.DL1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var in isa.Inst
-	var committed, nextCtx uint64
-	if ctxPeriod > 0 {
-		nextCtx = ctxPeriod
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = trafficFault(prof, cell, committed, r, nil)
-		}
-	}()
-	spKnown := false
-	var sp uint64
-	for i := 0; i < maxInsts; i++ {
-		if i&trafficCtxCheckMask == 0 && ctx.Err() != nil {
-			return 0, 0, 0, fmt.Errorf("sim: %s: %w", prof.ID(), ctx.Err())
-		}
-		if !gen.Next(&in) {
-			break
-		}
-		committed++
-		if nextCtx > 0 && committed >= nextCtx {
-			eng.ContextSwitch()
-			nextCtx += ctxPeriod
-		}
-		switch {
-		case in.Kind == isa.KindSPAdjust:
-			if spKnown {
-				old := sp
-				sp = uint64(int64(sp) + int64(in.Imm))
-				if uerr := eng.NotifySPUpdate(old, sp); uerr != nil {
-					return 0, 0, 0, trafficFault(prof, cell, committed, nil, uerr)
-				}
-			}
-		case in.IsMem() && in.SPRelative():
-			if !spKnown {
-				sp = in.Addr - uint64(int64(in.Imm))
-				spKnown = true
-				if uerr := eng.NotifySPUpdate(sp, sp); uerr != nil {
-					return 0, 0, 0, trafficFault(prof, cell, committed, nil, uerr)
-				}
-			}
-			eng.Access(in.Addr, in.Kind == isa.KindStore)
-		}
-	}
-	st := eng.Stats()
-	return st.QuadWordsIn, st.QuadWordsOut, eng.CtxSwitchBytes(), nil
-}
-
-// TrafficOnlySVF is TrafficOnly with full control over the SVF
-// configuration (granularity and liveness-kill ablations). Its faults name
-// the SVF traffic cell of the same size.
-func TrafficOnlySVF(ctx context.Context, prof *synth.Profile, svfCfg core.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
-	cell := TrafficCellKey(prof, pipeline.PolicySVF, svfCfg.SizeBytes, maxInsts, ctxPeriod)
-	return trafficOnlyRun(ctx, prof, cell, &svfCfg, stackcache.Config{}, maxInsts, ctxPeriod)
-}
-
-func trafficOnlyRun(ctx context.Context, prof *synth.Profile, cell string, svfCfg *core.Config, scCfg stackcache.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
-	prog, err := ProgramFor(prof)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	gen := cachedStream(prog, prof.Fingerprint(), maxInsts)
-	hier, err := cache.NewHierarchy(cache.DefaultHierarchyConfig())
+	st, err := newStack(policy, svfCfg, hier)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	layout := regions.DefaultLayout()
 
-	var svf *core.SVF
-	var sc *stackcache.StackCache
-	if svfCfg != nil {
-		svf, err = core.New(*svfCfg, hier.DL1)
-	} else {
-		sc, err = stackcache.New(scCfg, hier.UL2)
-	}
-	if err != nil {
-		return 0, 0, 0, err
-	}
-
 	var in isa.Inst
 	var committed uint64
-	var nextCtx uint64
-	if ctxPeriod > 0 {
-		nextCtx = ctxPeriod
-	}
+	nextCtx := ctxPeriod
 	defer func() {
 		if r := recover(); r != nil {
 			err = trafficFault(prof, cell, committed, r, nil)
 		}
 	}()
-	spKnown := false
-	var sp uint64
 	for i := 0; i < maxInsts; i++ {
 		if i&trafficCtxCheckMask == 0 && ctx.Err() != nil {
 			return 0, 0, 0, fmt.Errorf("sim: %s: %w", prof.ID(), ctx.Err())
@@ -481,47 +405,25 @@ func trafficOnlyRun(ctx context.Context, prof *synth.Profile, cell string, svfCf
 		}
 		committed++
 		if nextCtx > 0 && committed >= nextCtx {
-			if svf != nil {
-				svf.ContextSwitch()
-			} else {
-				sc.ContextSwitch()
-			}
+			st.ContextSwitch()
 			nextCtx += ctxPeriod
 		}
 		switch {
 		case in.Kind == isa.KindSPAdjust:
-			if spKnown {
-				old := sp
-				sp = uint64(int64(sp) + int64(in.Imm))
-				if svf != nil {
-					svf.NotifySPUpdate(old, sp)
-				}
+			if serr := st.AdjustSP(&in); serr != nil {
+				return 0, 0, 0, trafficFault(prof, cell, committed, nil, serr)
 			}
 		case in.IsMem():
-			if in.SPRelative() && !spKnown {
-				sp = in.Addr - uint64(int64(in.Imm))
-				spKnown = true
-				if svf != nil {
-					svf.NotifySPUpdate(sp, sp)
+			if in.SPRelative() {
+				if serr := st.AnchorSP(&in); serr != nil {
+					return 0, 0, 0, trafficFault(prof, cell, committed, nil, serr)
 				}
 			}
-			if !layout.InStack(in.Addr) {
-				continue
-			}
-			isStore := in.Kind == isa.KindStore
-			if svf != nil {
-				if svf.Contains(in.Addr) {
-					svf.Access(in.Addr, isStore, !in.SPRelative())
-				}
-				// Out-of-window stack refs go to the DL1, not the SVF.
-			} else {
-				sc.Access(in.Addr, isStore)
+			if rt := st.Route(&in, layout.InStack(in.Addr)); rt != pipeline.RouteDL1 {
+				st.Access(rt, &in, !in.SPRelative())
 			}
 		}
 	}
-	if svf != nil {
-		st := svf.Stats()
-		return st.QuadWordsIn, st.QuadWordsOut, svf.CtxSwitchBytes(), nil
-	}
-	return sc.QuadWordsIn(), sc.QuadWordsOut(), sc.CtxSwitchBytes(), nil
+	qwIn, qwOut, ctxBytes = st.Traffic()
+	return qwIn, qwOut, ctxBytes, nil
 }
