@@ -276,11 +276,6 @@ type Pipeline struct {
 	svfInfinite bool
 	il1HitLat   int
 	scHitLat    int
-	// stackLo/stackSpan are the Layout's stack bounds, hoisted so the
-	// per-reference region test is one subtract-and-compare instead of a
-	// Layout.Classify call: addr-stackLo < stackSpan ⇔ InStack(addr).
-	stackLo   uint64
-	stackSpan uint64
 	// predPerfect short-circuits the branch-predictor interface calls:
 	// the perfect predictor is stateless and always right, so fetch can
 	// skip Predict/Update entirely.
@@ -441,8 +436,6 @@ func (p *Pipeline) Reset(env Env) error {
 		p.scHitLat = env.Stack.SC.Config().HitLatency
 	}
 	p.il1HitLat = env.Hier.IL1.Config().HitLatency
-	p.stackLo = env.Layout.StackBase - env.Layout.StackMax
-	p.stackSpan = env.Layout.StackMax
 	_, p.predPerfect = env.Pred.(*bpred.Perfect)
 
 	p.depBuf = [3]dep{}
@@ -1025,7 +1018,7 @@ func (p *Pipeline) dispatchMem(idx int32, info uint32) (uint32, bool) {
 			return info, true
 		}
 	}
-	inStack := inst.Addr-p.stackLo < p.stackSpan
+	inStack := p.env.Layout.InStack(inst.Addr)
 	rt := st.Route(inst, inStack)
 	// A non-$sp SVF reference reaches the SVF only after address
 	// generation and the bounds check (§3.2). Figure 5's limit study

@@ -138,7 +138,7 @@ func DefaultLayout() Layout {
 }
 
 // Classify returns the region containing addr.
-func (l Layout) Classify(addr uint64) Region {
+func (l *Layout) Classify(addr uint64) Region {
 	switch {
 	case addr < l.StackBase && addr >= l.StackBase-l.StackMax:
 		return RegionStack
@@ -155,8 +155,11 @@ func (l Layout) Classify(addr uint64) Region {
 	}
 }
 
-// InStack reports whether addr lies in the stack region.
-func (l Layout) InStack(addr uint64) bool { return l.Classify(addr) == RegionStack }
+// InStack reports whether addr lies in the stack region. It is one
+// subtract-and-compare, small enough to inline into the per-reference
+// loops that call it; the pointer receiver keeps those calls from
+// copying the Layout.
+func (l *Layout) InStack(addr uint64) bool { return addr-(l.StackBase-l.StackMax) < l.StackMax }
 
 // MethodOf returns the access method of a memory reference based on its
 // base register.

@@ -93,4 +93,12 @@ func TestInStackQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	// Random inputs almost never land near a bound, so pin each bound
+	// and its neighbours, and the ends of the address space.
+	lo := l.StackBase - l.StackMax
+	for _, a := range []uint64{lo - 1, lo, lo + 1, l.StackBase - 1, l.StackBase, l.StackBase + 1, 0, ^uint64(0)} {
+		if !f(a) {
+			t.Errorf("InStack(%#x) = %v, Classify = %v", a, l.InStack(a), l.Classify(a))
+		}
+	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"svf/internal/isa"
@@ -137,4 +138,87 @@ func BenchmarkTimingCampaignCell(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/sec")
+}
+
+// The service-cell benchmark's budgets: svfd-fresh's cells (cmd/svfbench)
+// run serviceCellInsts plus a seeded jitter below serviceCellJitter.
+const (
+	serviceCellInsts  = 20_000
+	serviceCellJitter = 1_000
+)
+
+// serviceCell is one svfd-fresh run cell: a benchmark profile, a stack
+// policy, the port count and the instruction budget.
+type serviceCell struct {
+	prof   int
+	policy pipeline.StackPolicy
+	ports  int
+	insts  int
+}
+
+// serviceDraws is the process-wide cell draw, so no cell repeats across
+// the benchmark's b.N rounds, as none repeats within one daemon worker.
+var serviceDraws = struct {
+	rng  *rand.Rand
+	used map[serviceCell]bool
+}{rand.New(rand.NewSource(1)), map[serviceCell]bool{}}
+
+func drawServiceCell(b *testing.B, nprofs int) serviceCell {
+	d := &serviceDraws
+	for tries := 0; tries < 1000; tries++ {
+		c := serviceCell{
+			prof:   d.rng.Intn(nprofs),
+			policy: pipeline.StackPolicy(d.rng.Intn(3)), // none, SVF, stack cache
+			ports:  1 + d.rng.Intn(2),
+			insts:  serviceCellInsts + d.rng.Intn(serviceCellJitter),
+		}
+		if !d.used[c] {
+			d.used[c] = true
+			return c
+		}
+	}
+	b.Fatal("no unused service cell left to draw")
+	return serviceCell{}
+}
+
+// BenchmarkServiceCells runs svfd-fresh's cell shape in one process, one
+// cell per iteration: the 12 benchmark profiles × {none, SVF, stack
+// cache} × 1–2 ports at a jittered ~20k-instruction budget, never
+// repeated. Every budget is new, so the trace cache serves a cell only
+// from a prefix of a longer recording: hits/cell, traces (resident
+// recordings) and trace-MB show how well it does.
+func BenchmarkServiceCells(b *testing.B) {
+	if testing.Short() {
+		b.Skip("campaign benchmarks are skipped in -short mode")
+	}
+	profs := synth.Benchmarks()
+	for _, prof := range profs {
+		if _, err := ProgramFor(prof); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cells := make([]serviceCell, b.N)
+	for i := range cells {
+		cells[i] = drawServiceCell(b, len(profs))
+	}
+	before := TraceCacheStats()
+	var insts uint64
+	b.ResetTimer()
+	for _, c := range cells {
+		opt := Options{Policy: c.policy, DL1Ports: c.ports, MaxInsts: c.insts}
+		if c.policy != pipeline.PolicyNone {
+			opt.StackPorts = c.ports
+		}
+		res, err := Run(profs[c.prof], opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts += res.Pipe.Committed
+	}
+	b.StopTimer()
+	after := TraceCacheStats()
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/sec")
+	b.ReportMetric(float64(after.Hits-before.Hits)/float64(b.N), "hits/cell")
+	b.ReportMetric(float64(after.Entries), "traces")
+	b.ReportMetric(float64(after.UsedBytes)/(1<<20), "trace-MB")
 }

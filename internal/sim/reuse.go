@@ -5,10 +5,10 @@ package sim
 // is rebuilt identically moments later. Two process-wide stores exploit
 // that:
 //
-//   - traceCache records each (workload fingerprint, instruction budget)
-//     pair's generator output once and replays the flat buffer for every
-//     later run, so only the first run of a profile pays for generator
-//     execution.
+//   - traceCache records each workload's generator output once and
+//     replays a prefix of the flat buffer for every later run of that
+//     budget or less, so only the first (or a longer) run of a profile
+//     pays for generator execution.
 //   - machinePool / hierPool recycle pipeline and cache-hierarchy
 //     allocations across runs: Reset is a handful of memclrs over rings
 //     that are already the right size, and a reset machine is
@@ -44,13 +44,13 @@ func SetTraceCacheBudget(bytes int64) { traceCache.SetBudget(bytes) }
 func TraceCacheStats() tracecache.Stats { return traceCache.Stats() }
 
 // cachedStream returns the first n instructions of prog as a stream,
-// replaying a recorded trace when one exists and recording one when the
-// budget allows. A panic while recording (a faulty profile) abandons the
-// recording and falls back to the live generator, so the panic surfaces
-// inside the supervised run exactly as it did before the cache existed.
+// replaying a prefix of the workload's recording when it is long enough
+// and recording n instructions when the budget allows. A panic while
+// recording (a faulty profile) abandons the recording and falls back to
+// the live generator, so the panic surfaces inside the supervised run
+// exactly as it did before the cache existed.
 func cachedStream(prog *synth.Program, fp string, n int) trace.Stream {
-	return traceCache.Stream(
-		tracecache.Key{FP: fp, N: n},
+	return traceCache.Stream(fp, n,
 		func() (insts []isa.Inst) {
 			defer func() { _ = recover() }()
 			return synth.TraceFor(prog, n)

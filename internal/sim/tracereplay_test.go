@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -20,35 +21,58 @@ func replayOpt() Options {
 	return Options{Policy: pipeline.PolicySVF, StackPorts: 2, MaxInsts: replayInsts}
 }
 
+// prefixBudgets is how many seeded budgets below replayInsts each profile
+// runs as a prefix of its recording.
+const prefixBudgets = 3
+
 // generatorRun executes prof with a live generator, bypassing the trace
 // cache entirely (RunStream never consults it).
-func generatorRun(t *testing.T, prof *synth.Profile) *Result {
+func generatorRun(t *testing.T, prof *synth.Profile, opt Options) *Result {
 	t.Helper()
 	prog, err := ProgramFor(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunStream(context.Background(), prof.ID(), synth.NewGeneratorFor(prog), replayOpt())
+	res, err := RunStream(context.Background(), prof.ID(), synth.NewGeneratorFor(prog), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
+// prefixTraffic is one functional traffic run at a prefix budget.
+type prefixTraffic struct {
+	policy pipeline.StackPolicy
+	n      int
+	period uint64
+	got    trafficCell
+}
+
+func (c prefixTraffic) run(t *testing.T, prof *synth.Profile) trafficCell {
+	t.Helper()
+	in, out, cb, err := TrafficOnly(context.Background(), prof, c.policy, 2<<10, c.n, c.period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trafficCell{in, out, cb}
+}
+
 // TestTraceReplayMatchesGenerator holds the trace cache to observational
 // equivalence: for every Table 1 SPEC profile and every stack-stress
 // family, a run fed by the recorded trace must produce byte-identical
 // stats — pipeline counters, every cache level, stack-structure traffic —
-// to a run fed by the live generator.
+// to a run fed by the live generator. That holds at the recorded budget
+// and at seeded random budgets below it, which replay a prefix of the one
+// recording, both through the timing pipeline and the traffic loop.
 func TestTraceReplayMatchesGenerator(t *testing.T) {
 	profiles := append(synth.Benchmarks(), synth.Families()...)
 	if len(profiles) < 16 {
 		t.Fatalf("expected ≥16 profiles (12 SPEC + 4 families), got %d", len(profiles))
 	}
-	for _, prof := range profiles {
-		prof := prof
+	for p, prof := range profiles {
+		prof, seed := prof, int64(p+1)
 		t.Run(prof.ID(), func(t *testing.T) {
-			want := generatorRun(t, prof)
+			want := generatorRun(t, prof, replayOpt())
 
 			// First cached run records the trace and replays the buffer.
 			got1, err := Run(prof, replayOpt())
@@ -73,6 +97,43 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("replayed run %d diverges from generator-fed run:\n got %+v\nwant %+v", i+1, got, want)
+				}
+			}
+
+			// Shorter budgets replay a prefix of the recording.
+			rng := rand.New(rand.NewSource(seed))
+			var cells []prefixTraffic
+			for k := 0; k < prefixBudgets; k++ {
+				opt := replayOpt()
+				opt.MaxInsts = 1 + rng.Intn(replayInsts-1)
+				hits := traceCache.Stats().Hits
+				got, err := Run(prof, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if traceCache.Stats().Hits != hits+1 {
+					t.Fatalf("timing run at %d insts did not replay a prefix", opt.MaxInsts)
+				}
+				if want := generatorRun(t, prof, opt); !reflect.DeepEqual(got, want) {
+					t.Errorf("prefix run at %d insts diverges from generator-fed run:\n got %+v\nwant %+v", opt.MaxInsts, got, want)
+				}
+				for _, policy := range []pipeline.StackPolicy{pipeline.PolicySVF, pipeline.PolicyStackCache} {
+					c := prefixTraffic{policy: policy, n: opt.MaxInsts, period: uint64(1 + rng.Intn(opt.MaxInsts))}
+					hits := traceCache.Stats().Hits
+					c.got = c.run(t, prof)
+					if traceCache.Stats().Hits != hits+1 {
+						t.Fatalf("traffic run at %d insts did not replay a prefix", c.n)
+					}
+					cells = append(cells, c)
+				}
+			}
+			// The generator-fed reference: with recording disabled every
+			// traffic run streams live.
+			SetTraceCacheBudget(0)
+			defer SetTraceCacheBudget(DefaultTraceCacheBytes)
+			for _, c := range cells {
+				if want := c.run(t, prof); c.got != want {
+					t.Errorf("%s traffic at %d insts, period %d, diverges from generator-fed run: got %+v, want %+v", c.policy, c.n, c.period, c.got, want)
 				}
 			}
 		})

@@ -579,7 +579,7 @@ func (g *Generator) dataSlot(footprintWords int) uint64 {
 // TraceFor materializes the first n instructions of an already-built
 // program's trace into one flat pre-sized buffer. It is the trace cache's
 // recording hook: one call here replaces the per-run generator execution
-// for every later run of the same (program, budget) pair.
+// for every later run of the same program at a budget up to n.
 func TraceFor(prog *Program, n int) []isa.Inst {
 	g := NewGeneratorFor(prog)
 	out := make([]isa.Inst, 0, n)

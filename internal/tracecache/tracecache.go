@@ -1,10 +1,15 @@
 // Package tracecache memoizes pre-decoded instruction traces. The synth
 // generator is fully deterministic in the profile fingerprint, so every
-// run of one (profile, instruction budget) pair consumes the identical
-// stream — yet each run used to re-execute the generator's control-flow
-// machinery per instruction. The cache records the generator's output
-// once into a flat []isa.Inst buffer and replays it for every later run,
-// turning stream production into a slice walk.
+// run of one workload consumes a prefix of the same infinite stream —
+// yet each run used to re-execute the generator's control-flow machinery
+// per instruction. The cache records the generator's output once into a
+// flat []isa.Inst buffer and replays it for every later run, turning
+// stream production into a slice walk.
+//
+// A workload has at most one recording. A run of n instructions replays
+// the first n of it, so every budget up to the recorded length shares the
+// one buffer; a run longer than the recording records at its own budget
+// and replaces the shorter entry.
 //
 // The cache is bounded by a byte budget with LRU eviction, so long
 // campaigns over many profiles cannot grow it without limit; a trace
@@ -25,20 +30,10 @@ import (
 // instBytes is the budget charge per recorded instruction.
 var instBytes = int64(unsafe.Sizeof(isa.Inst{}))
 
-// Key identifies one recorded trace: the workload's content fingerprint
-// plus the instruction budget it was recorded under. Budgets key
-// separately because a shorter recording is a strict prefix a longer run
-// must not be truncated to.
-type Key struct {
-	// FP is the workload fingerprint (profile contents, not ID).
-	FP string
-	// N is the instruction budget the trace was recorded under.
-	N int
-}
-
 // Stats are the cache's observability counters.
 type Stats struct {
-	// Hits counts Stream calls served from a recorded trace.
+	// Hits counts Stream calls served from a recorded trace, including
+	// calls that waited for a concurrent recording and then replayed it.
 	Hits uint64
 	// Misses counts Stream calls that had to run the generator, whether
 	// or not the output was recorded.
@@ -51,28 +46,30 @@ type Stats struct {
 }
 
 type entry struct {
-	key   Key
+	fp    string
 	insts []isa.Inst
 	bytes int64
 	// prev/next chain the LRU ring (older toward prev of the sentinel).
 	prev, next *entry
 }
 
-// Cache is a byte-budgeted LRU store of recorded traces. It is safe for
-// concurrent use; recording is single-flight per key, so a campaign that
-// launches every configuration of one profile at once still runs the
-// generator exactly once.
+// Cache is a byte-budgeted LRU store of recorded traces, one per workload
+// fingerprint. It is safe for concurrent use; recording is single-flight
+// per workload, so a campaign that launches every configuration of one
+// profile at once still runs the generator exactly once.
 type Cache struct {
-	mu       sync.Mutex
-	budget   int64
-	used     int64
-	entries  map[Key]*entry
-	lru      entry // sentinel: lru.next is most recent, lru.prev oldest
-	inflight map[Key]*flight
+	mu      sync.Mutex
+	budget  int64
+	used    int64
+	entries map[string]*entry
+	lru     entry // sentinel: lru.next is most recent, lru.prev oldest
+	// inflight holds each workload's longest recording in progress.
+	inflight map[string]*flight
 	stats    Stats
 }
 
 type flight struct {
+	n     int // instructions being recorded
 	done  chan struct{}
 	insts []isa.Inst // nil if the recording was abandoned
 }
@@ -83,8 +80,8 @@ type flight struct {
 func New(budgetBytes int64) *Cache {
 	c := &Cache{
 		budget:   budgetBytes,
-		entries:  make(map[Key]*entry),
-		inflight: make(map[Key]*flight),
+		entries:  make(map[string]*entry),
+		inflight: make(map[string]*flight),
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
@@ -122,50 +119,78 @@ func (c *Cache) pushFront(e *entry) {
 	e.next.prev = e
 }
 
+// removeLocked drops e from the cache. Caller holds c.mu.
+func (c *Cache) removeLocked(e *entry) {
+	e.unlink()
+	delete(c.entries, e.fp)
+	c.used -= e.bytes
+}
+
 // evictToFitLocked drops LRU entries until need more bytes fit under the
 // budget. Caller holds c.mu.
 func (c *Cache) evictToFitLocked(need int64) {
 	for c.used+need > c.budget && c.lru.prev != &c.lru {
-		victim := c.lru.prev
-		victim.unlink()
-		delete(c.entries, victim.key)
-		c.used -= victim.bytes
+		c.removeLocked(c.lru.prev)
 		c.stats.Evictions++
 	}
 }
 
-// Stream returns an instruction stream for key. On a hit it replays the
-// recorded trace; on a recordable miss it calls record (which must
-// materialize the first key.N instructions of the workload), stores the
-// result, and replays it; when key.N alone overflows the budget it calls
-// stream and returns the live generator unrecorded. Concurrent misses on
-// one key are single-flighted: one caller records, the rest wait and
-// replay.
-func (c *Cache) Stream(key Key, record func() []isa.Inst, stream func() trace.Stream) trace.Stream {
+// installLocked makes insts fp's recording unless an at-least-as-long one
+// is already resident (a concurrent longer flight landed first). Caller
+// holds c.mu.
+func (c *Cache) installLocked(fp string, insts []isa.Inst) {
+	if old, ok := c.entries[fp]; ok {
+		if len(old.insts) >= len(insts) {
+			return
+		}
+		c.removeLocked(old)
+	}
+	e := &entry{fp: fp, insts: insts, bytes: int64(len(insts)) * instBytes}
+	c.evictToFitLocked(e.bytes)
+	c.entries[fp] = e
+	c.pushFront(e)
+	c.used += e.bytes
+}
+
+// Stream returns the first n instructions of workload fp as a stream.
+// When fp's recording holds at least n instructions it replays that
+// prefix. On a recordable miss it calls record, which must materialize
+// exactly the first n instructions of the workload, stores the result in
+// place of any shorter recording, and replays it. When n alone overflows
+// the budget (or is negative) it calls stream and returns the live
+// generator unrecorded. Misses are single-flighted per workload: a call
+// whose budget an in-flight recording covers waits for it and replays its
+// prefix.
+func (c *Cache) Stream(fp string, n int, record func() []isa.Inst, stream func() trace.Stream) trace.Stream {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	if n < 0 || int64(n)*instBytes > c.budget || c.budget <= 0 {
+		c.stats.Misses++
+		c.mu.Unlock()
+		return stream() // oversize: stream straight from the generator
+	}
+	if e, ok := c.entries[fp]; ok && len(e.insts) >= n {
 		e.unlink()
 		c.pushFront(e)
 		c.stats.Hits++
 		c.mu.Unlock()
-		return trace.NewSliceStream(e.insts)
+		return trace.NewSliceStream(e.insts[:n])
 	}
-	c.stats.Misses++
-	need := int64(key.N) * instBytes
-	if need > c.budget || c.budget <= 0 {
-		c.mu.Unlock()
-		return stream() // oversize: stream straight from the generator
-	}
-	if f, ok := c.inflight[key]; ok {
+	if f, ok := c.inflight[fp]; ok && f.n >= n {
 		c.mu.Unlock()
 		<-f.done
+		c.mu.Lock()
 		if f.insts == nil {
+			c.stats.Misses++
+			c.mu.Unlock()
 			return stream() // the recorder abandoned; generate live
 		}
-		return trace.NewSliceStream(f.insts)
+		c.stats.Hits++
+		c.mu.Unlock()
+		return trace.NewSliceStream(f.insts[:n])
 	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
+	c.stats.Misses++
+	f := &flight{n: n, done: make(chan struct{})}
+	c.inflight[fp] = f
 	c.mu.Unlock()
 
 	var insts []isa.Inst
@@ -173,14 +198,12 @@ func (c *Cache) Stream(key Key, record func() []isa.Inst, stream func() trace.St
 	// block on an abandoned flight; the panic itself propagates.
 	defer func() {
 		c.mu.Lock()
-		delete(c.inflight, key)
+		if c.inflight[fp] == f {
+			delete(c.inflight, fp)
+		}
 		f.insts = insts
 		if insts != nil {
-			e := &entry{key: key, insts: insts, bytes: int64(len(insts)) * instBytes}
-			c.evictToFitLocked(e.bytes)
-			c.entries[key] = e
-			c.pushFront(e)
-			c.used += e.bytes
+			c.installLocked(fp, insts)
 		}
 		c.mu.Unlock()
 		close(f.done)

@@ -6,17 +6,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"svf/internal/isa"
 	"svf/internal/trace"
 )
 
-// resident reports whether a trace for key is recorded, without touching
+// resident reports whether a trace for fp is recorded, without touching
 // recency.
-func resident(c *Cache, key Key) bool {
+func resident(c *Cache, fp string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[key]
+	_, ok := c.entries[fp]
 	return ok
 }
 
@@ -51,7 +52,7 @@ func TestRecordOnceReplayMany(t *testing.T) {
 	want := fakeTrace(1, 100)
 	records := 0
 	get := func() trace.Stream {
-		return c.Stream(Key{FP: "p1", N: 100},
+		return c.Stream("p1", 100,
 			func() []isa.Inst { records++; return fakeTrace(1, 100) },
 			func() trace.Stream { t.Fatal("budgeted miss used the live generator"); return nil })
 	}
@@ -70,17 +71,113 @@ func TestRecordOnceReplayMany(t *testing.T) {
 	}
 }
 
-func TestDistinctBudgetsKeySeparately(t *testing.T) {
+// mustNotRecord is a record func for a call the test expects to be served
+// from a recording. It may run off the test goroutine, so it reports with
+// t.Error and returns an empty trace the caller's drain then rejects.
+func mustNotRecord(t *testing.T) func() []isa.Inst {
+	return func() []isa.Inst { t.Error("served call ran the recorder"); return []isa.Inst{} }
+}
+
+func TestShorterBudgetReplaysPrefix(t *testing.T) {
 	c := New(1 << 20)
-	for _, n := range []int{50, 100} {
-		n := n
-		s := c.Stream(Key{FP: "p", N: n},
-			func() []isa.Inst { return fakeTrace(9, n) },
-			func() trace.Stream { return nil })
-		drain(t, s, fakeTrace(9, n))
+	drain(t, c.Stream("p", 100,
+		func() []isa.Inst { return fakeTrace(9, 100) },
+		func() trace.Stream { return nil }), fakeTrace(9, 100))
+	for _, n := range []int{40, 1, 0, 100} {
+		drain(t, c.Stream("p", n, mustNotRecord(t), nil), fakeTrace(9, 100)[:n])
 	}
-	if st := c.Stats(); st.Entries != 2 || st.Hits != 0 {
-		t.Errorf("stats = %+v, want 2 entries, 0 hits", st)
+	if st := c.Stats(); st.Hits != 4 || st.Misses != 1 || st.Entries != 1 || st.UsedBytes != 100*instBytes {
+		t.Errorf("stats = %+v, want 4 hits / 1 miss / one 100-inst entry", st)
+	}
+}
+
+func TestLongerBudgetReplacesRecording(t *testing.T) {
+	c := New(1 << 20)
+	records := 0
+	get := func(n int) trace.Stream {
+		return c.Stream("p", n,
+			func() []isa.Inst { records++; return fakeTrace(9, n) },
+			func() trace.Stream { return nil })
+	}
+	drain(t, get(50), fakeTrace(9, 50))
+	drain(t, get(100), fakeTrace(9, 100))
+	if records != 2 {
+		t.Fatalf("record ran %d times, want once per budget", records)
+	}
+	st := c.Stats()
+	if st.Entries != 1 || st.UsedBytes != 100*instBytes || st.Evictions != 0 {
+		t.Errorf("stats = %+v, want the 100-inst recording alone, nothing evicted", st)
+	}
+	// Both budgets now replay the one longer recording.
+	drain(t, get(100), fakeTrace(9, 100))
+	drain(t, get(50), fakeTrace(9, 50))
+	if records != 2 {
+		t.Errorf("record ran again after the longer recording landed")
+	}
+}
+
+func TestWaiterOnCoveringFlightRecordsNothing(t *testing.T) {
+	c := New(1 << 20)
+	started, release := make(chan struct{}), make(chan struct{})
+	recorded := make(chan trace.Stream)
+	go func() {
+		recorded <- c.Stream("p", 100,
+			func() []isa.Inst { close(started); <-release; return fakeTrace(4, 100) },
+			func() trace.Stream { return nil })
+	}()
+	<-started
+	waited := make(chan trace.Stream)
+	go func() { waited <- c.Stream("p", 40, mustNotRecord(t), nil) }()
+	// Give the waiter time to block on the flight. Nothing can serve it
+	// before release: the recording is not resident yet, and its record
+	// func fails the test.
+	select {
+	case <-waited:
+		t.Fatal("waiter returned while the covering flight was open")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	drain(t, <-recorded, fakeTrace(4, 100))
+	drain(t, <-waited, fakeTrace(4, 100)[:40])
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss (the recorder) / 1 hit (the waiter)", st)
+	}
+}
+
+func TestShorterFlightNeverReplacesLonger(t *testing.T) {
+	c := New(1 << 20)
+	started, release := make(chan struct{}), make(chan struct{})
+	short := make(chan trace.Stream)
+	go func() {
+		short <- c.Stream("p", 50,
+			func() []isa.Inst { close(started); <-release; return fakeTrace(6, 50) },
+			func() trace.Stream { return nil })
+	}()
+	<-started
+	// The open 50-inst flight cannot cover 100: this call records its own.
+	drain(t, c.Stream("p", 100,
+		func() []isa.Inst { return fakeTrace(6, 100) },
+		func() trace.Stream { return nil }), fakeTrace(6, 100))
+	close(release)
+	drain(t, <-short, fakeTrace(6, 50))
+	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != 100*instBytes {
+		t.Errorf("stats = %+v, want the 100-inst recording to stay resident", st)
+	}
+	drain(t, c.Stream("p", 100, mustNotRecord(t), nil), fakeTrace(6, 100))
+}
+
+// TestPrefixHitAllocatesStreamOnly pins that a prefix is served in place:
+// a prefix hit allocates what an exact hit does, the stream header, and
+// never copies the recording.
+func TestPrefixHitAllocatesStreamOnly(t *testing.T) {
+	c := New(1 << 20)
+	drain(t, c.Stream("p", 1000,
+		func() []isa.Inst { return fakeTrace(8, 1000) },
+		func() trace.Stream { return nil }), fakeTrace(8, 1000))
+	exact := testing.AllocsPerRun(100, func() { c.Stream("p", 1000, nil, nil) })
+	prefix := testing.AllocsPerRun(100, func() { c.Stream("p", 10, nil, nil) })
+	if exact != 1 || prefix != exact {
+		t.Errorf("allocs per hit: exact %v, prefix %v; want 1 each (the stream header)", exact, prefix)
 	}
 }
 
@@ -88,7 +185,7 @@ func TestOversizeStreamsWithoutRecording(t *testing.T) {
 	c := New(10 * instBytes)
 	want := fakeTrace(2, 100)
 	streamed := false
-	s := c.Stream(Key{FP: "big", N: 100},
+	s := c.Stream("big", 100,
 		func() []isa.Inst { t.Fatal("oversize trace was recorded"); return nil },
 		func() trace.Stream { streamed = true; return trace.NewSliceStream(fakeTrace(2, 100)) })
 	drain(t, s, want)
@@ -98,12 +195,16 @@ func TestOversizeStreamsWithoutRecording(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 || st.UsedBytes != 0 {
 		t.Errorf("oversize miss changed occupancy: %+v", st)
 	}
+	// A negative budget (svf.Options reaches here unchecked) streams
+	// live too, even with a recording resident to slice.
+	drain(t, c.Stream("small", 5, func() []isa.Inst { return fakeTrace(3, 5) }, nil), fakeTrace(3, 5))
+	drain(t, c.Stream("small", -1, mustNotRecord(t), func() trace.Stream { return trace.NewSliceStream(nil) }), nil)
 }
 
 func TestLRUEvictionUnderBudget(t *testing.T) {
 	c := New(250 * instBytes) // fits two 100-inst traces, not three
 	add := func(tag uint64, fp string) {
-		s := c.Stream(Key{FP: fp, N: 100},
+		s := c.Stream(fp, 100,
 			func() []isa.Inst { return fakeTrace(tag, 100) },
 			func() trace.Stream { return nil })
 		drain(t, s, fakeTrace(tag, 100))
@@ -111,22 +212,22 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	add(1, "a")
 	add(2, "b")
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	drain(t, c.Stream(Key{FP: "a", N: 100}, nil, nil), fakeTrace(1, 100))
+	drain(t, c.Stream("a", 100, nil, nil), fakeTrace(1, 100))
 	add(3, "c")
 
 	st := c.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats = %+v, want 1 eviction leaving 2 entries", st)
 	}
-	if !resident(c, Key{FP: "a", N: 100}) || !resident(c, Key{FP: "c", N: 100}) {
+	if !resident(c, "a") || !resident(c, "c") {
 		t.Error("LRU evicted the wrong entry")
 	}
-	if resident(c, Key{FP: "b", N: 100}) {
+	if resident(c, "b") {
 		t.Error("victim still present")
 	}
 	// The evicted key transparently re-records.
 	rerecorded := false
-	s := c.Stream(Key{FP: "b", N: 100},
+	s := c.Stream("b", 100,
 		func() []isa.Inst { rerecorded = true; return fakeTrace(2, 100) },
 		func() trace.Stream { return nil })
 	drain(t, s, fakeTrace(2, 100))
@@ -139,7 +240,7 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 	c := New(1 << 20)
 	for i := 0; i < 4; i++ {
 		tag, fp := uint64(i), fmt.Sprint(i)
-		drain(t, c.Stream(Key{FP: fp, N: 10},
+		drain(t, c.Stream(fp, 10,
 			func() []isa.Inst { return fakeTrace(tag, 10) },
 			func() trace.Stream { return nil }), fakeTrace(tag, 10))
 	}
@@ -153,7 +254,7 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 	}
 	// Disabled cache streams straight through.
 	used := false
-	drain(t, c.Stream(Key{FP: "x", N: 10},
+	drain(t, c.Stream("x", 10,
 		func() []isa.Inst { t.Fatal("recorded while disabled"); return nil },
 		func() trace.Stream { used = true; return trace.NewSliceStream(fakeTrace(7, 10)) }),
 		fakeTrace(7, 10))
@@ -172,7 +273,7 @@ func TestSingleFlightConcurrentMisses(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := c.Stream(Key{FP: "p", N: 64},
+			s := c.Stream("p", 64,
 				func() []isa.Inst {
 					records.Add(1)
 					<-release // hold the flight open so others pile up
@@ -198,6 +299,10 @@ func TestSingleFlightConcurrentMisses(t *testing.T) {
 	if r := records.Load(); r != 1 {
 		t.Errorf("record ran %d times under concurrent misses, want 1", r)
 	}
+	// A caller that waited on the flight and replayed it is a hit.
+	if st := c.Stats(); st.Misses != 1 || st.Hits != goroutines-1 {
+		t.Errorf("stats = %+v, want 1 miss / %d hits", st, goroutines-1)
+	}
 }
 
 func TestPanickingRecorderReleasesWaiters(t *testing.T) {
@@ -208,12 +313,12 @@ func TestPanickingRecorderReleasesWaiters(t *testing.T) {
 				t.Fatal("record panic did not propagate")
 			}
 		}()
-		c.Stream(Key{FP: "boom", N: 8},
+		c.Stream("boom", 8,
 			func() []isa.Inst { panic("synthetic") },
 			func() trace.Stream { return nil })
 	}()
 	// The flight must be gone: the next call records normally.
-	drain(t, c.Stream(Key{FP: "boom", N: 8},
+	drain(t, c.Stream("boom", 8,
 		func() []isa.Inst { return fakeTrace(3, 8) },
 		func() trace.Stream { return nil }), fakeTrace(3, 8))
 	if st := c.Stats(); st.Entries != 1 {
