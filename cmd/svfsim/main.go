@@ -66,16 +66,8 @@ func main() {
 		MaxInsts:        *insts,
 		CtxSwitchPeriod: *ctx,
 	}
-	switch *policy {
-	case "baseline":
-		opt.Policy = pipeline.PolicyNone
-	case "svf":
-		opt.Policy = pipeline.PolicySVF
-	case "stackcache":
-		opt.Policy = pipeline.PolicyStackCache
-	case "rse":
-		opt.Policy = pipeline.PolicyRSE
-	default:
+	var err error
+	if opt.Policy, err = pipeline.ParsePolicy(*policy); err != nil {
 		fmt.Fprintf(os.Stderr, "svfsim: unknown policy %q\n", *policy)
 		os.Exit(2)
 	}

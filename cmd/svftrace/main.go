@@ -134,7 +134,7 @@ func info(args []string) {
 
 func replay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	policy := fs.String("policy", "baseline", "baseline, svf or stackcache")
+	policy := fs.String("policy", "baseline", "baseline, svf, stackcache or rse")
 	dl1Ports := fs.Int("dl1ports", 2, "DL1 ports")
 	stackPorts := fs.Int("stackports", 2, "stack structure ports")
 	size := fs.Int("size", 8192, "stack structure bytes")
@@ -150,15 +150,9 @@ func replay(args []string) {
 		StackPorts:     *stackPorts,
 		MaxInsts:       len(insts),
 	}
-	switch *policy {
-	case "baseline":
-		opt.Policy = pipeline.PolicyNone
-	case "svf":
-		opt.Policy = pipeline.PolicySVF
-	case "stackcache":
-		opt.Policy = pipeline.PolicyStackCache
-	default:
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+	var err error
+	if opt.Policy, err = pipeline.ParsePolicy(*policy); err != nil {
+		fatal(err)
 	}
 	r, err := sim.RunStream(context.Background(), fs.Arg(0), trace.NewSliceStream(insts), opt)
 	if err != nil {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"svf/internal/regions"
 	"svf/internal/stats"
 )
@@ -31,19 +29,20 @@ type Fig1Result struct {
 // access method.
 func Fig1(cfg Config) (*Fig1Result, error) {
 	cfg.fillDefaults()
+	chars, err := cfg.charGrid(cfg.Benchmarks)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig1Result{Rows: make([]Fig1Row, len(cfg.Benchmarks))}
 	for i, prof := range cfg.Benchmarks {
-		res.Rows[i] = Fig1Row{
-			Bench: prof.ID(), MemFrac: nan,
-			StackSP: nan, StackFP: nan, StackGPR: nan,
-			Global: nan, ROData: nan, Heap: nan, Other: nan,
-		}
-	}
-	err := cfg.forEach(len(cfg.Benchmarks), func(ctx context.Context, i int) error {
-		prof := cfg.Benchmarks[i]
-		c, err := cfg.characterize(ctx, prof, cfg.TrafficInsts)
-		if err != nil {
-			return cfg.degrade(err)
+		c := chars[i][0]
+		if c == nil {
+			res.Rows[i] = Fig1Row{
+				Bench: prof.ID(), MemFrac: nan,
+				StackSP: nan, StackFP: nan, StackGPR: nan,
+				Global: nan, ROData: nan, Heap: nan, Other: nan,
+			}
+			continue
 		}
 		stack := c.StackFrac()
 		res.Rows[i] = Fig1Row{
@@ -57,10 +56,6 @@ func Fig1(cfg Config) (*Fig1Result, error) {
 			Heap:     c.RegionFrac(regions.RegionHeap),
 			Other:    c.RegionFrac(regions.RegionText) + c.RegionFrac(regions.RegionOther),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }
@@ -97,26 +92,17 @@ type Fig2Result struct {
 // Fig2 samples the stack depth at every $sp update.
 func Fig2(cfg Config) (*Fig2Result, error) {
 	cfg.fillDefaults()
-	res := &Fig2Result{Series: make([]Fig2Series, len(cfg.Benchmarks))}
-	for i, prof := range cfg.Benchmarks {
-		res.Series[i] = Fig2Series{Bench: prof.ID()}
-	}
-	err := cfg.forEach(len(cfg.Benchmarks), func(ctx context.Context, i int) error {
-		prof := cfg.Benchmarks[i]
-		c, err := cfg.characterize(ctx, prof, cfg.TrafficInsts)
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		res.Series[i] = Fig2Series{
-			Bench:         prof.ID(),
-			X:             c.Depth.X,
-			Y:             c.Depth.Y,
-			MaxDepthWords: c.MaxDepthWords,
-		}
-		return nil
-	})
+	chars, err := cfg.charGrid(cfg.Benchmarks)
 	if err != nil {
 		return nil, err
+	}
+	res := &Fig2Result{Series: make([]Fig2Series, len(cfg.Benchmarks))}
+	for i, prof := range cfg.Benchmarks {
+		s := Fig2Series{Bench: prof.ID()}
+		if c := chars[i][0]; c != nil {
+			s.X, s.Y, s.MaxDepthWords = c.Depth.X, c.Depth.Y, c.MaxDepthWords
+		}
+		res.Series[i] = s
 	}
 	return res, nil
 }
@@ -157,15 +143,16 @@ type Fig3Result struct {
 // from the top of stack.
 func Fig3(cfg Config) (*Fig3Result, error) {
 	cfg.fillDefaults()
+	chars, err := cfg.charGrid(cfg.Benchmarks)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig3Result{Rows: make([]Fig3Row, len(cfg.Benchmarks))}
 	for i, prof := range cfg.Benchmarks {
-		res.Rows[i] = Fig3Row{Bench: prof.ID(), MeanOffsetBytes: nan, Within8KB: nan}
-	}
-	err := cfg.forEach(len(cfg.Benchmarks), func(ctx context.Context, i int) error {
-		prof := cfg.Benchmarks[i]
-		c, err := cfg.characterize(ctx, prof, cfg.TrafficInsts)
-		if err != nil {
-			return cfg.degrade(err)
+		c := chars[i][0]
+		if c == nil {
+			res.Rows[i] = Fig3Row{Bench: prof.ID(), MeanOffsetBytes: nan, Within8KB: nan}
+			continue
 		}
 		row := Fig3Row{
 			Bench:           prof.ID(),
@@ -177,10 +164,6 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 			row.CumAt = append(row.CumAt, c.OffsetHist.CumulativeAt(b))
 		}
 		res.Rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }

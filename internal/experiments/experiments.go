@@ -24,6 +24,7 @@ import (
 	"svf/internal/faultinject"
 	"svf/internal/pipeline"
 	"svf/internal/sim"
+	"svf/internal/stats"
 	"svf/internal/synth"
 	"svf/internal/telemetry"
 )
@@ -68,7 +69,8 @@ type Config struct {
 	// TrafficInsts is the budget for functional traffic experiments
 	// (Tables 3 and 4; default 2 000 000).
 	TrafficInsts int
-	// Benchmarks defaults to the twelve Table 1 profiles.
+	// Benchmarks defaults to the twelve Table 1 profiles; nil: Table 3
+	// uses all 17 benchmark·input pairs.
 	Benchmarks []*synth.Profile
 	// Parallel is the number of concurrent simulations (default
 	// GOMAXPROCS).
@@ -102,9 +104,9 @@ type Config struct {
 	// (internal/faultinject) to every timing run whose benchmark matches
 	// the plan. Chaos-testing hook; leave nil for real measurements.
 	Inject *faultinject.Plan
-	// Progress, when non-nil, is fed the suite's task counts (total as
-	// each experiment fans out, done as cells finish) for the telemetry
-	// layer's /progress endpoint. Nil disables the accounting.
+	// Progress, when non-nil, is fed the suite's cell counts (total as
+	// each experiment lays out its grid, done as cells finish) for the
+	// telemetry layer's /progress endpoint. Nil disables the accounting.
 	Progress *telemetry.Progress
 }
 
@@ -155,7 +157,6 @@ func (c Config) forEach(n int, f func(ctx context.Context, i int) error) error {
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-	c.Progress.AddTotal(n)
 	sem := make(chan struct{}, parallel)
 	var (
 		wg       sync.WaitGroup
@@ -174,7 +175,6 @@ func (c Config) forEach(n int, f func(ctx context.Context, i int) error) error {
 			if ctx.Err() != nil {
 				return
 			}
-			defer c.Progress.Done(1)
 			if err := f(ctx, i); err != nil {
 				mu.Lock()
 				if firstErr == nil || (isCancellation(firstErr) && !isCancellation(err)) {
@@ -197,83 +197,174 @@ func (c Config) forEach(n int, f func(ctx context.Context, i int) error) error {
 	return firstErr
 }
 
-// run executes one supervised timing simulation: the suite's fault plan is
-// attached, the per-run deadline applied, and any failure recorded.
-func (c Config) run(ctx context.Context, prof *synth.Profile, opt sim.Options) (*sim.Result, error) {
-	if opt.FaultPlan == nil {
-		opt.FaultPlan = c.Inject
+// runGrid is the one way an experiment executes its cells: a row per
+// profile, a column per configuration, cells[row][col] back. Every cell
+// runs under the suite's supervision — the per-run deadline, fault
+// recording, fail-fast under FaultFail and degrade under FaultContinue —
+// and a failed cell comes back nil. Progress counts cells.
+//
+// Each cell is one task, so a grid keeps as many slots busy as it has
+// cells; a free slot runs the next cell of the row nextRow picks.
+func runGrid[C, V any](c Config, profs []*synth.Profile, cols []C, cell func(context.Context, *synth.Profile, C) (*V, error)) ([][]*V, error) {
+	cells := make([][]*V, len(profs))
+	for r := range cells {
+		cells[r] = make([]*V, len(cols))
 	}
-	if c.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.RunTimeout)
-		defer cancel()
+	c.Progress.AddTotal(len(profs) * len(cols))
+	var mu sync.Mutex
+	next, warm := make([]int, len(profs)), make([]bool, len(profs))
+	err := c.forEach(len(profs)*len(cols), func(ctx context.Context, _ int) error {
+		defer c.Progress.Done(1)
+		mu.Lock()
+		r := nextRow(next, warm, len(cols))
+		k := next[r]
+		next[r]++
+		mu.Unlock()
+		if c.RunTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, c.RunTimeout)
+			defer cancel()
+		}
+		v, err := cell(ctx, profs[r], cols[k])
+		mu.Lock()
+		warm[r] = true
+		mu.Unlock()
+		if err != nil {
+			return c.fault(err)
+		}
+		cells[r][k] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res, err := c.Cache.Run(ctx, prof, opt)
-	c.record(err)
-	return res, err
+	return cells, nil
 }
 
-// traffic is run's counterpart for functional traffic simulations.
-func (c Config) traffic(ctx context.Context, prof *synth.Profile, policy pipeline.StackPolicy, sizeBytes, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
-	if c.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.RunTimeout)
-		defer cancel()
+// nextRow picks the row whose next cell a free slot runs; next holds each
+// row's next column. A row's first cell records the profile's trace and
+// the others replay it, and a cell started while the recording is under
+// way waits for it, holding its slot. So nextRow prefers a warm row (one
+// with a cell done), then a row not yet begun, and only then a row still
+// on its first cell, rather than leave the slot idle. With fewer slots
+// than rows a grid thus works through about a row at a time, and no slot
+// waits on a recording.
+func nextRow(next []int, warm []bool, cols int) int {
+	best, bestRank := -1, 3
+	for r, k := range next {
+		rank := 2 // its first cell is still running
+		switch {
+		case k == cols:
+			continue
+		case warm[r]:
+			rank = 0
+		case k == 0:
+			rank = 1
+		}
+		if rank < bestRank {
+			best, bestRank = r, rank
+		}
 	}
-	qwIn, qwOut, ctxBytes, err = c.Cache.Traffic(ctx, prof, policy, sizeBytes, maxInsts, ctxPeriod)
-	c.record(err)
-	return
+	return best
 }
 
-// characterize is run's counterpart for characterisation passes.
-func (c Config) characterize(ctx context.Context, prof *synth.Profile, maxInsts int) (*synth.Characterization, error) {
-	if c.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.RunTimeout)
-		defer cancel()
-	}
-	ch, err := c.Cache.Characterize(ctx, prof, maxInsts)
-	c.record(err)
-	return ch, err
+// timingGrid runs every profile under every machine configuration at the
+// suite's timing budget, with the suite's fault plan attached.
+func (c Config) timingGrid(profs []*synth.Profile, opts ...sim.Options) ([][]*sim.Result, error) {
+	return runGrid(c, profs, opts, func(ctx context.Context, prof *synth.Profile, opt sim.Options) (*sim.Result, error) {
+		opt.MaxInsts, opt.FaultPlan = c.MaxInsts, c.Inject
+		return c.Cache.Run(ctx, prof, opt)
+	})
 }
 
-// record logs a cell failure. Suite cancellation is not a fault — the user
-// asked the work to stop — so it is never recorded; per-run deadline
-// expiries are. Cells the journal has latched as permanently failed are
-// also skipped: they were fed to the log once, as replayed faults, when the
-// campaign was restored (FaultLog.AddReplayed), and a latched cell may be
-// consulted by several experiments in one suite.
-func (c Config) record(err error) {
-	if err == nil || c.Faults == nil || isCancellation(err) {
-		return
+// trafficCol is one column of a traffic grid: a stack structure, its
+// capacity and the context-switch period (0: none).
+type trafficCol struct {
+	policy    pipeline.StackPolicy
+	sizeBytes int
+	ctxPeriod uint64
+}
+
+// trafficCell is one traffic cell's outcome.
+type trafficCell struct{ in, out, ctxBytes uint64 }
+
+// qw is the cell's steady-state traffic in quadwords: fills plus
+// writebacks.
+func (t *trafficCell) qw() uint64 { return t.in + t.out }
+
+// trafficGrid runs every profile's functional traffic loop under every
+// column at the suite's traffic budget.
+func (c Config) trafficGrid(profs []*synth.Profile, cols ...trafficCol) ([][]*trafficCell, error) {
+	return runGrid(c, profs, cols, func(ctx context.Context, prof *synth.Profile, col trafficCol) (*trafficCell, error) {
+		in, out, ctxBytes, err := c.Cache.Traffic(ctx, prof, col.policy, col.sizeBytes, c.TrafficInsts, col.ctxPeriod)
+		if err != nil {
+			return nil, err
+		}
+		return &trafficCell{in, out, ctxBytes}, nil
+	})
+}
+
+// charGrid runs each profile's characterisation pass at the suite's
+// traffic budget: a grid of one column.
+func (c Config) charGrid(profs []*synth.Profile) ([][]*synth.Characterization, error) {
+	return runGrid(c, profs, []int{c.TrafficInsts}, c.Cache.Characterize)
+}
+
+// complete reports whether every cell of a grid row ran; an experiment
+// that reports a row only whole renders an incomplete one as a gap.
+func complete[V any](row []*V) bool {
+	for _, v := range row {
+		if v == nil {
+			return false
+		}
 	}
+	return true
+}
+
+// fault handles a failed cell. It logs the failure, per-run deadline
+// expiries included, except suite cancellation (the user asked the work to
+// stop) and cells the journal has latched as permanently failed: those
+// were fed to the log once, as replayed faults, when the campaign was
+// restored (FaultLog.AddReplayed), and a latched cell may be consulted by
+// several experiments in one suite. It then applies the suite's policy:
+// under FaultContinue it returns nil and the cell stays a gap; under
+// FaultFail, and always for suite cancellation, it returns err.
+func (c Config) fault(err error) error {
+	cancelled := isCancellation(err)
 	var latched *sim.LatchedError
-	if errors.As(err, &latched) {
-		return
+	if c.Faults != nil && !cancelled && !errors.As(err, &latched) {
+		c.Faults.Add(err)
 	}
-	c.Faults.Add(err)
-}
-
-// degrade translates a cell failure into the suite's policy: under
-// FaultContinue the error becomes nil and the cell stays a gap; under
-// FaultFail — and always for suite cancellation — it propagates and aborts
-// the suite.
-func (c Config) degrade(err error) error {
-	if err == nil {
+	if c.OnFault == FaultContinue && !cancelled {
 		return nil
 	}
-	if c.OnFault != FaultContinue || isCancellation(err) {
-		return err
-	}
-	return nil
+	return err
 }
 
-// speedup is stats.Speedup for supervised matrices: a failed (zero-cycle)
-// cell on either side propagates as a NaN gap instead of a zero that would
-// skew means.
-func speedup(baseCycles, configCycles uint64) float64 {
-	if baseCycles == 0 || configCycles == 0 {
+// speedup is stats.Speedup over two timing cells: a failed (nil) cell on
+// either side is a NaN gap instead of a zero that would skew means.
+func speedup(base, cfg *sim.Result) float64 {
+	if base == nil || cfg == nil {
 		return nan
 	}
-	return float64(baseCycles) / float64(configCycles)
+	return stats.Speedup(base.Cycles(), cfg.Cycles())
+}
+
+// speedups returns, for every row of a timing grid, the speedup of each
+// (base, configuration) column pair, and each pair's mean over the rows
+// (stats.MeanValid: gaps are skipped).
+func speedups(cells [][]*sim.Result, pairs ...[2]int) (rows [][]float64, means []float64) {
+	rows = make([][]float64, len(cells))
+	byPair := make([][]float64, len(pairs))
+	for r, row := range cells {
+		for p, bc := range pairs {
+			sp := speedup(row[bc[0]], row[bc[1]])
+			rows[r] = append(rows[r], sp)
+			byPair[p] = append(byPair[p], sp)
+		}
+	}
+	for _, col := range byPair {
+		means = append(means, stats.MeanValid(col))
+	}
+	return rows, means
 }

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"svf/internal/pipeline"
+	"svf/internal/sim"
 	"svf/internal/synth"
 )
 
@@ -249,6 +253,29 @@ func TestTable3UsesAllInputsForFullSet(t *testing.T) {
 	}
 }
 
+// Table 3 substitutes its 17 bundled inputs only when Config.Benchmarks is
+// unset: a caller's own twelve profiles get their own twelve rows.
+func TestTable3KeepsCallerProfiles(t *testing.T) {
+	var x86 []*synth.Profile
+	for _, p := range synth.Benchmarks() {
+		x86 = append(x86, synth.X86Variant(p))
+	}
+	cache := sim.NewRunCache()
+	cache.SetExecutor(zeroTraffic{})
+	r, err := Table3(Config{TrafficInsts: 50_000, Benchmarks: x86, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != len(x86) {
+		t.Fatalf("rows = %d, want the %d profiles passed in", len(r.Rows), len(x86))
+	}
+	for i, row := range r.Rows {
+		if row.Bench != x86[i].ID() {
+			t.Errorf("row %d = %s, want %s", i, row.Bench, x86[i].ID())
+		}
+	}
+}
+
 func TestTable4Shape(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Benchmarks = []*synth.Profile{synth.Crafty(), synth.Eon()}
@@ -297,6 +324,66 @@ func TestForEachFailsFast(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("%d tasks ran after the first failure, want fail-fast (1 total)", got)
 	}
+}
+
+// A free slot prefers a warm row's next cell, then a new row's first cell,
+// and only then a cell of a row whose first cell is still running.
+func TestNextRowOrder(t *testing.T) {
+	next, warm := make([]int, 2), make([]bool, 2)
+	take := func(r, k int) {
+		t.Helper()
+		if got := nextRow(next, warm, 3); got != r || next[r] != k {
+			t.Fatalf("next row = %d, want row %d at column %d (it is at %d)", got, r, k, next[r])
+		}
+		next[r]++
+	}
+	take(0, 0)
+	take(1, 0) // row 0 is still on its first cell: begin row 1
+	take(0, 1) // no row left to begin: join row 0 rather than idle
+	warm[1] = true
+	take(1, 1)
+	take(1, 2)
+	take(0, 2)
+	if got := nextRow(next, warm, 3); got != -1 {
+		t.Errorf("nextRow of a spent grid = %d, want -1", got)
+	}
+}
+
+// A grid with fewer rows than slots still fills them: all four cells of a
+// one-row grid must be in flight at once.
+func TestRunGridFillsSlotsBeyondRows(t *testing.T) {
+	const cols = 4
+	var inFlight atomic.Int32
+	all := make(chan struct{})
+	cfg := Config{Parallel: cols}
+	cells, err := runGrid(cfg, []*synth.Profile{synth.Gzip()}, make([]int, cols), func(context.Context, *synth.Profile, int) (*int, error) {
+		if inFlight.Add(1) == cols {
+			close(all)
+		}
+		select {
+		case <-all:
+			return new(int), nil
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("the row's cells never ran together")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !complete(cells[0]) {
+		t.Errorf("cells = %v, want every cell", cells[0])
+	}
+}
+
+// zeroTraffic answers every traffic cell with zeros without simulating.
+type zeroTraffic struct{}
+
+func (zeroTraffic) ExecRun(context.Context, *synth.Profile, sim.Options) (*sim.Result, error) {
+	return nil, errTest
+}
+
+func (zeroTraffic) ExecTraffic(context.Context, *synth.Profile, pipeline.StackPolicy, int, int, uint64) (uint64, uint64, uint64, error) {
+	return 0, 0, 0, nil
 }
 
 var errTest = &testError{}

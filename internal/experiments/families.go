@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"svf/internal/pipeline"
 	"svf/internal/sim"
 	"svf/internal/stats"
@@ -44,46 +42,27 @@ type FamilyPerfResult struct {
 func FamilyPerf(cfg Config) (*FamilyPerfResult, error) {
 	cfg.fillDefaults()
 	fams := synth.Families()
-	res := &FamilyPerfResult{Rows: make([]FamilyPerfRow, len(fams))}
-	for b, prof := range fams {
-		res.Rows[b] = FamilyPerfRow{
-			Bench: prof.ID(),
-			SVF21: nan, SVF22: nan, SC22: nan, RSE: nan,
-			Failed: true,
-		}
-	}
-	err := cfg.forEach(len(fams), func(ctx context.Context, b int) error {
-		prof := fams[b]
-		base, err := cfg.run(ctx, prof, sim.Options{DL1Ports: 2, MaxInsts: cfg.MaxInsts})
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		row := FamilyPerfRow{Bench: prof.ID()}
-		for _, c := range []struct {
-			speedup *float64
-			opt     sim.Options
-		}{
-			{&row.SVF21, sim.Options{DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 1}},
-			{&row.SVF22, sim.Options{DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 2}},
-			{&row.SC22, sim.Options{DL1Ports: 2, Policy: pipeline.PolicyStackCache, StackPorts: 2}},
-			{&row.RSE, sim.Options{DL1Ports: 2, Policy: pipeline.PolicyRSE}},
-		} {
-			opt := c.opt
-			opt.MaxInsts = cfg.MaxInsts
-			r, err := cfg.run(ctx, prof, opt)
-			if err != nil {
-				return cfg.degrade(err)
-			}
-			*c.speedup = stats.Speedup(base.Cycles(), r.Cycles())
-		}
-		res.Rows[b] = row
-		return nil
-	})
+	cells, err := cfg.timingGrid(fams,
+		sim.Options{DL1Ports: 2},
+		sim.Options{DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 1},
+		sim.Options{DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 2},
+		sim.Options{DL1Ports: 2, Policy: pipeline.PolicyStackCache, StackPorts: 2},
+		sim.Options{DL1Ports: 2, Policy: pipeline.PolicyRSE},
+	)
 	if err != nil {
 		return nil, err
 	}
+	res := &FamilyPerfResult{Rows: make([]FamilyPerfRow, len(fams))}
 	var s1, s2, sc, rs []float64
-	for _, row := range res.Rows {
+	for b, prof := range fams {
+		row := FamilyPerfRow{Bench: prof.ID(), SVF21: nan, SVF22: nan, SC22: nan, RSE: nan, Failed: true}
+		if c := cells[b]; complete(c) {
+			row = FamilyPerfRow{
+				Bench: prof.ID(),
+				SVF21: speedup(c[0], c[1]), SVF22: speedup(c[0], c[2]), SC22: speedup(c[0], c[3]), RSE: speedup(c[0], c[4]),
+			}
+		}
+		res.Rows[b] = row
 		s1 = append(s1, row.SVF21)
 		s2 = append(s2, row.SVF22)
 		sc = append(sc, row.SC22)
@@ -136,39 +115,28 @@ type FamilyTrafficResult struct {
 func FamilyTraffic(cfg Config) (*FamilyTrafficResult, error) {
 	cfg.fillDefaults()
 	fams := synth.Families()
-	res := &FamilyTrafficResult{Rows: make([]FamilyTrafficRow, len(fams))}
-	for b, prof := range fams {
-		res.Rows[b] = FamilyTrafficRow{Bench: prof.ID(), Failed: true}
-	}
-	err := cfg.forEach(len(fams), func(ctx context.Context, b int) error {
-		prof := fams[b]
-		row := FamilyTrafficRow{Bench: prof.ID()}
-		for _, c := range []struct {
-			policy   pipeline.StackPolicy
-			size     int
-			qw       *uint64
-			ctxBytes *uint64
-		}{
-			{pipeline.PolicyStackCache, 4 << 10, &row.SC4K, nil},
-			{pipeline.PolicyStackCache, 8 << 10, &row.SC8K, &row.SCCtxBytes},
-			{pipeline.PolicySVF, 4 << 10, &row.SVF4K, nil},
-			{pipeline.PolicySVF, 8 << 10, &row.SVF8K, &row.SVFCtxBytes},
-			{pipeline.PolicyRSE, 8 << 10, &row.RSE8K, &row.RSECtxBytes},
-		} {
-			in, out, cb, err := cfg.traffic(ctx, prof, c.policy, c.size, cfg.TrafficInsts, FamilyCtxPeriod)
-			if err != nil {
-				return cfg.degrade(err)
-			}
-			*c.qw = in + out
-			if c.ctxBytes != nil {
-				*c.ctxBytes = cb
-			}
-		}
-		res.Rows[b] = row
-		return nil
-	})
+	cells, err := cfg.trafficGrid(fams,
+		trafficCol{pipeline.PolicyStackCache, 4 << 10, FamilyCtxPeriod},
+		trafficCol{pipeline.PolicyStackCache, 8 << 10, FamilyCtxPeriod},
+		trafficCol{pipeline.PolicySVF, 4 << 10, FamilyCtxPeriod},
+		trafficCol{pipeline.PolicySVF, 8 << 10, FamilyCtxPeriod},
+		trafficCol{pipeline.PolicyRSE, 8 << 10, FamilyCtxPeriod},
+	)
 	if err != nil {
 		return nil, err
+	}
+	res := &FamilyTrafficResult{Rows: make([]FamilyTrafficRow, len(fams))}
+	for b, prof := range fams {
+		c := cells[b]
+		if !complete(c) {
+			res.Rows[b] = FamilyTrafficRow{Bench: prof.ID(), Failed: true}
+			continue
+		}
+		res.Rows[b] = FamilyTrafficRow{
+			Bench: prof.ID(),
+			SC4K:  c[0].qw(), SC8K: c[1].qw(), SVF4K: c[2].qw(), SVF8K: c[3].qw(), RSE8K: c[4].qw(),
+			SCCtxBytes: c[1].ctxBytes, SVFCtxBytes: c[3].ctxBytes, RSECtxBytes: c[4].ctxBytes,
+		}
 	}
 	return res, nil
 }

@@ -1,19 +1,10 @@
 package experiments
 
 import (
-	"context"
-
 	"svf/internal/pipeline"
 	"svf/internal/sim"
 	"svf/internal/stats"
 )
-
-// speedup runs a baseline and a configuration and returns
-// baselineCycles/configCycles.
-type runSpec struct {
-	label string
-	opt   sim.Options
-}
 
 // Fig5Row is one benchmark's Figure 5 speedups: infinite-size, ∞-port SVF
 // morphing relative to the same-width baseline.
@@ -38,8 +29,9 @@ type Fig5Result struct {
 // register moves.
 func Fig5(cfg Config) (*Fig5Result, error) {
 	cfg.fillDefaults()
-	res := &Fig5Result{Rows: make([]Fig5Row, len(cfg.Benchmarks))}
-	widths := []struct {
+	// A baseline and an infinite-SVF column per width.
+	var opts []sim.Options
+	for _, w := range []struct {
 		mc   pipeline.MachineConfig
 		pred sim.PredictorKind
 	}{
@@ -47,52 +39,21 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 		{pipeline.EightWide(), sim.PredPerfect},
 		{pipeline.SixteenWide(), sim.PredPerfect},
 		{pipeline.SixteenWide(), sim.PredGshare},
+	} {
+		opts = append(opts,
+			sim.Options{Machine: w.mc, Predictor: w.pred},
+			sim.Options{Machine: w.mc, Predictor: w.pred, Policy: pipeline.PolicySVF, SVFInfinite: true})
 	}
-	type job struct{ bench, width int }
-	var jobs []job
-	for b := range cfg.Benchmarks {
-		for w := range widths {
-			jobs = append(jobs, job{b, w})
-		}
-	}
-	sp := make([][4]float64, len(cfg.Benchmarks))
-	for b := range sp {
-		sp[b] = [4]float64{nan, nan, nan, nan}
-	}
-	err := cfg.forEach(len(jobs), func(ctx context.Context, j int) error {
-		b, w := jobs[j].bench, jobs[j].width
-		prof := cfg.Benchmarks[b]
-		base, err := cfg.run(ctx, prof, sim.Options{
-			Machine: widths[w].mc, Predictor: widths[w].pred, MaxInsts: cfg.MaxInsts,
-		})
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		svf, err := cfg.run(ctx, prof, sim.Options{
-			Machine: widths[w].mc, Predictor: widths[w].pred, MaxInsts: cfg.MaxInsts,
-			Policy: pipeline.PolicySVF, SVFInfinite: true, StackPorts: 0,
-		})
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		sp[b][w] = stats.Speedup(base.Cycles(), svf.Cycles())
-		return nil
-	})
+	cells, err := cfg.timingGrid(cfg.Benchmarks, opts...)
 	if err != nil {
 		return nil, err
 	}
-	var m [4][]float64
+	sp, m := speedups(cells, [2]int{0, 1}, [2]int{2, 3}, [2]int{4, 5}, [2]int{6, 7})
+	res := &Fig5Result{Rows: make([]Fig5Row, len(cfg.Benchmarks)), Mean4: m[0], Mean8: m[1], Mean16: m[2], MeanGshare: m[3]}
 	for b, prof := range cfg.Benchmarks {
-		res.Rows[b] = Fig5Row{
-			Bench: prof.ID(),
-			Wide4: sp[b][0], Wide8: sp[b][1], Wide16: sp[b][2], Gshare16: sp[b][3],
-		}
-		for w := 0; w < 4; w++ {
-			m[w] = append(m[w], sp[b][w])
-		}
+		s := sp[b]
+		res.Rows[b] = Fig5Row{Bench: prof.ID(), Wide4: s[0], Wide8: s[1], Wide16: s[2], Gshare16: s[3]}
 	}
-	res.Mean4, res.Mean8, res.Mean16, res.MeanGshare =
-		stats.MeanValid(m[0]), stats.MeanValid(m[1]), stats.MeanValid(m[2]), stats.MeanValid(m[3])
 	return res, nil
 }
 
@@ -127,32 +88,25 @@ type Fig6Result struct {
 func Fig6(cfg Config) (*Fig6Result, error) {
 	cfg.fillDefaults()
 	mc := pipeline.SixteenWide()
-	specs := []runSpec{
-		{"base", sim.Options{Machine: mc}},
-		{"l1x2", sim.Options{Machine: mc, DL1SizeBytes: 128 << 10}},
-		{"noaddr", sim.Options{Machine: func() pipeline.MachineConfig { m := mc; m.NoAddrCalcOp = true; return m }()}},
-		{"svf1", sim.Options{Machine: mc, Policy: pipeline.PolicySVF, StackPorts: 1}},
-		{"svf2", sim.Options{Machine: mc, Policy: pipeline.PolicySVF, StackPorts: 2}},
-		{"svf16", sim.Options{Machine: mc, Policy: pipeline.PolicySVF, StackPorts: 16}},
-	}
-	cycles, err := runMatrix(cfg, specs)
+	noAddr := mc
+	noAddr.NoAddrCalcOp = true
+	cells, err := cfg.timingGrid(cfg.Benchmarks,
+		sim.Options{Machine: mc},
+		sim.Options{Machine: mc, DL1SizeBytes: 128 << 10},
+		sim.Options{Machine: noAddr},
+		sim.Options{Machine: mc, Policy: pipeline.PolicySVF, StackPorts: 1},
+		sim.Options{Machine: mc, Policy: pipeline.PolicySVF, StackPorts: 2},
+		sim.Options{Machine: mc, Policy: pipeline.PolicySVF, StackPorts: 16},
+	)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig6Result{Rows: make([]Fig6Row, len(cfg.Benchmarks))}
-	var acc [5][]float64
+	sp, m := speedups(cells, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}, [2]int{0, 4}, [2]int{0, 5})
+	res := &Fig6Result{Rows: make([]Fig6Row, len(cfg.Benchmarks)), MeanL1x2: m[0], MeanNoAddr: m[1], Mean1: m[2], Mean2: m[3], Mean16P: m[4]}
 	for b, prof := range cfg.Benchmarks {
-		base := cycles[b][0]
-		row := Fig6Row{Bench: prof.ID()}
-		vals := []*float64{&row.L1x2, &row.NoAddrCalc, &row.SVF1, &row.SVF2, &row.SVF16}
-		for k := 0; k < 5; k++ {
-			*vals[k] = speedup(base, cycles[b][k+1])
-			acc[k] = append(acc[k], *vals[k])
-		}
-		res.Rows[b] = row
+		s := sp[b]
+		res.Rows[b] = Fig6Row{Bench: prof.ID(), L1x2: s[0], NoAddrCalc: s[1], SVF1: s[2], SVF2: s[3], SVF16: s[4]}
 	}
-	res.MeanL1x2, res.MeanNoAddr, res.Mean1, res.Mean2, res.Mean16P =
-		stats.MeanValid(acc[0]), stats.MeanValid(acc[1]), stats.MeanValid(acc[2]), stats.MeanValid(acc[3]), stats.MeanValid(acc[4])
 	return res, nil
 }
 
@@ -165,38 +119,6 @@ func (r *Fig6Result) Table() *stats.Table {
 	}
 	t.AddRow("average (%)", pct(r.MeanL1x2), pct(r.MeanNoAddr), pct(r.Mean1), pct(r.Mean2), pct(r.Mean16P))
 	return t
-}
-
-// runMatrix runs every benchmark × spec pair and returns
-// cycles[bench][spec]. A failed cell (under FaultContinue) stays zero;
-// speedup() turns those into NaN gaps downstream.
-func runMatrix(cfg Config, specs []runSpec) ([][]uint64, error) {
-	cycles := make([][]uint64, len(cfg.Benchmarks))
-	for i := range cycles {
-		cycles[i] = make([]uint64, len(specs))
-	}
-	type job struct{ b, s int }
-	var jobs []job
-	for b := range cfg.Benchmarks {
-		for s := range specs {
-			jobs = append(jobs, job{b, s})
-		}
-	}
-	err := cfg.forEach(len(jobs), func(ctx context.Context, j int) error {
-		b, s := jobs[j].b, jobs[j].s
-		opt := specs[s].opt
-		opt.MaxInsts = cfg.MaxInsts
-		r, err := cfg.run(ctx, cfg.Benchmarks[b], opt)
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		cycles[b][s] = r.Cycles()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cycles, nil
 }
 
 // Fig7Row is one benchmark's comparison of cache/SVF/stack-cache port
@@ -225,33 +147,27 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 	mc := pipeline.SixteenWide()
 	mcNoSquash := mc
 	mcNoSquash.NoSquash = true
-	specs := []runSpec{
-		{"2+0", sim.Options{Machine: mc, DL1Ports: 2}},
-		{"4+0", sim.Options{Machine: mc, DL1Ports: 4, DL1HitLatency: 4}},
-		{"sc 2+2", sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicyStackCache, StackPorts: 2}},
-		{"svf 2+1", sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 1}},
-		{"svf 2+2", sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 2}},
-		{"svf 2+16", sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 16}},
-		{"svf 2+2 no_squash", sim.Options{Machine: mcNoSquash, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 2}},
-	}
-	cycles, err := runMatrix(cfg, specs)
+	cells, err := cfg.timingGrid(cfg.Benchmarks,
+		sim.Options{Machine: mc, DL1Ports: 2},
+		sim.Options{Machine: mc, DL1Ports: 4, DL1HitLatency: 4},
+		sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicyStackCache, StackPorts: 2},
+		sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 1},
+		sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 2},
+		sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 16},
+		sim.Options{Machine: mcNoSquash, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 2},
+	)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig7Result{Rows: make([]Fig7Row, len(cfg.Benchmarks))}
-	var acc [6][]float64
-	for b, prof := range cfg.Benchmarks {
-		base := cycles[b][0]
-		row := Fig7Row{Bench: prof.ID()}
-		vals := []*float64{&row.Base4, &row.SC22, &row.SVF21, &row.SVF22, &row.SVF216, &row.NoSquash22}
-		for k := 0; k < 6; k++ {
-			*vals[k] = speedup(base, cycles[b][k+1])
-			acc[k] = append(acc[k], *vals[k])
-		}
-		res.Rows[b] = row
+	sp, m := speedups(cells, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}, [2]int{0, 4}, [2]int{0, 5}, [2]int{0, 6})
+	res := &Fig7Result{
+		Rows:      make([]Fig7Row, len(cfg.Benchmarks)),
+		MeanBase4: m[0], MeanSC22: m[1], MeanSVF21: m[2], MeanSVF22: m[3], MeanSVF216: m[4], MeanNoSquash: m[5],
 	}
-	res.MeanBase4, res.MeanSC22, res.MeanSVF21, res.MeanSVF22, res.MeanSVF216, res.MeanNoSquash =
-		stats.MeanValid(acc[0]), stats.MeanValid(acc[1]), stats.MeanValid(acc[2]), stats.MeanValid(acc[3]), stats.MeanValid(acc[4]), stats.MeanValid(acc[5])
+	for b, prof := range cfg.Benchmarks {
+		s := sp[b]
+		res.Rows[b] = Fig7Row{Bench: prof.ID(), Base4: s[0], SC22: s[1], SVF21: s[2], SVF22: s[3], SVF216: s[4], NoSquash22: s[5]}
+	}
 	return res, nil
 }
 
@@ -286,41 +202,28 @@ type Fig8Result struct {
 // Fig8 measures the breakdown of SVF reference types on the (2+2) SVF.
 func Fig8(cfg Config) (*Fig8Result, error) {
 	cfg.fillDefaults()
-	res := &Fig8Result{Rows: make([]Fig8Row, len(cfg.Benchmarks))}
-	for b, prof := range cfg.Benchmarks {
-		res.Rows[b] = Fig8Row{
-			Bench:     prof.ID(),
-			FastLoads: nan, FastStores: nan, ReroutedLoads: nan, ReroutedStores: nan,
-		}
-	}
-	err := cfg.forEach(len(cfg.Benchmarks), func(ctx context.Context, b int) error {
-		prof := cfg.Benchmarks[b]
-		r, err := cfg.run(ctx, prof, sim.Options{
-			Machine: pipeline.SixteenWide(), DL1Ports: 2,
-			Policy: pipeline.PolicySVF, StackPorts: 2, MaxInsts: cfg.MaxInsts,
-		})
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		st := r.SVF
-		total := float64(st.MorphedRefs() + st.ReroutedRefs())
-		if total == 0 {
-			total = 1
-		}
-		res.Rows[b] = Fig8Row{
-			Bench:          prof.ID(),
-			FastLoads:      float64(st.MorphedLoads) / total,
-			FastStores:     float64(st.MorphedStores) / total,
-			ReroutedLoads:  float64(st.ReroutedLoads) / total,
-			ReroutedStores: float64(st.ReroutedStores) / total,
-		}
-		return nil
+	cells, err := cfg.timingGrid(cfg.Benchmarks, sim.Options{
+		Machine: pipeline.SixteenWide(), DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 2,
 	})
 	if err != nil {
 		return nil, err
 	}
+	res := &Fig8Result{Rows: make([]Fig8Row, len(cfg.Benchmarks))}
 	var morphed []float64
-	for _, row := range res.Rows {
+	for b, prof := range cfg.Benchmarks {
+		row := Fig8Row{Bench: prof.ID(), FastLoads: nan, FastStores: nan, ReroutedLoads: nan, ReroutedStores: nan}
+		if r := cells[b][0]; r != nil {
+			st := r.SVF
+			total := float64(st.MorphedRefs() + st.ReroutedRefs())
+			if total == 0 {
+				total = 1
+			}
+			row.FastLoads = float64(st.MorphedLoads) / total
+			row.FastStores = float64(st.MorphedStores) / total
+			row.ReroutedLoads = float64(st.ReroutedLoads) / total
+			row.ReroutedStores = float64(st.ReroutedStores) / total
+		}
+		res.Rows[b] = row
 		morphed = append(morphed, row.Morphed())
 	}
 	res.MeanMorphed = stats.MeanValid(morphed)
@@ -357,36 +260,23 @@ type Fig9Result struct {
 func Fig9(cfg Config) (*Fig9Result, error) {
 	cfg.fillDefaults()
 	mc := pipeline.SixteenWide()
-	specs := []runSpec{
-		{"1+0", sim.Options{Machine: mc, DL1Ports: 1}},
-		{"1+1", sim.Options{Machine: mc, DL1Ports: 1, Policy: pipeline.PolicySVF, StackPorts: 1}},
-		{"1+2", sim.Options{Machine: mc, DL1Ports: 1, Policy: pipeline.PolicySVF, StackPorts: 2}},
-		{"2+0", sim.Options{Machine: mc, DL1Ports: 2}},
-		{"2+1", sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 1}},
-		{"2+2", sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 2}},
-	}
-	cycles, err := runMatrix(cfg, specs)
+	cells, err := cfg.timingGrid(cfg.Benchmarks,
+		sim.Options{Machine: mc, DL1Ports: 1},
+		sim.Options{Machine: mc, DL1Ports: 1, Policy: pipeline.PolicySVF, StackPorts: 1},
+		sim.Options{Machine: mc, DL1Ports: 1, Policy: pipeline.PolicySVF, StackPorts: 2},
+		sim.Options{Machine: mc, DL1Ports: 2},
+		sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 1},
+		sim.Options{Machine: mc, DL1Ports: 2, Policy: pipeline.PolicySVF, StackPorts: 2},
+	)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig9Result{Rows: make([]Fig9Row, len(cfg.Benchmarks))}
-	var acc [4][]float64
+	sp, m := speedups(cells, [2]int{0, 1}, [2]int{0, 2}, [2]int{3, 4}, [2]int{3, 5})
+	res := &Fig9Result{Rows: make([]Fig9Row, len(cfg.Benchmarks)), Mean11: m[0], Mean12: m[1], Mean21: m[2], Mean22: m[3]}
 	for b, prof := range cfg.Benchmarks {
-		row := Fig9Row{
-			Bench: prof.ID(),
-			SVF11: speedup(cycles[b][0], cycles[b][1]),
-			SVF12: speedup(cycles[b][0], cycles[b][2]),
-			SVF21: speedup(cycles[b][3], cycles[b][4]),
-			SVF22: speedup(cycles[b][3], cycles[b][5]),
-		}
-		res.Rows[b] = row
-		acc[0] = append(acc[0], row.SVF11)
-		acc[1] = append(acc[1], row.SVF12)
-		acc[2] = append(acc[2], row.SVF21)
-		acc[3] = append(acc[3], row.SVF22)
+		s := sp[b]
+		res.Rows[b] = Fig9Row{Bench: prof.ID(), SVF11: s[0], SVF12: s[1], SVF21: s[2], SVF22: s[3]}
 	}
-	res.Mean11, res.Mean12, res.Mean21, res.Mean22 =
-		stats.MeanValid(acc[0]), stats.MeanValid(acc[1]), stats.MeanValid(acc[2]), stats.MeanValid(acc[3])
 	return res, nil
 }
 

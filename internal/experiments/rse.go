@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"svf/internal/pipeline"
 	"svf/internal/sim"
 	"svf/internal/stats"
@@ -33,51 +31,36 @@ type RSEResult struct {
 // RSE runs the three-way comparison: 8KB structures, dual-ported, 16-wide.
 func RSE(cfg Config) (*RSEResult, error) {
 	cfg.fillDefaults()
-	res := &RSEResult{Rows: make([]RSERow, len(cfg.Benchmarks))}
-	for b, prof := range cfg.Benchmarks {
-		res.Rows[b] = RSERow{
-			Bench:      prof.ID(),
-			SVFSpeedup: nan, SCSpeedup: nan, RSESpeedup: nan,
-			Failed: true,
-		}
-	}
-	err := cfg.forEach(len(cfg.Benchmarks), func(ctx context.Context, b int) error {
-		prof := cfg.Benchmarks[b]
-		base, err := cfg.run(ctx, prof, sim.Options{MaxInsts: cfg.MaxInsts})
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		row := RSERow{Bench: prof.ID()}
-		for _, c := range []struct {
-			policy   pipeline.StackPolicy
-			speedup  *float64
-			qw       *uint64
-			ctxBytes *uint64
-		}{
-			{pipeline.PolicySVF, &row.SVFSpeedup, &row.SVFQW, &row.SVFCtxBytes},
-			{pipeline.PolicyStackCache, &row.SCSpeedup, &row.SCQW, &row.SCCtxBytes},
-			{pipeline.PolicyRSE, &row.RSESpeedup, &row.RSEQW, &row.RSECtxBytes},
-		} {
-			r, err := cfg.run(ctx, prof, sim.Options{Policy: c.policy, StackPorts: 2, MaxInsts: cfg.MaxInsts})
-			if err != nil {
-				return cfg.degrade(err)
-			}
-			*c.speedup = stats.Speedup(base.Cycles(), r.Cycles())
-			in, out, cb, err := cfg.traffic(ctx, prof, c.policy, 8<<10, cfg.TrafficInsts, CtxSwitchPeriod)
-			if err != nil {
-				return cfg.degrade(err)
-			}
-			*c.qw = in + out
-			*c.ctxBytes = cb
-		}
-		res.Rows[b] = row
-		return nil
-	})
+	timing, err := cfg.timingGrid(cfg.Benchmarks,
+		sim.Options{},
+		sim.Options{Policy: pipeline.PolicySVF, StackPorts: 2},
+		sim.Options{Policy: pipeline.PolicyStackCache, StackPorts: 2},
+		sim.Options{Policy: pipeline.PolicyRSE, StackPorts: 2},
+	)
 	if err != nil {
 		return nil, err
 	}
+	traffic, err := cfg.trafficGrid(cfg.Benchmarks,
+		trafficCol{pipeline.PolicySVF, 8 << 10, CtxSwitchPeriod},
+		trafficCol{pipeline.PolicyStackCache, 8 << 10, CtxSwitchPeriod},
+		trafficCol{pipeline.PolicyRSE, 8 << 10, CtxSwitchPeriod},
+	)
+	if err != nil {
+		return nil, err
+	}
+	res := &RSEResult{Rows: make([]RSERow, len(cfg.Benchmarks))}
 	var s, c, r []float64
-	for _, row := range res.Rows {
+	for b, prof := range cfg.Benchmarks {
+		row := RSERow{Bench: prof.ID(), SVFSpeedup: nan, SCSpeedup: nan, RSESpeedup: nan, Failed: true}
+		if t, q := timing[b], traffic[b]; complete(t) && complete(q) {
+			row = RSERow{
+				Bench:      prof.ID(),
+				SVFSpeedup: speedup(t[0], t[1]), SCSpeedup: speedup(t[0], t[2]), RSESpeedup: speedup(t[0], t[3]),
+				SVFQW: q[0].qw(), SCQW: q[1].qw(), RSEQW: q[2].qw(),
+				SVFCtxBytes: q[0].ctxBytes, SCCtxBytes: q[1].ctxBytes, RSECtxBytes: q[2].ctxBytes,
+			}
+		}
+		res.Rows[b] = row
 		s = append(s, row.SVFSpeedup)
 		c = append(c, row.SCSpeedup)
 		r = append(r, row.RSESpeedup)

@@ -133,30 +133,30 @@ func TestFig5FailPolicyAborts(t *testing.T) {
 // distinguishable from suite cancellation.
 func TestRunTimeoutIsRecordedAndDegradable(t *testing.T) {
 	cfg := Config{
+		MaxInsts:   1_000_000,
 		RunTimeout: time.Nanosecond,
 		OnFault:    FaultContinue,
 		Faults:     NewFaultLog(),
 		Cache:      sim.NewRunCache(),
 	}
 	cfg.fillDefaults()
-	_, err := cfg.run(context.Background(), synth.Gzip(), sim.Options{MaxInsts: 1_000_000})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	cells, err := cfg.timingGrid([]*synth.Profile{synth.Gzip()}, sim.Options{})
+	if err != nil {
+		t.Fatalf("err = %v, want the expiry degraded under FaultContinue", err)
 	}
-	if len(faultsOf(cfg.Faults)) != 1 {
-		t.Errorf("faults logged = %d, want the deadline expiry recorded", len(faultsOf(cfg.Faults)))
+	if cells[0][0] != nil {
+		t.Error("the expired cell came back filled, want a nil gap")
 	}
-	if d := cfg.degrade(err); d != nil {
-		t.Errorf("degrade(%v) = %v, want nil under FaultContinue", err, d)
+	faults := faultsOf(cfg.Faults)
+	if len(faults) != 1 || !errors.Is(faults[0], context.DeadlineExceeded) {
+		t.Errorf("faults logged = %v, want the deadline expiry recorded", faults)
 	}
 	// Suite cancellation, by contrast, is never recorded and never degraded.
-	cancelErr := context.Canceled
-	cfg.record(cancelErr)
+	if cfg.fault(context.Canceled) == nil {
+		t.Error("suite cancellation must propagate even under FaultContinue")
+	}
 	if len(faultsOf(cfg.Faults)) != 1 {
 		t.Error("suite cancellation was recorded as a fault")
-	}
-	if cfg.degrade(cancelErr) == nil {
-		t.Error("suite cancellation must propagate even under FaultContinue")
 	}
 }
 

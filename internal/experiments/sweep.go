@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -42,71 +41,40 @@ var (
 // Sweep runs the full capacity × ports design space on the 16-wide machine.
 func Sweep(cfg Config) (*SweepResult, error) {
 	cfg.fillDefaults()
+	// Column 0 is the (2+0) baseline; the design points follow, size-major.
+	opts := []sim.Options{{Machine: pipeline.SixteenWide(), DL1Ports: 2}}
+	for _, size := range SweepSizes {
+		for _, ports := range SweepPorts {
+			opts = append(opts, sim.Options{
+				Machine: pipeline.SixteenWide(), DL1Ports: 2,
+				Policy: pipeline.PolicySVF, StackSizeBytes: size, StackPorts: ports,
+			})
+		}
+	}
+	cells, err := cfg.timingGrid(cfg.Benchmarks, opts...)
+	if err != nil {
+		return nil, err
+	}
 	res := &SweepResult{Sizes: SweepSizes, Ports: SweepPorts}
-
-	// Baselines per benchmark; a failed baseline (zero) gaps that
-	// benchmark's speedups via speedup().
-	base := make([]uint64, len(cfg.Benchmarks))
-	err := cfg.forEach(len(cfg.Benchmarks), func(ctx context.Context, b int) error {
-		r, err := cfg.run(ctx, cfg.Benchmarks[b], sim.Options{
-			Machine: pipeline.SixteenWide(), DL1Ports: 2, MaxInsts: cfg.MaxInsts,
-		})
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		base[b] = r.Cycles()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	type job struct{ si, pi, b int }
-	var jobs []job
-	for si := range SweepSizes {
-		for pi := range SweepPorts {
-			for b := range cfg.Benchmarks {
-				jobs = append(jobs, job{si, pi, b})
+	k := 1
+	for _, size := range SweepSizes {
+		for _, ports := range SweepPorts {
+			var speedups, traffic []float64
+			for _, c := range cells {
+				qw := nan
+				if c[k] != nil {
+					qw = float64(c[k].SVFQWIn + c[k].SVFQWOut)
+				}
+				speedups = append(speedups, speedup(c[0], c[k]))
+				traffic = append(traffic, qw)
 			}
-		}
-	}
-	speedups := make([][]float64, len(SweepSizes)*len(SweepPorts))
-	traffic := make([][]float64, len(SweepSizes)*len(SweepPorts))
-	for i := range speedups {
-		speedups[i] = make([]float64, len(cfg.Benchmarks))
-		traffic[i] = make([]float64, len(cfg.Benchmarks))
-		for b := range speedups[i] {
-			speedups[i][b] = nan
-			traffic[i][b] = nan
-		}
-	}
-	err = cfg.forEach(len(jobs), func(ctx context.Context, j int) error {
-		jb := jobs[j]
-		r, err := cfg.run(ctx, cfg.Benchmarks[jb.b], sim.Options{
-			Machine: pipeline.SixteenWide(), DL1Ports: 2,
-			Policy: pipeline.PolicySVF, StackSizeBytes: SweepSizes[jb.si], StackPorts: SweepPorts[jb.pi],
-			MaxInsts: cfg.MaxInsts,
-		})
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		k := jb.si*len(SweepPorts) + jb.pi
-		speedups[k][jb.b] = speedup(base[jb.b], r.Cycles())
-		traffic[k][jb.b] = float64(r.SVFQWIn + r.SVFQWOut)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for si, size := range SweepSizes {
-		for pi, ports := range SweepPorts {
-			k := si*len(SweepPorts) + pi
 			res.Points = append(res.Points, SweepPoint{
 				SizeBytes:     size,
 				Ports:         ports,
-				MeanSpeedup:   stats.MeanValid(speedups[k]),
-				MeanTrafficQW: stats.MeanValid(traffic[k]),
+				MeanSpeedup:   stats.MeanValid(speedups),
+				MeanTrafficQW: stats.MeanValid(traffic),
 			})
+			k++
 		}
 	}
 	return res, nil

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"svf/internal/pipeline"
 	"svf/internal/stats"
 	"svf/internal/synth"
@@ -31,45 +29,36 @@ type Table3Result struct {
 }
 
 // Table3 measures stack cache vs SVF memory traffic at 2/4/8KB for every
-// benchmark·input pair.
+// profile in cfg.Benchmarks; nil: all 17 benchmark·input pairs.
 func Table3(cfg Config) (*Table3Result, error) {
-	cfg.fillDefaults()
 	benches := cfg.Benchmarks
-	if len(benches) == len(synth.Benchmarks()) {
+	if benches == nil {
 		// Table 3 uses every input variant, not one per benchmark.
 		benches = synth.BenchmarkInputs()
 	}
-	res := &Table3Result{Rows: make([]Table3Row, len(benches)), Insts: cfg.TrafficInsts}
-	for b := range benches {
-		res.Rows[b].Bench = benches[b].ID()
+	cfg.fillDefaults()
+	// A stack-cache and an SVF column per size.
+	var cols []trafficCol
+	for _, size := range Table3Sizes {
+		cols = append(cols, trafficCol{pipeline.PolicyStackCache, size, 0}, trafficCol{pipeline.PolicySVF, size, 0})
 	}
-	type job struct{ b, s int }
-	var jobs []job
-	for b := range benches {
-		for s := range Table3Sizes {
-			jobs = append(jobs, job{b, s})
-		}
-	}
-	err := cfg.forEach(len(jobs), func(ctx context.Context, j int) error {
-		b, s := jobs[j].b, jobs[j].s
-		size := Table3Sizes[s]
-		row := &res.Rows[b]
-		scIn, scOut, _, err := cfg.traffic(ctx, benches[b], pipeline.PolicyStackCache, size, cfg.TrafficInsts, 0)
-		if err != nil {
-			row.Failed[s] = true
-			return cfg.degrade(err)
-		}
-		svfIn, svfOut, _, err := cfg.traffic(ctx, benches[b], pipeline.PolicySVF, size, cfg.TrafficInsts, 0)
-		if err != nil {
-			row.Failed[s] = true
-			return cfg.degrade(err)
-		}
-		row.SCIn[s], row.SCOut[s] = scIn, scOut
-		row.SVFIn[s], row.SVFOut[s] = svfIn, svfOut
-		return nil
-	})
+	cells, err := cfg.trafficGrid(benches, cols...)
 	if err != nil {
 		return nil, err
+	}
+	res := &Table3Result{Rows: make([]Table3Row, len(benches)), Insts: cfg.TrafficInsts}
+	for b, prof := range benches {
+		row := &res.Rows[b]
+		row.Bench = prof.ID()
+		for s := range Table3Sizes {
+			sc, svf := cells[b][2*s], cells[b][2*s+1]
+			if sc == nil || svf == nil {
+				row.Failed[s] = true
+				continue
+			}
+			row.SCIn[s], row.SCOut[s] = sc.in, sc.out
+			row.SVFIn[s], row.SVFOut[s] = svf.in, svf.out
+		}
 	}
 	return res, nil
 }
@@ -125,23 +114,21 @@ const CtxSwitchPeriod = 400_000
 // Table4 measures writeback traffic per context switch for 8KB structures.
 func Table4(cfg Config) (*Table4Result, error) {
 	cfg.fillDefaults()
-	res := &Table4Result{Rows: make([]Table4Row, len(cfg.Benchmarks))}
-	err := cfg.forEach(len(cfg.Benchmarks), func(ctx context.Context, b int) error {
-		prof := cfg.Benchmarks[b]
-		res.Rows[b] = Table4Row{Bench: prof.ID(), Failed: true}
-		_, _, scBytes, err := cfg.traffic(ctx, prof, pipeline.PolicyStackCache, 8<<10, cfg.TrafficInsts, CtxSwitchPeriod)
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		_, _, svfBytes, err := cfg.traffic(ctx, prof, pipeline.PolicySVF, 8<<10, cfg.TrafficInsts, CtxSwitchPeriod)
-		if err != nil {
-			return cfg.degrade(err)
-		}
-		res.Rows[b] = Table4Row{Bench: prof.ID(), StackCacheBytes: scBytes, SVFBytes: svfBytes}
-		return nil
-	})
+	cells, err := cfg.trafficGrid(cfg.Benchmarks,
+		trafficCol{pipeline.PolicyStackCache, 8 << 10, CtxSwitchPeriod},
+		trafficCol{pipeline.PolicySVF, 8 << 10, CtxSwitchPeriod},
+	)
 	if err != nil {
 		return nil, err
+	}
+	res := &Table4Result{Rows: make([]Table4Row, len(cfg.Benchmarks))}
+	for b, prof := range cfg.Benchmarks {
+		c := cells[b]
+		if !complete(c) {
+			res.Rows[b] = Table4Row{Bench: prof.ID(), Failed: true}
+			continue
+		}
+		res.Rows[b] = Table4Row{Bench: prof.ID(), StackCacheBytes: c[0].ctxBytes, SVFBytes: c[1].ctxBytes}
 	}
 	return res, nil
 }

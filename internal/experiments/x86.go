@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"svf/internal/pipeline"
 	"svf/internal/sim"
 	"svf/internal/stats"
@@ -33,47 +31,27 @@ type X86Result struct {
 // references erode the SVF's advantage.
 func X86(cfg Config) (*X86Result, error) {
 	cfg.fillDefaults()
-	res := &X86Result{Rows: make([]X86Row, len(cfg.Benchmarks))}
-	for b, prof := range cfg.Benchmarks {
-		res.Rows[b] = X86Row{Bench: prof.ID(), AlphaSpeedup: nan, X86Speedup: nan}
+	// Rows: every Alpha flavour, then every x86 flavour; columns: the
+	// baseline and the SVF(2+2).
+	n := len(cfg.Benchmarks)
+	profs := make([]*synth.Profile, 2*n)
+	for b, alpha := range cfg.Benchmarks {
+		profs[b], profs[n+b] = alpha, synth.X86Variant(alpha)
 	}
-	err := cfg.forEach(len(cfg.Benchmarks), func(ctx context.Context, b int) error {
-		alpha := cfg.Benchmarks[b]
-		x86 := synth.X86Variant(alpha)
-		row := X86Row{Bench: alpha.ID()}
-		for _, fl := range []struct {
-			prof    *synth.Profile
-			speedup *float64
-			fill    *uint64
-			rmws    bool
-		}{
-			{alpha, &row.AlphaSpeedup, &row.AlphaFillQW, false},
-			{x86, &row.X86Speedup, &row.X86FillQW, true},
-		} {
-			base, err := cfg.run(ctx, fl.prof, sim.Options{MaxInsts: cfg.MaxInsts})
-			if err != nil {
-				return cfg.degrade(err)
-			}
-			svf, err := cfg.run(ctx, fl.prof, sim.Options{
-				Policy: pipeline.PolicySVF, StackPorts: 2, MaxInsts: cfg.MaxInsts,
-			})
-			if err != nil {
-				return cfg.degrade(err)
-			}
-			*fl.speedup = stats.Speedup(base.Cycles(), svf.Cycles())
-			*fl.fill = svf.SVFQWIn
-			if fl.rmws {
-				row.RMWs = svf.SVF.SubWordRMWs
-			}
-		}
-		res.Rows[b] = row
-		return nil
-	})
+	cells, err := cfg.timingGrid(profs, sim.Options{}, sim.Options{Policy: pipeline.PolicySVF, StackPorts: 2})
 	if err != nil {
 		return nil, err
 	}
+	res := &X86Result{Rows: make([]X86Row, n)}
 	var a, x []float64
-	for _, row := range res.Rows {
+	for b, prof := range cfg.Benchmarks {
+		row := X86Row{Bench: prof.ID(), AlphaSpeedup: nan, X86Speedup: nan}
+		if alpha, x86 := cells[b], cells[n+b]; complete(alpha) && complete(x86) {
+			row.AlphaSpeedup, row.AlphaFillQW = speedup(alpha[0], alpha[1]), alpha[1].SVFQWIn
+			row.X86Speedup, row.X86FillQW = speedup(x86[0], x86[1]), x86[1].SVFQWIn
+			row.RMWs = x86[1].SVF.SubWordRMWs
+		}
+		res.Rows[b] = row
 		a = append(a, row.AlphaSpeedup)
 		x = append(x, row.X86Speedup)
 	}

@@ -14,6 +14,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strings"
 
 	"svf/internal/bpred"
 	"svf/internal/cache"
@@ -144,6 +145,8 @@ const (
 	// engine (SPARC-windows / IA-64 style, §6's architectural
 	// alternative); pointer-addressed references go to the data cache.
 	PolicyRSE
+	// numPolicies counts the policies above; keep it last.
+	numPolicies
 )
 
 // String names the policy.
@@ -160,6 +163,18 @@ func (p StackPolicy) String() string {
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
+}
+
+// ParsePolicy is the inverse of StackPolicy.String: it maps "baseline",
+// "svf", "stackcache" or "rse" onto its policy.
+func ParsePolicy(s string) (StackPolicy, error) {
+	names := make([]string, numPolicies)
+	for p := range names {
+		if names[p] = StackPolicy(p).String(); names[p] == s {
+			return StackPolicy(p), nil
+		}
+	}
+	return PolicyNone, fmt.Errorf("pipeline: unknown stack policy %q (want %s)", s, strings.Join(names, ", "))
 }
 
 // Env is everything a pipeline run needs besides the instruction stream.

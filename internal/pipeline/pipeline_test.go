@@ -400,6 +400,24 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+// ParsePolicy inverts String for every policy and rejects anything else.
+func TestParsePolicyRoundTrip(t *testing.T) {
+	for _, p := range []StackPolicy{PolicyNone, PolicySVF, PolicyStackCache, PolicyRSE} {
+		got, err := ParsePolicy(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	if int(numPolicies) != 4 {
+		t.Errorf("numPolicies = %d: a new policy needs a case in the loop above", numPolicies)
+	}
+	for _, s := range []string{"", "SVF", "policy(4)", "stack-cache"} {
+		if _, err := ParsePolicy(s); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted an unknown name", s)
+		}
+	}
+}
+
 func TestIPC(t *testing.T) {
 	s := Stats{Cycles: 100, Committed: 250}
 	if s.IPC() != 2.5 {

@@ -295,6 +295,25 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTrafficCellPolicies: a traffic cell takes any stack structure's
+// policy name and rejects the baseline, which has no structure to measure.
+func TestTrafficCellPolicies(t *testing.T) {
+	spec := func(policy string) []byte {
+		return []byte(`{"cells":[{"kind":"traffic","bench":"186.crafty.ref","policy":"` + policy + `"}]}`)
+	}
+	for _, name := range []string{"svf", "stackcache", "rse"} {
+		if _, err := ParseJobSpec(spec(name)); err != nil {
+			t.Errorf("policy %q: %v", name, err)
+		}
+	}
+	for _, name := range []string{"baseline", "bogus"} {
+		want := `unknown policy "` + name + `" (want rse, stackcache, svf)`
+		if _, err := ParseJobSpec(spec(name)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("policy %q: err = %v, want %q", name, err, want)
+		}
+	}
+}
+
 // TestCellDeadline: a spec's per-cell deadline cancels the cell, the job
 // still completes, and the status reports the partial failure.
 func TestCellDeadline(t *testing.T) {

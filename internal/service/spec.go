@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 
 	"svf/internal/pipeline"
@@ -110,13 +111,6 @@ const (
 	CellRun     = "run"
 	CellTraffic = "traffic"
 )
-
-// trafficPolicies maps the wire policy names onto pipeline.StackPolicy.
-var trafficPolicies = map[string]pipeline.StackPolicy{
-	"svf":        pipeline.PolicySVF,
-	"stackcache": pipeline.PolicyStackCache,
-	"rse":        pipeline.PolicyRSE,
-}
 
 // ParseJobSpec decodes and fully resolves one submission payload. Every
 // rejection is a *SpecError; nothing about a returned spec needs further
@@ -214,8 +208,10 @@ func (c *CellSpec) resolve(i int) error {
 		if c.Opt != nil {
 			return &SpecError{Field: field("opt"), Msg: "traffic cells configure via policy/size_bytes/max_insts/ctx_period, not opt"}
 		}
-		pol, ok := trafficPolicies[c.Policy]
-		if !ok {
+		// A traffic cell measures a stack structure, so the baseline,
+		// which has none, is no policy here.
+		pol, err := pipeline.ParsePolicy(c.Policy)
+		if err != nil || pol == pipeline.PolicyNone {
 			return &SpecError{Field: field("policy"), Msg: fmt.Sprintf("unknown policy %q (want %s)", c.Policy, strings.Join(policyNames(), ", "))}
 		}
 		c.policy = pol
@@ -240,7 +236,9 @@ func (c *CellSpec) resolve(i int) error {
 
 // policyNames lists the accepted traffic policy names, sorted.
 func policyNames() []string {
-	return []string{"rse", "stackcache", "svf"}
+	names := []string{pipeline.PolicySVF.String(), pipeline.PolicyStackCache.String(), pipeline.PolicyRSE.String()}
+	sort.Strings(names)
+	return names
 }
 
 // ID derives the job's content-fingerprint identity: a hash over the

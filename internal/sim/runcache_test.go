@@ -42,6 +42,48 @@ func TestProgramForDistinguishesProfilesSharingID(t *testing.T) {
 	}
 }
 
+// Callers that miss the program cache together must share one build: each
+// would otherwise run BuildProgram's calibration passes and get a program
+// of its own.
+func TestProgramForSingleFlight(t *testing.T) {
+	prof := synth.Crafty().WithInput("x", 4242)
+	const callers = 8
+	progs := make([]*synth.Program, callers)
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p, err := ProgramFor(prof)
+			if err != nil {
+				t.Error(err)
+			}
+			progs[i] = p
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("caller %d got program %p, caller 0 got %p: want one shared build", i, p, progs[0])
+		}
+	}
+}
+
+// A failed build leaves no entry behind: every later caller builds afresh
+// and gets the error, never a nil program.
+func TestProgramForFailedBuildIsNotCached(t *testing.T) {
+	prof := synth.Gzip().WithInput("invalid", 1)
+	prof.MemFrac = 2
+	for i := 0; i < 2; i++ {
+		if p, err := ProgramFor(prof); err == nil || p != nil {
+			t.Fatalf("call %d: ProgramFor = %p, %v; want the build's error", i, p, err)
+		}
+		if _, ok := programCache.Load(prof.Fingerprint()); ok {
+			t.Fatalf("call %d: the failed build left a cache entry", i)
+		}
+	}
+}
+
 // A cached Result must be identical to a fresh, uncached run, and handing
 // out a result must not let the caller corrupt the cache.
 func TestRunCacheDeterminism(t *testing.T) {

@@ -154,21 +154,42 @@ func (r *Result) Cycles() uint64 { return r.Pipe.Cycles }
 // for a profile on every configuration run. It is keyed by the profile's
 // content fingerprint, not its ID: custom and mutated profiles can share an
 // ID with a bundled profile, and keying on ID alone would silently hand one
-// of them the other's program.
-var programCache sync.Map // fingerprint string → *synth.Program
+// of them the other's program. Builds are single-flight: callers that miss
+// together wait for one build instead of each running it.
+var programCache sync.Map // fingerprint string → *programBuild
 
-// ProgramFor returns the (cached) built program for a profile.
+// programBuild is one profile's build, done once done is closed.
+type programBuild struct {
+	done chan struct{}
+	prog *synth.Program
+	err  error
+}
+
+// ProgramFor returns the (cached) built program for a profile. A build
+// that fails or panics leaves no entry behind: its waiters get its error,
+// and the next caller builds afresh.
 func ProgramFor(prof *synth.Profile) (*synth.Program, error) {
 	fp := prof.Fingerprint()
-	if v, ok := programCache.Load(fp); ok {
-		return v.(*synth.Program), nil
+	v, ok := programCache.Load(fp)
+	if !ok {
+		v, ok = programCache.LoadOrStore(fp, &programBuild{done: make(chan struct{})})
 	}
-	prog, err := synth.BuildProgram(prof)
-	if err != nil {
-		return nil, err
+	b := v.(*programBuild)
+	if ok {
+		<-b.done
+		return b.prog, b.err
 	}
-	programCache.Store(fp, prog)
-	return prog, nil
+	defer func() {
+		if b.prog == nil {
+			if b.err == nil {
+				b.err = fmt.Errorf("sim: building the program for %s panicked", prof.ID())
+			}
+			programCache.CompareAndDelete(fp, b)
+		}
+		close(b.done)
+	}()
+	b.prog, b.err = synth.BuildProgram(prof)
+	return b.prog, b.err
 }
 
 // Run executes one simulation and returns its Result. It is RunContext
