@@ -138,8 +138,8 @@ func renderSuite(t *testing.T, cfg Config) string {
 // chart at toy budgets, twice: on a clean suite, and on a degraded one
 // where degradedCells fail under FaultContinue. The degraded pass pins
 // each experiment's gap granularity: Fig 5 gaps per speedup pair, Figs 6,
-// 7 and 9 per cell, Table 3 per size, Table 4, RSE and the families per
-// row, and X86 as n/a speedups beside zero counts.
+// 7 and 9 per cell, Table 3 per size, Table 4, X86, RSE and the families
+// per row, and the scorecard per claim.
 func TestOutputGolden(t *testing.T) {
 	degraded := goldenCfg()
 	degraded.OnFault = FaultContinue

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"svf/internal/stats"
 )
@@ -15,6 +16,9 @@ type ScoreEntry struct {
 	// OK means the qualitative claim (ordering / band) reproduced;
 	// magnitudes are reported but judged loosely (see EXPERIMENTS.md).
 	OK bool
+	// Partial means a cell feeding the claim failed (FaultContinue), so
+	// it was graded on the cells that remain; Passed does not count it.
+	Partial bool `json:",omitempty"`
 }
 
 // Scorecard runs the core experiments and grades every headline claim of
@@ -58,8 +62,14 @@ func RunScorecard(cfg Config) (*Scorecard, error) {
 
 	pct := stats.PercentImprovement
 	sc := &Scorecard{}
-	add := func(claim, paper, measured string, ok bool) {
-		sc.Entries = append(sc.Entries, ScoreEntry{Claim: claim, Paper: paper, Measured: measured, OK: ok})
+	// add grades one claim; cells are the per-row values it reads, where
+	// a failed cell shows as NaN.
+	add := func(claim, paper, measured string, ok bool, cells []float64) {
+		partial := false
+		for _, v := range cells {
+			partial = partial || math.IsNaN(v)
+		}
+		sc.Entries = append(sc.Entries, ScoreEntry{Claim: claim, Paper: paper, Measured: measured, OK: ok, Partial: partial})
 	}
 
 	// §5.1 / Figure 5: morphing gains grow with width; 29-65% headline
@@ -67,57 +77,68 @@ func RunScorecard(cfg Config) (*Scorecard, error) {
 	add("Fig 5: morphing speedup grows with machine width",
 		"11% → 19% → 31%",
 		fmt.Sprintf("%.1f%% → %.1f%% → %.1f%%", pct(f5.Mean4), pct(f5.Mean8), pct(f5.Mean16)),
-		f5.Mean4 < f5.Mean8 && f5.Mean8 < f5.Mean16)
+		f5.Mean4 < f5.Mean8 && f5.Mean8 < f5.Mean16,
+		cells(f5.Rows, func(r Fig5Row) []float64 { return []float64{r.Wide4, r.Wide8, r.Wide16} }))
 	add("Fig 5: gains survive a realistic (gshare) front end",
 		"+25% (vs +31% perfect)",
 		fmt.Sprintf("%+.1f%%", pct(f5.MeanGshare)),
-		f5.MeanGshare > 1.02 && f5.MeanGshare < f5.Mean16)
+		f5.MeanGshare > 1.02 && f5.MeanGshare < f5.Mean16,
+		cells(f5.Rows, func(r Fig5Row) []float64 { return []float64{r.Wide16, r.Gshare16} }))
 
 	// §5.3.1 / Figure 7.
 	add("Fig 7: SVF(2+2) outperforms the 4-ported cache (4+0)",
 		"≈ +4%",
 		fmt.Sprintf("%+.1f points", 100*(f7.MeanSVF22-f7.MeanBase4)),
-		f7.MeanSVF22 > f7.MeanBase4)
+		f7.MeanSVF22 > f7.MeanBase4,
+		cells(f7.Rows, func(r Fig7Row) []float64 { return []float64{r.SVF22, r.Base4} }))
 	add("Fig 7: SVF outperforms the stack cache (2+2)",
 		"≈ +9%",
 		fmt.Sprintf("%+.1f points", 100*(f7.MeanSVF22-f7.MeanSC22)),
-		f7.MeanSVF22 > f7.MeanSC22)
+		f7.MeanSVF22 > f7.MeanSC22,
+		cells(f7.Rows, func(r Fig7Row) []float64 { return []float64{r.SVF22, r.SC22} }))
 	add("Fig 7: no_squash code generation only helps",
 		"average rises to ≈ +14% over the stack cache",
 		fmt.Sprintf("%+.1f points over the stack cache", 100*(f7.MeanNoSquash-f7.MeanSC22)),
-		f7.MeanNoSquash >= f7.MeanSVF22)
+		f7.MeanNoSquash >= f7.MeanSVF22,
+		cells(f7.Rows, func(r Fig7Row) []float64 { return []float64{r.NoSquash22, r.SVF22, r.SC22} }))
 	eonOK := false
 	eonStr := "eon not in benchmark set"
+	var eonCells []float64
 	for _, row := range f7.Rows {
 		if row.Bench == "252.eon.cook" {
 			eonOK = row.SC22 > row.SVF22 && row.NoSquash22 > row.SC22
 			eonStr = fmt.Sprintf("sc %+.1f%% > svf %+.1f%%; no_squash %+.1f%%",
 				pct(row.SC22), pct(row.SVF22), pct(row.NoSquash22))
+			eonCells = []float64{row.SC22, row.SVF22, row.NoSquash22}
 		}
 	}
 	add("Fig 7: eon anomaly (stack cache wins until no_squash)",
 		"stack cache beats squashing SVF; no_squash reverses it",
-		eonStr, eonOK)
+		eonStr, eonOK, eonCells)
 
 	// §5.3.1 / Figure 8.
 	add("Fig 8: most stack references morph in the front end",
 		"≈ 86% morphed / 14% rerouted",
 		fmt.Sprintf("%.0f%% morphed", 100*f8.MeanMorphed),
-		f8.MeanMorphed > 0.7 && f8.MeanMorphed < 0.99)
+		f8.MeanMorphed > 0.7 && f8.MeanMorphed < 0.99,
+		cells(f8.Rows, func(r Fig8Row) []float64 { return []float64{r.Morphed()} }))
 
 	// §5.4 / Figure 9.
 	add("Fig 9: single-ported cache + SVF",
 		"≈ +50%",
 		fmt.Sprintf("%+.1f%%", pct(f9.Mean11)),
-		f9.Mean11 > 1.25)
+		f9.Mean11 > 1.25,
+		cells(f9.Rows, func(r Fig9Row) []float64 { return []float64{r.SVF11} }))
 	add("Fig 9: dual-ported SVF climbs further",
 		"≈ +65%",
 		fmt.Sprintf("%+.1f%%", pct(f9.Mean12)),
-		f9.Mean12 >= f9.Mean11)
+		f9.Mean12 >= f9.Mean11,
+		cells(f9.Rows, func(r Fig9Row) []float64 { return []float64{r.SVF12, r.SVF11} }))
 	add("Fig 9: dual-ported cache + dual-ported SVF",
 		"≈ +24%",
 		fmt.Sprintf("%+.1f%%", pct(f9.Mean22)),
-		f9.Mean22 > 1.08 && f9.Mean22 < f9.Mean11)
+		f9.Mean22 > 1.08 && f9.Mean22 < f9.Mean11,
+		cells(f9.Rows, func(r Fig9Row) []float64 { return []float64{r.SVF22, r.SVF11} }))
 
 	// §5.3.3 / Table 4.
 	lo, hi := 1e18, 0.0
@@ -137,32 +158,52 @@ func RunScorecard(cfg Config) (*Scorecard, error) {
 	add("Table 4: SVF context-switch traffic 3-20x smaller",
 		"3x to 20x",
 		fmt.Sprintf("%.1fx to %.1fx", lo, hi),
-		okBand && hi >= 3)
+		okBand && hi >= 3,
+		cells(t4.Rows, func(r Table4Row) []float64 { return []float64{r.Ratio()} }))
 
 	return sc, nil
 }
 
-// Passed counts entries whose claims reproduced.
+// cells gathers the values a claim reads from every row.
+func cells[R any](rows []R, of func(R) []float64) []float64 {
+	var out []float64
+	for _, r := range rows {
+		out = append(out, of(r)...)
+	}
+	return out
+}
+
+// Passed counts entries whose claims reproduced on complete data.
 func (s *Scorecard) Passed() int {
 	n := 0
 	for _, e := range s.Entries {
-		if e.OK {
+		if e.OK && !e.Partial {
 			n++
 		}
 	}
 	return n
 }
 
-// Table renders the scorecard.
+// Table renders the scorecard. A claim graded on partial data reads
+// PARTIAL whatever its ordering or band shows.
 func (s *Scorecard) Table() *stats.Table {
 	t := stats.NewTable("claim", "paper", "measured", "verdict")
+	partial := 0
 	for _, e := range s.Entries {
 		v := "REPRODUCED"
-		if !e.OK {
+		switch {
+		case e.Partial:
+			v = "PARTIAL"
+			partial++
+		case !e.OK:
 			v = "DIVERGES"
 		}
 		t.AddRow(e.Claim, e.Paper, e.Measured, v)
 	}
-	t.AddRow(fmt.Sprintf("%d/%d claims reproduced", s.Passed(), len(s.Entries)), "", "", "")
+	summary := fmt.Sprintf("%d/%d claims reproduced", s.Passed(), len(s.Entries))
+	if partial > 0 {
+		summary += fmt.Sprintf(", %d partial", partial)
+	}
+	t.AddRow(summary, "", "", "")
 	return t
 }

@@ -18,6 +18,8 @@ type X86Row struct {
 	RMWs uint64
 	// AlphaFillQW and X86FillQW are the SVF fill traffics.
 	AlphaFillQW, X86FillQW uint64
+	// Failed marks a row whose runs faulted (FaultContinue).
+	Failed bool
 }
 
 // X86Result is the §7 extension experiment.
@@ -45,11 +47,14 @@ func X86(cfg Config) (*X86Result, error) {
 	res := &X86Result{Rows: make([]X86Row, n)}
 	var a, x []float64
 	for b, prof := range cfg.Benchmarks {
-		row := X86Row{Bench: prof.ID(), AlphaSpeedup: nan, X86Speedup: nan}
+		row := X86Row{Bench: prof.ID(), AlphaSpeedup: nan, X86Speedup: nan, Failed: true}
 		if alpha, x86 := cells[b], cells[n+b]; complete(alpha) && complete(x86) {
-			row.AlphaSpeedup, row.AlphaFillQW = speedup(alpha[0], alpha[1]), alpha[1].SVFQWIn
-			row.X86Speedup, row.X86FillQW = speedup(x86[0], x86[1]), x86[1].SVFQWIn
-			row.RMWs = x86[1].SVF.SubWordRMWs
+			row = X86Row{
+				Bench:        prof.ID(),
+				AlphaSpeedup: speedup(alpha[0], alpha[1]), AlphaFillQW: alpha[1].SVFQWIn,
+				X86Speedup: speedup(x86[0], x86[1]), X86FillQW: x86[1].SVFQWIn,
+				RMWs: x86[1].SVF.SubWordRMWs,
+			}
 		}
 		res.Rows[b] = row
 		a = append(a, row.AlphaSpeedup)
@@ -64,6 +69,10 @@ func (r *X86Result) Table() *stats.Table {
 	t := stats.NewTable("benchmark", "alpha SVF speedup", "x86 SVF speedup", "x86 RMWs", "alpha fill QW", "x86 fill QW")
 	pct := stats.PercentImprovement
 	for _, row := range r.Rows {
+		if row.Failed {
+			t.AddRow(row.Bench, "n/a", "n/a", "n/a", "n/a", "n/a")
+			continue
+		}
 		t.AddRow(row.Bench, pct(row.AlphaSpeedup), pct(row.X86Speedup), row.RMWs, row.AlphaFillQW, row.X86FillQW)
 	}
 	t.AddRow("average (%)", pct(r.MeanAlpha), pct(r.MeanX86), "", "", "")

@@ -49,11 +49,11 @@ func BenchmarkGeneratorExec(b *testing.B) {
 }
 
 // BenchmarkTraceReplay is the same stream production served from a
-// recorded flat trace — the per-instruction cost every post-first run
-// pays instead of BenchmarkGeneratorExec.
+// compact recording, as a trace-cache hit serves it — the per-instruction
+// cost every post-first run pays instead of BenchmarkGeneratorExec.
 func BenchmarkTraceReplay(b *testing.B) {
 	prog := benchProgram(b)
-	stream := trace.NewSliceStream(synth.TraceFor(prog, benchStreamInsts))
+	stream := trace.Record(synth.NewGeneratorFor(prog), benchStreamInsts, trace.MaxShapes).Replay(benchStreamInsts)
 	var in isa.Inst
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -65,6 +65,24 @@ func BenchmarkTraceReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)*benchStreamInsts/b.Elapsed().Seconds(), "insts/sec")
+}
+
+// recordInsts is BenchmarkTraceRecord's budget: one campaign-traffic
+// recording.
+const recordInsts = 2_000_000
+
+// BenchmarkTraceRecord measures what the first run of a workload pays to
+// record its trace: the generator plus the recorder, per instruction, and
+// the recording's size per instruction.
+func BenchmarkTraceRecord(b *testing.B) {
+	prog := benchProgram(b)
+	var rec *trace.Recording
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec = trace.Record(synth.NewGeneratorFor(prog), recordInsts, trace.MaxShapes)
+	}
+	b.ReportMetric(float64(b.N)*recordInsts/b.Elapsed().Seconds(), "insts/sec")
+	b.ReportMetric(float64(rec.Bytes())/recordInsts, "bytes/inst")
 }
 
 // BenchmarkCampaignCell measures one Table 3 campaign cell: the same

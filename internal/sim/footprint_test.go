@@ -1,0 +1,37 @@
+//go:build !race
+
+package sim
+
+import (
+	"testing"
+
+	"svf/internal/synth"
+	"svf/internal/trace"
+)
+
+// TestCampaignRecordingsFitDefaultBudget records every campaign-traffic
+// workload — the 17 benchmark inputs and the 4 families — at the default
+// 2M-instruction traffic budget, and checks that together they fit the
+// default trace-cache budget, so a campaign records each workload once
+// and evicts nothing. It records 42M instructions, too slow for the race
+// detector.
+func TestCampaignRecordingsFitDefaultBudget(t *testing.T) {
+	const insts = 2_000_000
+	var total int64
+	for _, prof := range append(synth.BenchmarkInputs(), synth.Families()...) {
+		prog, err := ProgramFor(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.Record(synth.NewGeneratorFor(prog), insts, trace.ShapeLimit(insts, DefaultTraceCacheBytes))
+		if rec == nil {
+			t.Fatalf("%s: not recordable under the default budget", prof.ID())
+		}
+		t.Logf("%-26s %5.2f bytes/inst", prof.ID(), float64(rec.Bytes())/insts)
+		total += rec.Bytes()
+	}
+	t.Logf("total %.1f MiB of %d MiB", float64(total)/(1<<20), DefaultTraceCacheBytes>>20)
+	if total > DefaultTraceCacheBytes {
+		t.Errorf("the campaign's recordings take %d bytes, over the %d-byte default budget", total, DefaultTraceCacheBytes)
+	}
+}

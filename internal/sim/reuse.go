@@ -5,10 +5,10 @@ package sim
 // is rebuilt identically moments later. Two process-wide stores exploit
 // that:
 //
-//   - traceCache records each workload's generator output once and
-//     replays a prefix of the flat buffer for every later run of that
-//     budget or less, so only the first (or a longer) run of a profile
-//     pays for generator execution.
+//   - traceCache records each workload's generator output once, as a
+//     compact trace.Recording, and replays a prefix of it for every later
+//     run of that budget or less, so only the first (or a longer) run of
+//     a profile pays for generator execution.
 //   - machinePool / hierPool recycle pipeline and cache-hierarchy
 //     allocations across runs: Reset is a handful of memclrs over rings
 //     that are already the right size, and a reset machine is
@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"svf/internal/cache"
-	"svf/internal/isa"
 	"svf/internal/pipeline"
 	"svf/internal/synth"
 	"svf/internal/trace"
@@ -30,8 +29,9 @@ import (
 )
 
 // DefaultTraceCacheBytes is the recorded-trace budget when no override is
-// set: room for a handful of full-length (1M-instruction) traces, which
-// covers a campaign iterating configuration-major within each profile.
+// set. A recording takes about 5–6 bytes per instruction, so this holds
+// all 21 campaign workloads (17 benchmark inputs and 4 families) at the
+// default 2M-instruction traffic budget, about 216 MiB together.
 const DefaultTraceCacheBytes = 256 << 20
 
 var traceCache = tracecache.New(DefaultTraceCacheBytes)
@@ -45,15 +45,15 @@ func TraceCacheStats() tracecache.Stats { return traceCache.Stats() }
 
 // cachedStream returns the first n instructions of prog as a stream,
 // replaying a prefix of the workload's recording when it is long enough
-// and recording n instructions when the budget allows. A panic while
-// recording (a faulty profile) abandons the recording and falls back to
-// the live generator, so the panic surfaces inside the supervised run
-// exactly as it did before the cache existed.
+// and recording the generator's first n instructions when the budget
+// allows. A panic while recording (a faulty profile) abandons the
+// recording and falls back to the live generator, so the panic surfaces
+// inside the supervised run exactly as it did before the cache existed.
 func cachedStream(prog *synth.Program, fp string, n int) trace.Stream {
 	return traceCache.Stream(fp, n,
-		func() (insts []isa.Inst) {
+		func(maxShapes int) *trace.Recording {
 			defer func() { _ = recover() }()
-			return synth.TraceFor(prog, n)
+			return trace.Record(synth.NewGeneratorFor(prog), n, maxShapes)
 		},
 		func() trace.Stream { return synth.NewGeneratorFor(prog) },
 	)

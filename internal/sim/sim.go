@@ -208,6 +208,11 @@ func RunContext(ctx context.Context, prof *synth.Profile, opt Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	// A recording does not poll ctx: a run cancelled before it starts
+	// must not record first.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("sim: %s: %w", prof.ID(), err)
+	}
 	fp := prof.Fingerprint()
 	return runStream(ctx, prof.ID(), fp, cachedStream(prog, fp, opt.MaxInsts), opt)
 }
@@ -398,8 +403,12 @@ func trafficLoop(ctx context.Context, prof *synth.Profile, policy pipeline.Stack
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	if err := ctx.Err(); err != nil {
+		return 0, 0, 0, fmt.Errorf("sim: %s: %w", prof.ID(), err)
+	}
 	gen := cachedStream(prog, prof.Fingerprint(), maxInsts)
-	hier, err := cache.NewHierarchy(cache.DefaultHierarchyConfig())
+	hcfg := cache.DefaultHierarchyConfig()
+	hier, err := getHierarchy(hcfg)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -446,5 +455,8 @@ func trafficLoop(ctx context.Context, prof *synth.Profile, policy pipeline.Stack
 		}
 	}
 	qwIn, qwOut, ctxBytes = st.Traffic()
+	// Only a clean run's hierarchy is pooled; a faulted or cancelled one
+	// is dropped, as runStream drops its machine.
+	putHierarchy(hcfg, hier)
 	return qwIn, qwOut, ctxBytes, nil
 }

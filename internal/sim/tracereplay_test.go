@@ -8,6 +8,7 @@ import (
 
 	"svf/internal/pipeline"
 	"svf/internal/synth"
+	"svf/internal/trace"
 )
 
 // replayInsts is the per-run budget for the replay-equivalence tests:
@@ -156,8 +157,14 @@ func TestTraceEvictionFallsBackToGenerator(t *testing.T) {
 	}
 
 	// A budget that holds exactly one recorded trace: running b must
-	// evict a's recording.
-	SetTraceCacheBudget(int64(replayInsts) * 48)
+	// evict a's recording. Five thirds of a's recording still admits the
+	// worst case of a replayInsts recording with a's or b's shapes, so
+	// both record, but not a's and b's recordings together.
+	progA, err := ProgramFor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetTraceCacheBudget(trace.Record(synth.NewGeneratorFor(progA), replayInsts, trace.MaxShapes).Bytes() * 5 / 3)
 	if _, err := Run(a, replayOpt()); err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +198,39 @@ func TestTraceEvictionFallsBackToGenerator(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bare, wantA) {
 		t.Errorf("cache-disabled run diverges:\n got %+v\nwant %+v", bare, wantA)
+	}
+}
+
+// TestUnrecordableWorkloadStreamsLive covers a workload with more
+// distinct shapes than its recording may name: it is not recorded, and
+// its runs stream from the live generator with identical results. The
+// budget leaves room for a replayInsts recording's ids and addresses and
+// 100 shapes; crafty's first replayInsts instructions have several
+// hundred.
+func TestUnrecordableWorkloadStreamsLive(t *testing.T) {
+	defer SetTraceCacheBudget(DefaultTraceCacheBytes)
+	prof := synth.Crafty()
+	want := generatorRun(t, prof, replayOpt())
+	budget := int64(replayInsts)*10 + 100*32
+	if got := trace.ShapeLimit(replayInsts, budget); got != 100 {
+		t.Fatalf("ShapeLimit = %d, want 100", got)
+	}
+	SetTraceCacheBudget(0) // empty the cache
+	SetTraceCacheBudget(budget)
+	for run := 1; run <= 2; run++ {
+		misses := traceCache.Stats().Misses
+		got, err := Run(prof, replayOpt())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traceCache.Stats().Misses != misses+1 {
+			t.Fatalf("run %d was served from a recording", run)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d diverges from the generator-fed run:\n got %+v\nwant %+v", run, got, want)
+		}
+	}
+	if st := traceCache.Stats(); st.Entries != 0 {
+		t.Errorf("%d recordings resident, want none", st.Entries)
 	}
 }

@@ -1,34 +1,33 @@
-// Package tracecache memoizes pre-decoded instruction traces. The synth
+// Package tracecache memoizes recorded instruction traces. The synth
 // generator is fully deterministic in the profile fingerprint, so every
 // run of one workload consumes a prefix of the same infinite stream —
 // yet each run used to re-execute the generator's control-flow machinery
-// per instruction. The cache records the generator's output once into a
-// flat []isa.Inst buffer and replays it for every later run, turning
-// stream production into a slice walk.
+// per instruction. The cache records the generator's output once as a
+// compact trace.Recording (a shape dictionary, 16-bit shape ids and the
+// load/store address stream, about 5–6 bytes per instruction) and
+// replays it for every later run.
 //
 // A workload has at most one recording. A run of n instructions replays
 // the first n of it, so every budget up to the recorded length shares the
-// one buffer; a run longer than the recording records at its own budget
-// and replaces the shorter entry.
+// one recording; a run longer than the recording records at its own
+// budget and replaces the shorter entry.
 //
-// The cache is bounded by a byte budget with LRU eviction, so long
-// campaigns over many profiles cannot grow it without limit; a trace
-// whose budgeted size alone exceeds the whole cache is never recorded
-// and the caller streams straight from the generator. Both the evicted
-// and the oversize case are transparent to callers: Stream always
-// returns a stream that yields the exact same instructions.
+// The cache is bounded by a byte budget with LRU eviction, charged each
+// recording's exact size, so long campaigns over many profiles cannot
+// grow it without limit. A recording is made only when its worst case
+// fits the whole budget (trace.ShapeLimit), so an installed recording
+// always fits; otherwise the caller streams straight from the generator,
+// as it does for a workload with more distinct shapes than the recording
+// may name. The evicted, oversize and unrecordable cases are all
+// transparent to callers: Stream always returns a stream that yields the
+// exact same instructions.
 package tracecache
 
 import (
 	"sync"
-	"unsafe"
 
-	"svf/internal/isa"
 	"svf/internal/trace"
 )
-
-// instBytes is the budget charge per recorded instruction.
-var instBytes = int64(unsafe.Sizeof(isa.Inst{}))
 
 // Stats are the cache's observability counters.
 type Stats struct {
@@ -47,7 +46,7 @@ type Stats struct {
 
 type entry struct {
 	fp    string
-	insts []isa.Inst
+	rec   *trace.Recording
 	bytes int64
 	// prev/next chain the LRU ring (older toward prev of the sentinel).
 	prev, next *entry
@@ -65,13 +64,17 @@ type Cache struct {
 	lru     entry // sentinel: lru.next is most recent, lru.prev oldest
 	// inflight holds each workload's longest recording in progress.
 	inflight map[string]*flight
-	stats    Stats
+	// unrecordable holds, per workload, the shortest budget whose
+	// recording the record func declined (too many shapes, or a faulty
+	// generator) under the current budget; no longer budget can succeed.
+	unrecordable map[string]int
+	stats        Stats
 }
 
 type flight struct {
-	n     int // instructions being recorded
-	done  chan struct{}
-	insts []isa.Inst // nil if the recording was abandoned
+	n    int // instructions being recorded
+	done chan struct{}
+	rec  *trace.Recording // nil if the recording was abandoned
 }
 
 // New returns a cache bounded by budgetBytes. A non-positive budget
@@ -79,9 +82,10 @@ type flight struct {
 // generator.
 func New(budgetBytes int64) *Cache {
 	c := &Cache{
-		budget:   budgetBytes,
-		entries:  make(map[string]*entry),
-		inflight: make(map[string]*flight),
+		budget:       budgetBytes,
+		entries:      make(map[string]*entry),
+		inflight:     make(map[string]*flight),
+		unrecordable: make(map[string]int),
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
@@ -89,12 +93,14 @@ func New(budgetBytes int64) *Cache {
 
 // SetBudget rebounds the cache, evicting LRU entries if the new budget is
 // already exceeded. A non-positive budget empties the cache and disables
-// recording.
+// recording. The shape limit moves with the budget, so every workload may
+// try to record again.
 func (c *Cache) SetBudget(budgetBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.budget = budgetBytes
 	c.evictToFitLocked(0)
+	clear(c.unrecordable)
 }
 
 // Stats returns a snapshot of the counters.
@@ -135,17 +141,20 @@ func (c *Cache) evictToFitLocked(need int64) {
 	}
 }
 
-// installLocked makes insts fp's recording unless an at-least-as-long one
-// is already resident (a concurrent longer flight landed first). Caller
-// holds c.mu.
-func (c *Cache) installLocked(fp string, insts []isa.Inst) {
+// installLocked makes rec fp's recording unless an at-least-as-long one
+// is already resident (a concurrent longer flight landed first) or rec no
+// longer fits a budget shrunk while it was recorded. Caller holds c.mu.
+func (c *Cache) installLocked(fp string, rec *trace.Recording) {
+	e := &entry{fp: fp, rec: rec, bytes: rec.Bytes()}
+	if e.bytes > c.budget {
+		return
+	}
 	if old, ok := c.entries[fp]; ok {
-		if len(old.insts) >= len(insts) {
+		if old.rec.Len() >= rec.Len() {
 			return
 		}
 		c.removeLocked(old)
 	}
-	e := &entry{fp: fp, insts: insts, bytes: int64(len(insts)) * instBytes}
 	c.evictToFitLocked(e.bytes)
 	c.entries[fp] = e
 	c.pushFront(e)
@@ -154,46 +163,50 @@ func (c *Cache) installLocked(fp string, insts []isa.Inst) {
 
 // Stream returns the first n instructions of workload fp as a stream.
 // When fp's recording holds at least n instructions it replays that
-// prefix. On a recordable miss it calls record, which must materialize
-// exactly the first n instructions of the workload, stores the result in
-// place of any shorter recording, and replays it. When n alone overflows
-// the budget (or is negative) it calls stream and returns the live
-// generator unrecorded. Misses are single-flighted per workload: a call
-// whose budget an in-flight recording covers waits for it and replays its
-// prefix.
-func (c *Cache) Stream(fp string, n int, record func() []isa.Inst, stream func() trace.Stream) trace.Stream {
+// prefix. On a recordable miss it calls record with the most shapes the
+// recording may name (trace.ShapeLimit of n under the budget); record must
+// return a recording of exactly the first n instructions of the workload,
+// or nil when it cannot make one (too many shapes). Stream stores the
+// result in place of any shorter recording and replays it. When the
+// recording's worst case overflows the budget (or n is negative), or the
+// workload could not be recorded at a budget up to n, it calls stream and
+// returns the live generator unrecorded. Misses are single-flighted per
+// workload: a call whose budget an in-flight recording covers waits for
+// it and replays its prefix.
+func (c *Cache) Stream(fp string, n int, record func(maxShapes int) *trace.Recording, stream func() trace.Stream) trace.Stream {
 	c.mu.Lock()
-	if n < 0 || int64(n)*instBytes > c.budget || c.budget <= 0 {
+	maxShapes := trace.ShapeLimit(n, c.budget)
+	if m, ok := c.unrecordable[fp]; maxShapes == 0 || ok && n >= m {
 		c.stats.Misses++
 		c.mu.Unlock()
-		return stream() // oversize: stream straight from the generator
+		return stream() // oversize or unrecordable: stream straight from the generator
 	}
-	if e, ok := c.entries[fp]; ok && len(e.insts) >= n {
+	if e, ok := c.entries[fp]; ok && e.rec.Len() >= n {
 		e.unlink()
 		c.pushFront(e)
 		c.stats.Hits++
 		c.mu.Unlock()
-		return trace.NewSliceStream(e.insts[:n])
+		return e.rec.Replay(n)
 	}
 	if f, ok := c.inflight[fp]; ok && f.n >= n {
 		c.mu.Unlock()
 		<-f.done
 		c.mu.Lock()
-		if f.insts == nil {
+		if f.rec == nil {
 			c.stats.Misses++
 			c.mu.Unlock()
 			return stream() // the recorder abandoned; generate live
 		}
 		c.stats.Hits++
 		c.mu.Unlock()
-		return trace.NewSliceStream(f.insts[:n])
+		return f.rec.Replay(n)
 	}
 	c.stats.Misses++
 	f := &flight{n: n, done: make(chan struct{})}
 	c.inflight[fp] = f
 	c.mu.Unlock()
 
-	var insts []isa.Inst
+	var rec *trace.Recording
 	// The deferred cleanup runs even if record panics, so waiters never
 	// block on an abandoned flight; the panic itself propagates.
 	defer func() {
@@ -201,16 +214,21 @@ func (c *Cache) Stream(fp string, n int, record func() []isa.Inst, stream func()
 		if c.inflight[fp] == f {
 			delete(c.inflight, fp)
 		}
-		f.insts = insts
-		if insts != nil {
-			c.installLocked(fp, insts)
+		f.rec = rec
+		if rec != nil {
+			c.installLocked(fp, rec)
 		}
 		c.mu.Unlock()
 		close(f.done)
 	}()
-	insts = record()
-	if insts == nil {
+	rec = record(maxShapes)
+	if rec == nil {
+		c.mu.Lock()
+		if m, ok := c.unrecordable[fp]; !ok || n < m {
+			c.unrecordable[fp] = n
+		}
+		c.mu.Unlock()
 		return stream()
 	}
-	return trace.NewSliceStream(insts)
+	return rec.Replay(n)
 }

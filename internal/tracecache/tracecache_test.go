@@ -30,6 +30,15 @@ func fakeTrace(tag uint64, n int) []isa.Inst {
 	return out
 }
 
+// fakeRec records fakeTrace(tag, n).
+func fakeRec(tag uint64, n int) *trace.Recording {
+	return trace.Record(trace.NewSliceStream(fakeTrace(tag, n)), n, trace.MaxShapes)
+}
+
+// bytesOf is the charge for recording an n-instruction fakeTrace: every
+// instruction is a shape of its own.
+func bytesOf(n int) int64 { return fakeRec(0, n).Bytes() }
+
 // drain collects a stream, failing the test if it does not match want.
 func drain(t *testing.T, s trace.Stream, want []isa.Inst) {
 	t.Helper()
@@ -53,7 +62,7 @@ func TestRecordOnceReplayMany(t *testing.T) {
 	records := 0
 	get := func() trace.Stream {
 		return c.Stream("p1", 100,
-			func() []isa.Inst { records++; return fakeTrace(1, 100) },
+			func(int) *trace.Recording { records++; return fakeRec(1, 100) },
 			func() trace.Stream { t.Fatal("budgeted miss used the live generator"); return nil })
 	}
 	for i := 0; i < 3; i++ {
@@ -66,27 +75,27 @@ func TestRecordOnceReplayMany(t *testing.T) {
 	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
 		t.Errorf("stats = %+v, want 2 hits / 1 miss / 1 entry", st)
 	}
-	if st.UsedBytes != 100*instBytes {
-		t.Errorf("UsedBytes = %d, want %d", st.UsedBytes, 100*instBytes)
+	if st.UsedBytes != bytesOf(100) {
+		t.Errorf("UsedBytes = %d, want %d", st.UsedBytes, bytesOf(100))
 	}
 }
 
 // mustNotRecord is a record func for a call the test expects to be served
 // from a recording. It may run off the test goroutine, so it reports with
 // t.Error and returns an empty trace the caller's drain then rejects.
-func mustNotRecord(t *testing.T) func() []isa.Inst {
-	return func() []isa.Inst { t.Error("served call ran the recorder"); return []isa.Inst{} }
+func mustNotRecord(t *testing.T) func(int) *trace.Recording {
+	return func(int) *trace.Recording { t.Error("served call ran the recorder"); return fakeRec(0, 0) }
 }
 
 func TestShorterBudgetReplaysPrefix(t *testing.T) {
 	c := New(1 << 20)
 	drain(t, c.Stream("p", 100,
-		func() []isa.Inst { return fakeTrace(9, 100) },
+		func(int) *trace.Recording { return fakeRec(9, 100) },
 		func() trace.Stream { return nil }), fakeTrace(9, 100))
 	for _, n := range []int{40, 1, 0, 100} {
 		drain(t, c.Stream("p", n, mustNotRecord(t), nil), fakeTrace(9, 100)[:n])
 	}
-	if st := c.Stats(); st.Hits != 4 || st.Misses != 1 || st.Entries != 1 || st.UsedBytes != 100*instBytes {
+	if st := c.Stats(); st.Hits != 4 || st.Misses != 1 || st.Entries != 1 || st.UsedBytes != bytesOf(100) {
 		t.Errorf("stats = %+v, want 4 hits / 1 miss / one 100-inst entry", st)
 	}
 }
@@ -96,7 +105,7 @@ func TestLongerBudgetReplacesRecording(t *testing.T) {
 	records := 0
 	get := func(n int) trace.Stream {
 		return c.Stream("p", n,
-			func() []isa.Inst { records++; return fakeTrace(9, n) },
+			func(int) *trace.Recording { records++; return fakeRec(9, n) },
 			func() trace.Stream { return nil })
 	}
 	drain(t, get(50), fakeTrace(9, 50))
@@ -105,7 +114,7 @@ func TestLongerBudgetReplacesRecording(t *testing.T) {
 		t.Fatalf("record ran %d times, want once per budget", records)
 	}
 	st := c.Stats()
-	if st.Entries != 1 || st.UsedBytes != 100*instBytes || st.Evictions != 0 {
+	if st.Entries != 1 || st.UsedBytes != bytesOf(100) || st.Evictions != 0 {
 		t.Errorf("stats = %+v, want the 100-inst recording alone, nothing evicted", st)
 	}
 	// Both budgets now replay the one longer recording.
@@ -122,7 +131,7 @@ func TestWaiterOnCoveringFlightRecordsNothing(t *testing.T) {
 	recorded := make(chan trace.Stream)
 	go func() {
 		recorded <- c.Stream("p", 100,
-			func() []isa.Inst { close(started); <-release; return fakeTrace(4, 100) },
+			func(int) *trace.Recording { close(started); <-release; return fakeRec(4, 100) },
 			func() trace.Stream { return nil })
 	}()
 	<-started
@@ -150,17 +159,17 @@ func TestShorterFlightNeverReplacesLonger(t *testing.T) {
 	short := make(chan trace.Stream)
 	go func() {
 		short <- c.Stream("p", 50,
-			func() []isa.Inst { close(started); <-release; return fakeTrace(6, 50) },
+			func(int) *trace.Recording { close(started); <-release; return fakeRec(6, 50) },
 			func() trace.Stream { return nil })
 	}()
 	<-started
 	// The open 50-inst flight cannot cover 100: this call records its own.
 	drain(t, c.Stream("p", 100,
-		func() []isa.Inst { return fakeTrace(6, 100) },
+		func(int) *trace.Recording { return fakeRec(6, 100) },
 		func() trace.Stream { return nil }), fakeTrace(6, 100))
 	close(release)
 	drain(t, <-short, fakeTrace(6, 50))
-	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != 100*instBytes {
+	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != bytesOf(100) {
 		t.Errorf("stats = %+v, want the 100-inst recording to stay resident", st)
 	}
 	drain(t, c.Stream("p", 100, mustNotRecord(t), nil), fakeTrace(6, 100))
@@ -172,7 +181,7 @@ func TestShorterFlightNeverReplacesLonger(t *testing.T) {
 func TestPrefixHitAllocatesStreamOnly(t *testing.T) {
 	c := New(1 << 20)
 	drain(t, c.Stream("p", 1000,
-		func() []isa.Inst { return fakeTrace(8, 1000) },
+		func(int) *trace.Recording { return fakeRec(8, 1000) },
 		func() trace.Stream { return nil }), fakeTrace(8, 1000))
 	exact := testing.AllocsPerRun(100, func() { c.Stream("p", 1000, nil, nil) })
 	prefix := testing.AllocsPerRun(100, func() { c.Stream("p", 10, nil, nil) })
@@ -182,11 +191,11 @@ func TestPrefixHitAllocatesStreamOnly(t *testing.T) {
 }
 
 func TestOversizeStreamsWithoutRecording(t *testing.T) {
-	c := New(10 * instBytes)
+	c := New(bytesOf(10))
 	want := fakeTrace(2, 100)
 	streamed := false
 	s := c.Stream("big", 100,
-		func() []isa.Inst { t.Fatal("oversize trace was recorded"); return nil },
+		func(int) *trace.Recording { t.Fatal("oversize trace was recorded"); return nil },
 		func() trace.Stream { streamed = true; return trace.NewSliceStream(fakeTrace(2, 100)) })
 	drain(t, s, want)
 	if !streamed {
@@ -197,15 +206,15 @@ func TestOversizeStreamsWithoutRecording(t *testing.T) {
 	}
 	// A negative budget (svf.Options reaches here unchecked) streams
 	// live too, even with a recording resident to slice.
-	drain(t, c.Stream("small", 5, func() []isa.Inst { return fakeTrace(3, 5) }, nil), fakeTrace(3, 5))
+	drain(t, c.Stream("small", 5, func(int) *trace.Recording { return fakeRec(3, 5) }, nil), fakeTrace(3, 5))
 	drain(t, c.Stream("small", -1, mustNotRecord(t), func() trace.Stream { return trace.NewSliceStream(nil) }), nil)
 }
 
 func TestLRUEvictionUnderBudget(t *testing.T) {
-	c := New(250 * instBytes) // fits two 100-inst traces, not three
+	c := New(bytesOf(250)) // fits two 100-inst traces, not three
 	add := func(tag uint64, fp string) {
 		s := c.Stream(fp, 100,
-			func() []isa.Inst { return fakeTrace(tag, 100) },
+			func(int) *trace.Recording { return fakeRec(tag, 100) },
 			func() trace.Stream { return nil })
 		drain(t, s, fakeTrace(tag, 100))
 	}
@@ -228,7 +237,7 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	// The evicted key transparently re-records.
 	rerecorded := false
 	s := c.Stream("b", 100,
-		func() []isa.Inst { rerecorded = true; return fakeTrace(2, 100) },
+		func(int) *trace.Recording { rerecorded = true; return fakeRec(2, 100) },
 		func() trace.Stream { return nil })
 	drain(t, s, fakeTrace(2, 100))
 	if !rerecorded {
@@ -241,11 +250,11 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tag, fp := uint64(i), fmt.Sprint(i)
 		drain(t, c.Stream(fp, 10,
-			func() []isa.Inst { return fakeTrace(tag, 10) },
+			func(int) *trace.Recording { return fakeRec(tag, 10) },
 			func() trace.Stream { return nil }), fakeTrace(tag, 10))
 	}
-	c.SetBudget(15 * instBytes) // room for one 10-inst trace
-	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != 10*instBytes {
+	c.SetBudget(bytesOf(15)) // room for one 10-inst trace
+	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != bytesOf(10) {
 		t.Errorf("after shrink: %+v, want 1 entry", st)
 	}
 	c.SetBudget(0)
@@ -255,7 +264,7 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 	// Disabled cache streams straight through.
 	used := false
 	drain(t, c.Stream("x", 10,
-		func() []isa.Inst { t.Fatal("recorded while disabled"); return nil },
+		func(int) *trace.Recording { t.Fatal("recorded while disabled"); return nil },
 		func() trace.Stream { used = true; return trace.NewSliceStream(fakeTrace(7, 10)) }),
 		fakeTrace(7, 10))
 	if !used {
@@ -274,10 +283,10 @@ func TestSingleFlightConcurrentMisses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s := c.Stream("p", 64,
-				func() []isa.Inst {
+				func(int) *trace.Recording {
 					records.Add(1)
 					<-release // hold the flight open so others pile up
-					return fakeTrace(5, 64)
+					return fakeRec(5, 64)
 				},
 				func() trace.Stream { return trace.NewSliceStream(fakeTrace(5, 64)) })
 			var in isa.Inst
@@ -314,14 +323,52 @@ func TestPanickingRecorderReleasesWaiters(t *testing.T) {
 			}
 		}()
 		c.Stream("boom", 8,
-			func() []isa.Inst { panic("synthetic") },
+			func(int) *trace.Recording { panic("synthetic") },
 			func() trace.Stream { return nil })
 	}()
 	// The flight must be gone: the next call records normally.
 	drain(t, c.Stream("boom", 8,
-		func() []isa.Inst { return fakeTrace(3, 8) },
+		func(int) *trace.Recording { return fakeRec(3, 8) },
 		func() trace.Stream { return nil }), fakeTrace(3, 8))
 	if st := c.Stats(); st.Entries != 1 {
 		t.Errorf("stats after recovery: %+v", st)
+	}
+}
+
+// TestDeclinedRecordingStreamsLive covers a workload with more shapes
+// than a recording may name: the record func declines, the call streams
+// live, and later calls at that budget or longer stream live without
+// trying again. A shorter budget, or a new cache budget, may record.
+func TestDeclinedRecordingStreamsLive(t *testing.T) {
+	c := New(1 << 20)
+	tries := 0
+	decline := func(int) *trace.Recording { tries++; return nil }
+	live := func() trace.Stream { return trace.NewSliceStream(fakeTrace(4, 100)) }
+	drain(t, c.Stream("wide", 100, decline, live), fakeTrace(4, 100))
+	drain(t, c.Stream("wide", 150, decline, live), fakeTrace(4, 100))
+	if tries != 1 {
+		t.Errorf("record ran %d times, want once: a declined budget must not be retried", tries)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want two live misses and nothing resident", st)
+	}
+	drain(t, c.Stream("wide", 50, func(int) *trace.Recording { return fakeRec(4, 50) }, nil), fakeTrace(4, 50))
+	c.SetBudget(2 << 20)
+	drain(t, c.Stream("wide", 100, func(int) *trace.Recording { return fakeRec(4, 100) }, nil), fakeTrace(4, 100))
+	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != bytesOf(100) {
+		t.Errorf("stats = %+v, want the 100-inst recording after the budget changed", st)
+	}
+}
+
+// TestRecordGetsShapeLimit pins the shape limit the record func is given:
+// the most shapes whose worst-case recording still fits the budget.
+func TestRecordGetsShapeLimit(t *testing.T) {
+	for _, budget := range []int64{1 << 20, 10_000, 2_000} {
+		c := New(budget)
+		got := -1
+		c.Stream("p", 50, func(maxShapes int) *trace.Recording { got = maxShapes; return fakeRec(1, 0) }, nil)
+		if want := trace.ShapeLimit(50, budget); got != want {
+			t.Errorf("budget %d: record got a limit of %d shapes, want %d", budget, got, want)
+		}
 	}
 }
