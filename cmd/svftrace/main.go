@@ -1,6 +1,7 @@
 // Command svftrace records, inspects and replays binary instruction
 // traces, decoupling workload generation from simulation (the classic
 // trace-driven workflow: generate once, simulate many configurations).
+// A trace takes about 5–6 bytes per instruction; record v1 files again.
 //
 // Usage:
 //
@@ -10,18 +11,14 @@
 package main
 
 import (
-	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
+	"svf"
 	"svf/internal/isa"
 	"svf/internal/pipeline"
 	"svf/internal/regions"
-	"svf/internal/sim"
-	"svf/internal/synth"
-	"svf/internal/trace"
 )
 
 func main() {
@@ -57,11 +54,11 @@ func record(args []string) {
 	out := fs.String("o", "trace.trc", "output file")
 	fs.Parse(args)
 
-	prof := synth.ByName(*bench)
+	prof := svf.ByName(*bench)
 	if prof == nil {
 		fatal(fmt.Errorf("unknown benchmark %q", *bench))
 	}
-	insts64, err := synth.Trace(prof, *insts)
+	rec, err := svf.RecordTrace(prof, *insts)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,28 +66,26 @@ func record(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	if err := trace.Write(w, insts64); err != nil {
+	if err := svf.WriteTrace(f, rec); err != nil {
 		fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("recorded %d instructions of %s to %s\n", len(insts64), prof.ID(), *out)
+	fmt.Printf("recorded %d instructions of %s to %s\n", rec.Len(), prof.ID(), *out)
 }
 
-func load(path string) []isa.Inst {
+func load(path string) *svf.Recording {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
 	}
 	defer f.Close()
-	insts, err := trace.Read(bufio.NewReader(f))
+	rec, err := svf.ReadTrace(f)
 	if err != nil {
 		fatal(err)
 	}
-	return insts
+	return rec
 }
 
 func info(args []string) {
@@ -99,13 +94,13 @@ func info(args []string) {
 	if fs.NArg() != 1 {
 		fatal(fmt.Errorf("info needs a trace file"))
 	}
-	insts := load(fs.Arg(0))
+	rec := load(fs.Arg(0))
 	layout := regions.DefaultLayout()
 
-	var kinds [isa.NumKinds]uint64
+	var kinds [256]uint64 // any Kind value: a trace may carry corrupted ones
 	var mem, stack, sp uint64
-	for i := range insts {
-		in := &insts[i]
+	var in isa.Inst
+	for s := rec.Replay(rec.Len()); s.Next(&in); {
 		kinds[in.Kind]++
 		if in.IsMem() {
 			mem++
@@ -117,14 +112,15 @@ func info(args []string) {
 			}
 		}
 	}
-	fmt.Printf("instructions   %d\n", len(insts))
-	for k := isa.Kind(0); int(k) < isa.NumKinds; k++ {
-		if kinds[k] > 0 {
-			fmt.Printf("  %-8s %10d (%5.1f%%)\n", k, kinds[k], 100*float64(kinds[k])/float64(len(insts)))
+	n := rec.Len()
+	fmt.Printf("instructions   %d\n", n)
+	for k, c := range kinds {
+		if c > 0 {
+			fmt.Printf("  %-8s %10d (%5.1f%%)\n", isa.Kind(k), c, 100*float64(c)/float64(n))
 		}
 	}
 	if mem > 0 {
-		fmt.Printf("memory refs    %d (%.1f%% of instructions)\n", mem, 100*float64(mem)/float64(len(insts)))
+		fmt.Printf("memory refs    %d (%.1f%% of instructions)\n", mem, 100*float64(mem)/float64(n))
 		fmt.Printf("stack refs     %d (%.1f%% of memory)\n", stack, 100*float64(stack)/float64(mem))
 		if stack > 0 {
 			fmt.Printf("$sp-relative   %d (%.1f%% of stack)\n", sp, 100*float64(sp)/float64(stack))
@@ -142,19 +138,19 @@ func replay(args []string) {
 	if fs.NArg() != 1 {
 		fatal(fmt.Errorf("replay needs a trace file"))
 	}
-	insts := load(fs.Arg(0))
+	rec := load(fs.Arg(0))
 
-	opt := sim.Options{
+	opt := svf.Options{
 		DL1Ports:       *dl1Ports,
 		StackSizeBytes: *size,
 		StackPorts:     *stackPorts,
-		MaxInsts:       len(insts),
+		MaxInsts:       rec.Len(),
 	}
 	var err error
 	if opt.Policy, err = pipeline.ParsePolicy(*policy); err != nil {
 		fatal(err)
 	}
-	r, err := sim.RunStream(context.Background(), fs.Arg(0), trace.NewSliceStream(insts), opt)
+	r, err := svf.RunTrace(fs.Arg(0), rec, opt)
 	if err != nil {
 		fatal(err)
 	}

@@ -65,16 +65,12 @@ func ExampleBenchmarks() {
 // exactly like the live run.
 func ExampleRunTrace() {
 	prof := svf.ByName("164.gzip")
-	gen, _ := svf.NewGenerator(prof)
-	insts := make([]svf.Inst, 20_000)
-	for i := range insts {
-		gen.Next(&insts[i])
-	}
+	rec, _ := svf.RecordTrace(prof, 20_000)
 	var buf bytes.Buffer
-	_ = svf.WriteTrace(&buf, insts)
+	_ = svf.WriteTrace(&buf, rec)
 	reloaded, _ := svf.ReadTrace(&buf)
 
-	opt := svf.Options{Policy: svf.PolicySVF, StackPorts: 2, MaxInsts: len(insts)}
+	opt := svf.Options{Policy: svf.PolicySVF, StackPorts: 2, MaxInsts: rec.Len()}
 	live, _ := svf.RunContext(context.Background(), prof, opt)
 	replayed, _ := svf.RunTrace("gzip-replay", reloaded, opt)
 	fmt.Println(replayed.Cycles() == live.Cycles())

@@ -18,14 +18,15 @@ import (
 const allocTestInsts = 50_000
 
 // allocTestSetup builds the BenchmarkPipelineRaw machine (16-wide,
-// infinite SVF, perfect front end) and a recorded trace to drive it.
-func allocTestSetup(t *testing.T) (Env, *trace.SliceStream) {
+// infinite SVF, perfect front end) and a replay of a compact recording to
+// drive it, as a trace-cache hit serves one.
+func allocTestSetup(t *testing.T) (Env, *trace.Replay) {
 	t.Helper()
 	prog, err := synth.BuildProgram(synth.Crafty())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := trace.NewSliceStream(synth.TraceFor(prog, allocTestInsts))
+	stream := trace.Record(synth.NewGeneratorFor(prog), allocTestInsts, trace.MaxShapes).Replay(allocTestInsts)
 	hier := must(cache.NewHierarchy(cache.DefaultHierarchyConfig()))
 	env := Env{
 		Machine: SixteenWide(),

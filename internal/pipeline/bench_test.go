@@ -19,8 +19,9 @@ const benchRawInsts = 200_000
 
 // benchPipeline drives the bare pipeline (no sim/experiment wrapper) over
 // a synthetic workload and reports wall-clock simulation throughput. The
-// trace is generated once and replayed from memory each iteration, so the
-// number measures the scheduler hot loop, not the workload generator.
+// trace is recorded once and each iteration replays the compact recording,
+// as a trace-cache hit does, so the number measures the scheduler hot loop
+// on the fetch path real runs take, not the workload generator.
 func benchPipeline(b *testing.B, mkEnv func() Env) {
 	b.Helper()
 	if testing.Short() {
@@ -30,7 +31,7 @@ func benchPipeline(b *testing.B, mkEnv func() Env) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream := trace.NewSliceStream(synth.TraceFor(prog, benchRawInsts))
+	stream := trace.Record(synth.NewGeneratorFor(prog), benchRawInsts, trace.MaxShapes).Replay(benchRawInsts)
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {

@@ -290,11 +290,6 @@ type Pipeline struct {
 	// into a new line probes the instruction cache.
 	fetchBlock   uint64
 	fetchStallTo uint64 // IL1 miss service
-	// fetchFast is the stream devirtualized: when Run is driven by a
-	// replayed in-memory trace (the campaign common case after the trace
-	// cache), fetch calls the concrete SliceStream directly instead of
-	// through the interface.
-	fetchFast *trace.SliceStream
 
 	nextCtxSwitch uint64
 }
@@ -447,7 +442,6 @@ func (p *Pipeline) Reset(env Env) error {
 	p.interlock = dep{idx: noDep}
 	p.fetchBlock = 0
 	p.fetchStallTo = 0
-	p.fetchFast = nil
 
 	p.nextCtxSwitch = 0
 	if env.CtxSwitchPeriod > 0 {
@@ -489,16 +483,16 @@ const deadlockWatchdogCycles = 200_000
 const ctxCheckInterval = 4096
 
 // Run drives the pipeline until maxInsts instructions commit or the stream
-// ends, returning the final statistics. The context is polled every
-// ctxCheckInterval loop iterations (the first poll happens before any
-// cycle executes), so cancellation and deadlines stop in-flight runs
-// promptly; the returned error is then ctx.Err(). Context polling never
-// alters the counters of a run that completes.
+// ends, returning the final statistics. It reads at most maxInsts
+// instructions from s, so s may run past the budget. The context is
+// polled every ctxCheckInterval loop iterations (the first poll happens
+// before any cycle executes), so cancellation and deadlines stop in-flight
+// runs promptly; the returned error is then ctx.Err(). Context polling
+// never alters the counters of a run that completes.
 func (p *Pipeline) Run(ctx context.Context, s trace.Stream, maxInsts uint64) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p.fetchFast, _ = s.(*trace.SliceStream)
 	lastCommit := uint64(0)
 	lastCommitted := uint64(0)
 	check := uint64(0)
@@ -531,7 +525,7 @@ func (p *Pipeline) Run(ctx context.Context, s trace.Stream, maxInsts uint64) (St
 		p.commit()
 		p.issue()
 		p.dispatch()
-		p.fetch(s)
+		p.fetch(s, maxInsts)
 		if p.probe != nil && p.cycle >= p.probeNext {
 			p.probeSample()
 		}
@@ -1196,7 +1190,7 @@ func (p *Pipeline) findLSQStore(addr uint64, gprOnly bool) int {
 
 // ---- fetch ----
 
-func (p *Pipeline) fetch(s trace.Stream) {
+func (p *Pipeline) fetch(s trace.Stream, maxInsts uint64) {
 	if p.fetchBlocked {
 		if p.fetchResumeAt == 0 || p.cycle < p.fetchResumeAt {
 			return
@@ -1214,13 +1208,7 @@ func (p *Pipeline) fetch(s trace.Stream) {
 		// Decode straight into the IFQ slot; the slot is free, and one
 		// copy beats two.
 		fe := &p.ifq[(p.ifqHead+p.ifqCount)&p.ifqMask]
-		var ok bool
-		if fs := p.fetchFast; fs != nil {
-			ok = fs.Next(&fe.inst) // direct, inlinable call
-		} else {
-			ok = s.Next(&fe.inst)
-		}
-		if !ok {
+		if p.stats.Fetched >= maxInsts || !s.Next(&fe.inst) {
 			p.drained = true
 			return
 		}

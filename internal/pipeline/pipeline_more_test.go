@@ -30,6 +30,38 @@ func TestShortStreamTerminates(t *testing.T) {
 	}
 }
 
+// countingStream is an endless stream of independent ALU operations that
+// counts the instructions it hands out.
+type countingStream struct{ n uint64 }
+
+func (s *countingStream) Next(in *isa.Inst) bool {
+	*in = mkALU(0x1000+4*(s.n%64), uint8(1+s.n%10), isa.RegZero)
+	s.n++
+	return true
+}
+
+// TestRunReadsOnlyItsBudget hands Run an endless stream: the pipeline must
+// ask it for exactly maxInsts instructions, fetch no more and commit them
+// all, so a caller need not bound the stream itself.
+func TestRunReadsOnlyItsBudget(t *testing.T) {
+	for _, mc := range []MachineConfig{tinyMachine(), SixteenWide()} {
+		for _, max := range []uint64{1, 7, 1000} {
+			p, err := New(testEnv(t, mc, PolicyNone, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := &countingStream{}
+			st, err := p.Run(context.Background(), s, max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.n != max || st.Fetched != max || st.Committed != max {
+				t.Errorf("%s, budget %d: read %d, fetched %d, committed %d", mc.Name, max, s.n, st.Fetched, st.Committed)
+			}
+		}
+	}
+}
+
 func TestEmptyStream(t *testing.T) {
 	env := testEnv(t, tinyMachine(), PolicyNone, 0)
 	p, err := New(env)

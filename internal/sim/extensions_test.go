@@ -30,13 +30,14 @@ func TestRecordedTraceMatchesLiveGenerator(t *testing.T) {
 	const n = 50_000
 	prof := synth.Vortex()
 
-	// Record through the binary codec.
-	insts, err := synth.Trace(prof, n)
+	prog, err := ProgramFor(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Record through the trace file format.
+	rec := trace.Record(synth.NewGeneratorFor(prog), n, trace.MaxShapes)
 	var buf bytes.Buffer
-	if err := trace.Write(&buf, insts); err != nil {
+	if err := trace.Write(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := trace.Read(&buf)
@@ -66,12 +67,8 @@ func TestRecordedTraceMatchesLiveGenerator(t *testing.T) {
 		return st
 	}
 
-	prog, err := ProgramFor(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := runOn(&trace.Limit{S: synth.NewGeneratorFor(prog), N: n})
-	replayed := runOn(trace.NewSliceStream(reloaded))
+	live := runOn(synth.NewGeneratorFor(prog))
+	replayed := runOn(reloaded.Replay(n))
 	if live != replayed {
 		t.Errorf("live and replayed runs diverge:\nlive:     %+v\nreplayed: %+v", live, replayed)
 	}

@@ -43,12 +43,12 @@ func SetTraceCacheBudget(bytes int64) { traceCache.SetBudget(bytes) }
 // TraceCacheStats exposes the trace cache's counters (tests, status dumps).
 func TraceCacheStats() tracecache.Stats { return traceCache.Stats() }
 
-// cachedStream returns the first n instructions of prog as a stream,
-// replaying a prefix of the workload's recording when it is long enough
-// and recording the generator's first n instructions when the budget
-// allows. A panic while recording (a faulty profile) abandons the
-// recording and falls back to the live generator, so the panic surfaces
-// inside the supervised run exactly as it did before the cache existed.
+// cachedStream returns prog's instruction stream for a run of n: a replay
+// of the workload's recording when it covers n, else a fresh recording of
+// the first n when the budget allows, else the live generator. A panic
+// while recording (a faulty profile) abandons the recording and falls back
+// to the live generator, so the panic surfaces inside the supervised run
+// exactly as it did before the cache existed.
 func cachedStream(prog *synth.Program, fp string, n int) trace.Stream {
 	return traceCache.Stream(fp, n,
 		func(maxShapes int) *trace.Recording {

@@ -285,8 +285,7 @@ func runStream(ctx context.Context, name, identity string, gen trace.Stream, opt
 	if err != nil {
 		return nil, err
 	}
-	ps, err := runContained(ctx, name, shortKey(runCellKey(identity, Canonical(opt))), pl,
-		&trace.Limit{S: gen, N: opt.MaxInsts}, uint64(opt.MaxInsts))
+	ps, err := runContained(ctx, name, shortKey(runCellKey(identity, Canonical(opt))), pl, gen, uint64(opt.MaxInsts))
 	if err != nil {
 		// A faulted or cancelled machine is dropped, not pooled: its
 		// state is suspect by definition.

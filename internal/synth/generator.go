@@ -15,8 +15,8 @@ const maxFrames = 8192
 const roFootprintWords = 4096
 
 // Generator functionally executes a Program, emitting its dynamic
-// instruction trace. It implements trace.Stream and trace.Resetter and is
-// fully deterministic in the profile seed.
+// instruction trace. It implements trace.Stream and is fully
+// deterministic in the profile seed.
 type Generator struct {
 	prog *Program
 	rng  *rand.Rand
@@ -111,8 +111,8 @@ func NewGeneratorFor(prog *Program) *Generator {
 	return g
 }
 
-// Reset implements trace.Resetter: the generator replays the identical
-// trace from the beginning.
+// Reset rewinds the generator: it replays the identical trace from the
+// beginning.
 func (g *Generator) Reset() {
 	prof := g.prog.Prof
 	g.rng = rand.New(rand.NewPCG(prof.Seed^0xa5a5a5a55a5a5a5a, prof.Seed+0x1234_5678))
@@ -246,8 +246,8 @@ func (g *Generator) drawSubtree() uint64 {
 	return uint64(k * (0.5 + g.rng.Float64()))
 }
 
-// Next implements trace.Stream. The generator never exhausts; wrap it in a
-// trace.Limit (or stop reading) to bound the run.
+// Next implements trace.Stream. The generator never exhausts; its reader
+// stops at a budget of its own, as Pipeline.Run does.
 func (g *Generator) Next(in *isa.Inst) bool {
 	if len(g.ctxs) > 0 && g.emitted >= g.nextSwitch {
 		g.stepSwitch(in)
@@ -577,9 +577,9 @@ func (g *Generator) dataSlot(footprintWords int) uint64 {
 }
 
 // TraceFor materializes the first n instructions of an already-built
-// program's trace into one flat pre-sized buffer. It is the trace cache's
-// recording hook: one call here replaces the per-run generator execution
-// for every later run of the same program at a budget up to n.
+// program's trace into one flat pre-sized buffer, for a consumer that
+// walks the instructions rather than streaming them (cmd/svfbench's
+// access-stream layer).
 func TraceFor(prog *Program, n int) []isa.Inst {
 	g := NewGeneratorFor(prog)
 	out := make([]isa.Inst, 0, n)
@@ -588,18 +588,4 @@ func TraceFor(prog *Program, n int) []isa.Inst {
 		out = append(out, in)
 	}
 	return out
-}
-
-// Trace generates the first n instructions of the profile's trace.
-func Trace(prof *Profile, n int) ([]isa.Inst, error) {
-	g, err := NewGenerator(prof)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]isa.Inst, 0, n)
-	var in isa.Inst
-	for len(out) < n && g.Next(&in) {
-		out = append(out, in)
-	}
-	return out, nil
 }

@@ -8,30 +8,13 @@ import (
 	"svf/internal/trace"
 )
 
-func TestStreamHelperBounds(t *testing.T) {
-	// The simulator bounds a run's generator with trace.Limit.
-	g, err := NewGenerator(Gzip())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &trace.Limit{S: g, N: 1234}
-	n := 0
-	var in isa.Inst
-	for s.Next(&in) {
-		n++
-	}
-	if n != 1234 {
-		t.Errorf("Stream yielded %d instructions, want 1234", n)
-	}
-}
-
 func TestTraceHelperLength(t *testing.T) {
-	insts, err := Trace(Vpr(), 777)
+	prog, err := BuildProgram(Vpr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(insts) != 777 {
-		t.Errorf("Trace returned %d, want 777", len(insts))
+	if insts := TraceFor(prog, 777); len(insts) != 777 {
+		t.Errorf("TraceFor returned %d, want 777", len(insts))
 	}
 }
 
@@ -139,9 +122,8 @@ func TestSubtreeDeadlineBoundsDwellTime(t *testing.T) {
 }
 
 func TestGeneratorAsTraceStream(t *testing.T) {
-	// The generator satisfies trace.Stream and trace.Resetter.
+	// The generator satisfies trace.Stream.
 	var _ trace.Stream = (*Generator)(nil)
-	var _ trace.Resetter = (*Generator)(nil)
 }
 
 func TestCharacterizeRespectsBudget(t *testing.T) {

@@ -78,16 +78,20 @@ func TestWithInputChangesSeed(t *testing.T) {
 	}
 }
 
+// traceOf builds prof's program afresh and returns its first n
+// instructions.
+func traceOf(t *testing.T, prof *Profile, n int) []isa.Inst {
+	t.Helper()
+	prog, err := BuildProgram(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return TraceFor(prog, n)
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	prof := Crafty()
-	a, err := Trace(prof, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Trace(prof, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := traceOf(t, prof, 20000), traceOf(t, prof, 20000)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("traces diverge at instruction %d: %v vs %v", i, a[i], b[i])

@@ -56,14 +56,7 @@ func TestX86VariantIncreasesStackShare(t *testing.T) {
 
 func TestX86VariantDeterministic(t *testing.T) {
 	p := X86Variant(Gzip())
-	a, err := Trace(p, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Trace(p, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := traceOf(t, p, 5000), traceOf(t, p, 5000)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("x86 trace diverges at %d", i)

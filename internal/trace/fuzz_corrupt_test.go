@@ -1,7 +1,7 @@
 package trace_test
 
 // External test package: faultinject imports trace, so exercising the
-// decoder against faultinject-corrupted records from inside package trace
+// codec against faultinject-corrupted records from inside package trace
 // would be an import cycle.
 
 import (
@@ -30,57 +30,74 @@ func corruptSample(seed int64, n, every int) []isa.Inst {
 	return insts
 }
 
-// Corrupted records — out-of-range kinds, bogus registers, flipped address
-// bits — are still well-formed 28-byte records; the codec must round-trip
-// them byte-faithfully so the simulator's containment (not the codec) is
-// what deals with the damage.
-func TestCorruptedRecordsRoundTrip(t *testing.T) {
-	insts := corruptSample(7, 64, 3)
+// encodeSample records insts whole and encodes the recording.
+func encodeSample(t testing.TB, insts []isa.Inst) []byte {
+	t.Helper()
+	rec := trace.Record(trace.NewSliceStream(insts), len(insts), trace.MaxShapes)
 	var buf bytes.Buffer
-	if err := trace.Write(&buf, insts); err != nil {
+	if err := trace.Write(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
-	got, err := trace.Read(&buf)
+	return buf.Bytes()
+}
+
+// replayAll reads every instruction of a recording.
+func replayAll(rec *trace.Recording) []isa.Inst {
+	var out []isa.Inst
+	s := rec.Replay(rec.Len())
+	var in isa.Inst
+	for s.Next(&in) {
+		out = append(out, in)
+	}
+	return out
+}
+
+// Corrupted records — out-of-range kinds, bogus registers, flipped address
+// bits — are still instructions; recording, the file format and replay
+// must carry them through byte-faithfully so the simulator's containment
+// (not the codec) is what deals with the damage.
+func TestCorruptedRecordsRoundTrip(t *testing.T) {
+	insts := corruptSample(7, 64, 3)
+	rec, err := trace.Read(bytes.NewReader(encodeSample(t, insts)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, insts) {
+	if !reflect.DeepEqual(replayAll(rec), insts) {
 		t.Error("corrupted records did not round-trip")
 	}
 }
 
-// FuzzReadCorrupted seeds the decoder with traces containing
+// FuzzReadCorrupted seeds the decoder with recordings of
 // faultinject-corrupted records and raw byte damage on top: the decoder
-// must return an error or a trace, never panic, and every successful decode
-// must re-encode losslessly.
+// must return an error or a recording, never panic, and every successful
+// decode must replay in full and re-encode losslessly.
 func FuzzReadCorrupted(f *testing.F) {
 	for seed := int64(0); seed < 3; seed++ {
-		var buf bytes.Buffer
-		if err := trace.Write(&buf, corruptSample(seed, 16, 2)); err != nil {
-			f.Fatal(err)
-		}
-		b := buf.Bytes()
+		b := encodeSample(f, corruptSample(seed, 16, 2))
 		f.Add(b)
-		// Truncated mid-record and with a damaged header byte.
+		// Truncated near its end, and with a damaged byte.
 		f.Add(b[:len(b)-13])
-		flipped := append([]byte(nil), b...)
+		flipped := bytes.Clone(b)
 		flipped[int(seed)%len(flipped)] ^= 0x40
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		insts, err := trace.Read(bytes.NewReader(data))
+		rec, err := trace.Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := trace.Write(&out, insts); err != nil {
+		if got := replayAll(rec); len(got) != rec.Len() {
+			t.Fatalf("replayed %d of %d instructions", len(got), rec.Len())
+		}
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, rec); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		again, err := trace.Read(&out)
+		again, err := trace.Read(&buf)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !reflect.DeepEqual(again, insts) {
+		if !reflect.DeepEqual(again, rec) {
 			t.Fatal("decode/encode/decode is not a fixed point")
 		}
 	})

@@ -2,40 +2,37 @@ package trace
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
-// FuzzRead hardens the binary decoder: arbitrary input must produce an
-// error or a valid trace, never a panic or runaway allocation.
+// FuzzRead hardens the decoder: arbitrary input must produce an error or
+// a recording that replays every instruction without a panic and
+// re-encodes to itself — never a panic or a runaway allocation.
 func FuzzRead(f *testing.F) {
-	// Seed with a real encoding and some mutations.
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleInsts(3, 99)); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := encode(f, recordAll(f, sampleInsts(3, 99)))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	f.Add([]byte(magic))
 	f.Add([]byte("garbage"))
-	f.Add(append(append([]byte{}, valid...), 0xff, 0x00))
+	f.Add(append(bytes.Clone(valid), 0xff, 0x00))
+	f.Add(encode(f, recordAll(f, randStream(rand.New(rand.NewPCG(8, 8)), 24))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		insts, err := Read(bytes.NewReader(data))
+		rec, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// On success, a re-encode must round-trip.
-		var out bytes.Buffer
-		if err := Write(&out, insts); err != nil {
-			t.Fatalf("re-encode of decoded trace failed: %v", err)
+		if got := drain(rec.Replay(rec.Len())); len(got) != rec.Len() {
+			t.Fatalf("replayed %d of %d instructions", len(got), rec.Len())
 		}
-		again, err := Read(&out)
+		again, err := Read(bytes.NewReader(encode(t, rec)))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if len(again) != len(insts) {
-			t.Fatalf("round trip changed length: %d vs %d", len(again), len(insts))
+		if !reflect.DeepEqual(again, rec) {
+			t.Fatal("decode/encode/decode is not a fixed point")
 		}
 	})
 }

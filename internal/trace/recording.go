@@ -146,7 +146,7 @@ func (s *Replay) Next(in *isa.Inst) bool {
 	return true
 }
 
-// Reset implements Resetter.
+// Reset rewinds the replay to its first instruction.
 func (s *Replay) Reset() { s.addrs, s.pos, s.apos, s.next = nil, 0, 0, 0 }
 
 // shapeKey is a shape packed into words, for cheap comparison and

@@ -1,6 +1,6 @@
 // Package trace defines the dynamic-instruction-stream abstraction that
-// connects workload generators to the timing simulator, plus a compact
-// binary encoding for persisting traces to disk.
+// connects workload generators to the timing simulator, the compact
+// Recording of a stream, and the binary file format that stores one.
 //
 // The simulator is trace-driven in the SimpleScalar functional-first style:
 // the workload generator resolves effective addresses and branch outcomes,
@@ -25,13 +25,8 @@ type Stream interface {
 	Next(in *isa.Inst) bool
 }
 
-// Resetter is implemented by streams that can be replayed from the start,
-// letting one workload be reused across machine configurations.
-type Resetter interface {
-	Reset()
-}
-
-// SliceStream replays instructions from an in-memory slice.
+// SliceStream streams instructions from a slice: a test seam, for tests
+// that build streams from hand-made instructions.
 type SliceStream struct {
 	insts []isa.Inst
 	pos   int
@@ -52,122 +47,140 @@ func (s *SliceStream) Next(in *isa.Inst) bool {
 	return true
 }
 
-// Reset implements Resetter.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Len returns the total number of instructions in the stream.
-func (s *SliceStream) Len() int { return len(s.insts) }
-
-// Limit wraps a stream, truncating it after n instructions.
-type Limit struct {
-	S Stream
-	N int
-	c int
-}
-
-// Next implements Stream.
-func (l *Limit) Next(in *isa.Inst) bool {
-	if l.c >= l.N {
-		return false
-	}
-	if !l.S.Next(in) {
-		return false
-	}
-	l.c++
-	return true
-}
-
-// Reset implements Resetter if the underlying stream does.
-func (l *Limit) Reset() {
-	l.c = 0
-	if r, ok := l.S.(Resetter); ok {
-		r.Reset()
-	}
-}
-
-// Binary trace format: a magic header followed by fixed-width little-endian
-// records. The format favours simplicity and replay speed over density.
+// Trace file format, version 2: a Recording's three parts as they are held
+// in memory, little-endian, in this order:
+//
+//	magic       "SVFTRC2\x00"
+//	count       u64: the instructions recorded
+//	shapes      u32: the dictionary's size, at most MaxShapes
+//	dictionary  one 28-byte record (appendRecord) per shape; loads and
+//	            stores have Addr 0
+//	ids         count u16 shape ids, the top bit marking a load or store
+//	addresses   one u64 per marked id, in program order
+//
+// Version 1 ("SVFTRC1\x00") stored every instruction as a 28-byte record.
 
 const (
-	magic   = "SVFTRC1\x00"
+	magic   = "SVFTRC2\x00"
+	magicV1 = "SVFTRC1\x00"
 	recSize = 8 + 8 + 4 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 // 28 bytes
+	hdrSize = len(magic) + 8 + 4
+	// maxCount bounds the instruction count a file may claim.
+	maxCount = 1 << 31
 )
 
 // ErrBadMagic is returned when decoding a file that is not an SVF trace.
 var ErrBadMagic = errors.New("trace: bad magic (not an SVF trace file)")
 
-// Write encodes the instructions to w in the binary trace format.
-func Write(w io.Writer, insts []isa.Inst) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return fmt.Errorf("trace: writing header: %w", err)
+var errVersion1 = errors.New("trace: a version 1 (SVFTRC1) trace file, which this version no longer reads: record the trace again")
+
+var errTruncated = errors.New("trace: truncated trace file: it ends before the parts its header counts")
+
+// Write encodes rec to w in the trace file format.
+func Write(w io.Writer, rec *Recording) error {
+	b := binary.LittleEndian.AppendUint64([]byte(magic), uint64(len(rec.ids)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rec.shapes)))
+	for i := range rec.shapes {
+		b = appendRecord(b, &rec.shapes[i])
 	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(len(insts)))
-	if _, err := w.Write(cnt[:]); err != nil {
-		return fmt.Errorf("trace: writing count: %w", err)
+	for _, id := range rec.ids {
+		b = binary.LittleEndian.AppendUint16(b, id)
 	}
-	buf := make([]byte, recSize)
-	for i := range insts {
-		encodeRecord(buf, &insts[i])
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("trace: writing record %d: %w", i, err)
+	for _, chunk := range rec.addrs {
+		for _, a := range chunk {
+			b = binary.LittleEndian.AppendUint64(b, a)
 		}
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("trace: writing: %w", err)
 	}
 	return nil
 }
 
-// Read decodes a complete binary trace from r.
-func Read(r io.Reader) ([]isa.Inst, error) {
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+// Read decodes a trace file written by Write. It allocates a part only once
+// the input is known to hold it, and checks what it decodes, so replaying
+// the recording it returns cannot index out of range. A version 1 file
+// fails with an error that names its version, and a file that is no trace
+// with ErrBadMagic.
+func Read(r io.Reader) (*Recording, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading: %w", err)
 	}
-	if string(hdr) != magic {
+	switch hdr := string(b[:min(len(b), len(magic))]); {
+	case hdr == magicV1:
+		return nil, errVersion1
+	case hdr != magic:
 		return nil, ErrBadMagic
+	case len(b) < hdrSize:
+		return nil, errTruncated
 	}
-	var cnt [8]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
+	n, nshapes := binary.LittleEndian.Uint64(b[8:]), binary.LittleEndian.Uint32(b[16:])
+	b = b[hdrSize:]
+	switch {
+	case n > maxCount || nshapes > MaxShapes:
+		return nil, fmt.Errorf("trace: implausible counts: %d instructions, %d shapes (at most %d)", n, nshapes, MaxShapes)
+	case uint64(len(b)) < uint64(nshapes)*recSize+n*idBytes:
+		return nil, errTruncated
 	}
-	n := binary.LittleEndian.Uint64(cnt[:])
-	const maxTrace = 1 << 31
-	if n > maxTrace {
-		return nil, fmt.Errorf("trace: implausible instruction count %d", n)
-	}
-	insts := make([]isa.Inst, n)
-	buf := make([]byte, recSize)
-	for i := range insts {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
+	shapes := make([]isa.Inst, nshapes)
+	for i := range shapes {
+		shapes[i] = decodeRecord(b[i*recSize:])
+		if shapes[i].IsMem() && shapes[i].Addr != 0 {
+			return nil, fmt.Errorf("trace: shape %d, a %v, has address %#x, not 0", i, shapes[i].Kind, shapes[i].Addr)
 		}
-		decodeRecord(buf, &insts[i])
 	}
-	return insts, nil
+	b = b[len(shapes)*recSize:]
+	// Each id must name a dictionary entry, and mark a load or store
+	// exactly when its shape is one.
+	ids := make([]uint16, n)
+	mem := 0
+	for i := range ids {
+		id := binary.LittleEndian.Uint16(b[idBytes*i:])
+		s, marked := int(id&^memBit), id&memBit != 0
+		if s >= len(shapes) || marked != shapes[s].IsMem() {
+			return nil, fmt.Errorf("trace: instruction %d: id %#x names no shape of its kind among %d", i, id, len(shapes))
+		}
+		if marked {
+			mem++
+		}
+		ids[i] = id
+	}
+	if b = b[idBytes*len(ids):]; len(b) < addrBytes*mem {
+		return nil, errTruncated
+	}
+	// The address stream comes back in the chunks Record builds: full
+	// ones of addrChunk, then an exact-length last one.
+	var addrs [][]uint64
+	for start := 0; start < mem; start += addrChunk {
+		chunk := make([]uint64, min(mem-start, addrChunk))
+		for i := range chunk {
+			chunk[i] = binary.LittleEndian.Uint64(b[addrBytes*(start+i):])
+		}
+		addrs = append(addrs, chunk)
+	}
+	return &Recording{shapes: shapes, ids: ids, addrs: addrs}, nil
 }
 
-func encodeRecord(buf []byte, in *isa.Inst) {
-	binary.LittleEndian.PutUint64(buf[0:], in.PC)
-	binary.LittleEndian.PutUint64(buf[8:], in.Addr)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(in.Imm))
-	buf[20] = uint8(in.Kind)
-	buf[21] = in.Base
-	buf[22] = in.Dst
-	buf[23] = in.Src1
-	buf[24] = in.Src2
-	buf[25] = in.Size
-	buf[26] = in.Flags
-	buf[27] = 0 // reserved
+// appendRecord appends in's 28-byte record; its last byte is reserved.
+func appendRecord(b []byte, in *isa.Inst) []byte {
+	b = binary.LittleEndian.AppendUint64(b, in.PC)
+	b = binary.LittleEndian.AppendUint64(b, in.Addr)
+	b = binary.LittleEndian.AppendUint32(b, uint32(in.Imm))
+	return append(b, uint8(in.Kind), in.Base, in.Dst, in.Src1, in.Src2, in.Size, in.Flags, 0)
 }
 
-func decodeRecord(buf []byte, in *isa.Inst) {
-	in.PC = binary.LittleEndian.Uint64(buf[0:])
-	in.Addr = binary.LittleEndian.Uint64(buf[8:])
-	in.Imm = int32(binary.LittleEndian.Uint32(buf[16:]))
-	in.Kind = isa.Kind(buf[20])
-	in.Base = buf[21]
-	in.Dst = buf[22]
-	in.Src1 = buf[23]
-	in.Src2 = buf[24]
-	in.Size = buf[25]
-	in.Flags = buf[26]
+func decodeRecord(buf []byte) isa.Inst {
+	return isa.Inst{
+		PC:    binary.LittleEndian.Uint64(buf[0:]),
+		Addr:  binary.LittleEndian.Uint64(buf[8:]),
+		Imm:   int32(binary.LittleEndian.Uint32(buf[16:])),
+		Kind:  isa.Kind(buf[20]),
+		Base:  buf[21],
+		Dst:   buf[22],
+		Src1:  buf[23],
+		Src2:  buf[24],
+		Size:  buf[25],
+		Flags: buf[26],
+	}
 }

@@ -29,6 +29,7 @@ package svf
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"svf/internal/core"
@@ -141,17 +142,34 @@ func RunContext(ctx context.Context, p *Profile, opt Options) (*Result, error) {
 	return sim.RunContext(ctx, p, opt)
 }
 
-// RunTrace simulates a pre-recorded instruction slice (see ReadTrace) under
-// one configuration.
-func RunTrace(name string, insts []Inst, opt Options) (*Result, error) {
-	return sim.RunStream(context.Background(), name, trace.NewSliceStream(insts), opt)
+// Recording is a compact recorded trace, about 5–6 bytes per instruction.
+type Recording = trace.Recording
+
+// RecordTrace records the first n instructions of a workload. It fails if
+// they name more than 32,768 distinct instruction shapes; none of the
+// bundled workloads comes close.
+func RecordTrace(p *Profile, n int) (*Recording, error) {
+	prog, err := sim.ProgramFor(p)
+	if err != nil {
+		return nil, err
+	}
+	if rec := trace.Record(synth.NewGeneratorFor(prog), n, trace.MaxShapes); rec != nil {
+		return rec, nil
+	}
+	return nil, fmt.Errorf("svf: %s: %d instructions name more than %d distinct instruction shapes, the most a trace holds", p.ID(), n, trace.MaxShapes)
 }
 
-// WriteTrace encodes instructions in the binary trace format.
-func WriteTrace(w io.Writer, insts []Inst) error { return trace.Write(w, insts) }
+// RunTrace simulates a recorded trace (see ReadTrace) under one
+// configuration, up to opt.MaxInsts instructions.
+func RunTrace(name string, rec *Recording, opt Options) (*Result, error) {
+	return sim.RunStream(context.Background(), name, rec.Replay(rec.Len()), opt)
+}
 
-// ReadTrace decodes a binary trace.
-func ReadTrace(r io.Reader) ([]Inst, error) { return trace.Read(r) }
+// WriteTrace encodes a recorded trace in the binary trace format.
+func WriteTrace(w io.Writer, rec *Recording) error { return trace.Write(w, rec) }
+
+// ReadTrace decodes a binary trace; a version 1 file must be recorded again.
+func ReadTrace(r io.Reader) (*Recording, error) { return trace.Read(r) }
 
 // StackTraffic measures just the stack structure's memory traffic for a
 // workload — the fast path used by Tables 3 and 4. It returns fill and

@@ -105,25 +105,22 @@ func Example() {
 
 func TestPublicAPITraceRoundTrip(t *testing.T) {
 	prof := svf.ByName("164.gzip")
-	gen, err := svf.NewGenerator(prof)
+	rec, err := svf.RecordTrace(prof, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var insts []svf.Inst
-	var in svf.Inst
-	for i := 0; i < 20_000; i++ {
-		gen.Next(&in)
-		insts = append(insts, in)
-	}
 	var buf bytes.Buffer
-	if err := svf.WriteTrace(&buf, insts); err != nil {
+	if err := svf.WriteTrace(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := svf.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := svf.Options{Policy: svf.PolicySVF, StackPorts: 2, MaxInsts: len(insts)}
+	if reloaded.Len() != 20_000 {
+		t.Fatalf("reloaded %d instructions, want 20000", reloaded.Len())
+	}
+	opt := svf.Options{Policy: svf.PolicySVF, StackPorts: 2, MaxInsts: rec.Len()}
 	live, err := svf.Run(prof, opt)
 	if err != nil {
 		t.Fatal(err)
