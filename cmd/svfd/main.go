@@ -24,7 +24,11 @@
 //
 // With -workers N cells execute on N supervised worker processes (this
 // binary re-exec'd with -worker) exactly as in svfexp: time-bounded
-// leases, crash reclaim, poison-cell quarantine. SIGTERM or SIGINT
+// leases, crash reclaim, poison-cell quarantine. With or without a
+// journal, a faulted cell is retried after a backoff, -retries times, and
+// then latched for the daemon's lifetime. The service, the run cache and
+// the shard pool report into one sim.Observer, whose registry serves
+// /metrics and whose tracer serves the job traces. SIGTERM or SIGINT
 // drains: admission flips to 503, in-flight jobs finish (bounded by
 // -drain-timeout), journals flush, and the process exits 0.
 //
@@ -107,28 +111,26 @@ func run() int {
 
 	// Unlike svfexp, telemetry is always on: /metrics and /v1/progress are
 	// part of the service API, not an opt-in diagnostic. The tracer serves
-	// GET /v1/jobs/{id}/trace and is shared by the service, the shard pool
-	// and the run cache so their spans land in one tree per job.
-	registry := telemetry.NewRegistry()
-	progress := telemetry.NewProgress()
-	tracer := telemetry.NewTracer()
-	var events *telemetry.EventLog
+	// GET /v1/jobs/{id}/trace. The service, the shard pool and the run
+	// cache all report into this one Observer, so their spans land in one
+	// tree per job.
+	obs := &sim.Observer{Registry: telemetry.NewRegistry(), Progress: telemetry.NewProgress(), Tracer: telemetry.NewTracer()}
 	if *eventsPath != "" {
 		f, err := os.OpenFile(*eventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svfd: -events: %v\n", err)
 			return 2
 		}
-		events = telemetry.NewEventLog(f)
-		defer events.Close()
-		tracer.SetEvents(events)
+		obs.Events = telemetry.NewEventLog(f)
+		defer obs.Events.Close()
+		obs.Tracer.SetEvents(obs.Events)
 	}
 
 	// Storage. With -journal, two journals under one root: completed cells
 	// (the run cache's) and job state (the service's). Without it, the
 	// cache's cell store still keeps retry attempts and poison latches for
 	// the process lifetime.
-	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
+	cache := sim.NewRunCache()
 	var cellsJr, jobsJr *journal.Journal
 	var jobsReplay *journal.Replay
 	if *journalDir != "" {
@@ -137,9 +139,9 @@ func run() int {
 			// An injected journal crash must look like process death.
 			OnCrash: func() { os.Exit(137) },
 		}
-		if events != nil {
+		if obs.Events != nil {
 			jopts.OnSync = func(appends, syncBatches uint64) {
-				events.Emit(telemetry.Event{Type: "journal_flush", Records: appends, SyncBatches: syncBatches})
+				obs.Events.Emit(telemetry.Event{Type: "journal_flush", Records: appends, SyncBatches: syncBatches})
 			}
 		}
 		var cellsRep *journal.Replay
@@ -175,9 +177,7 @@ func run() int {
 			Plan:     plan,
 			Spawn:    shard.CommandSpawner(exe, "-worker"),
 			Logf:     func(format string, args ...any) { logf("svfd: "+format, args...) },
-			Registry: registry,
-			Events:   events,
-			Tracer:   tracer,
+			Obs:      obs,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svfd: -workers: %v\n", err)
@@ -185,13 +185,13 @@ func run() int {
 		}
 		defer pool.Close()
 		cache.SetExecutor(pool)
-		progress.SetShard(pool.Status)
+		obs.Progress.SetShard(pool.Status)
 		if *parallel == 0 {
 			*parallel = *workers
 		}
 	}
 	cache.SetRetries(*retries)
-	cache.SetObserver(&sim.Observer{Events: events, Registry: registry, Progress: progress, Tracer: tracer})
+	cache.SetObserver(obs)
 
 	srv, err := service.New(service.Config{
 		Cache:               cache,
@@ -204,10 +204,7 @@ func run() int {
 		DefaultJobDeadline:  *jobDeadline,
 		DefaultCellDeadline: *cellDeadline,
 		Plan:                plan,
-		Registry:            registry,
-		Progress:            progress,
-		Events:              events,
-		Tracer:              tracer,
+		Obs:                 obs,
 		Logf:                logf,
 	})
 	if err != nil {
@@ -226,7 +223,7 @@ func run() int {
 	fmt.Printf("svfd: listening on %s\n", ln.Addr())
 	var obsBound string
 	if *obsAddr != "" {
-		obsSrv := &telemetry.Server{Registry: registry, Progress: progress}
+		obsSrv := &telemetry.Server{Registry: obs.Registry, Progress: obs.Progress}
 		obsBound, err = obsSrv.Listen(*obsAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svfd: -obs-addr: %v\n", err)
@@ -241,7 +238,7 @@ func run() int {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	events.Emit(telemetry.Event{Type: "daemon_start", Detail: ln.Addr().String()})
+	obs.Events.Emit(telemetry.Event{Type: "daemon_start", Detail: ln.Addr().String()})
 	fmt.Println("svfd: ready")
 
 	select {
@@ -263,7 +260,7 @@ func run() int {
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		_ = httpSrv.Close()
 	}
-	events.Emit(telemetry.Event{Type: "daemon_drained"})
+	obs.Events.Emit(telemetry.Event{Type: "daemon_drained"})
 	logf("svfd: drained; exiting")
 	return 0
 }

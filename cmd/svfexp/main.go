@@ -21,25 +21,28 @@
 //
 // Runs are supervised (see DESIGN.md, "Fault domains and supervision"):
 // a simulator panic or deadlock is contained to its cell and reported as a
-// typed fault rather than crashing the process. -on-fault picks the policy:
-// "continue" (the default) records the fault, renders the cell as "n/a"
-// and finishes the suite with exit status 0; "fail" cancels the remaining
-// work in that experiment and exits 1. -run-timeout bounds each individual
-// simulation; Ctrl-C (SIGINT) or SIGTERM cancels the whole suite promptly
-// and exits 130. -inject enables deterministic fault injection (e.g.
-// -inject "bench=186.crafty.ref,panic=5000") for supervision testing; its
-// spec grammar is documented in svf/internal/faultinject. A fault summary
-// — fingerprint, benchmark, cycle — is printed to stderr after a degraded
-// suite; a clean suite prints none.
+// typed fault rather than crashing the process. A faulted cell is retried
+// after a seeded backoff, -retries times, and then latched: the rest of
+// the suite is refused that cell instead of re-running it. -on-fault picks
+// the policy: "continue" (the default) records the fault, renders the cell
+// as "n/a" and finishes the suite with exit status 0; "fail" cancels the
+// remaining work in that experiment and exits 1. -run-timeout bounds each
+// individual simulation; Ctrl-C (SIGINT) or SIGTERM cancels the whole
+// suite promptly and exits 130. -inject enables deterministic fault
+// injection (e.g. -inject "bench=186.crafty.ref,panic=5000") for
+// supervision testing; its spec grammar is documented in
+// svf/internal/faultinject. A fault summary — fingerprint, benchmark,
+// cycle — is printed to stderr after a degraded suite; a clean suite
+// prints none.
 //
 // Campaigns survive process death with -journal <dir>: every completed
 // cell is appended to a crash-safe on-disk journal (see DESIGN.md §5d),
 // and a later invocation with -resume restores those cells from disk and
 // re-executes only what is missing, reporting restored vs re-executed
-// counts. -retries N bounds how many times a faulted cell is re-executed
-// (across resumes, with capped exponential backoff) before it is latched
-// in the journal as permanently failed. Ctrl-C/SIGTERM flushes the journal
-// before exiting 130, so an interrupted sweep resumes where it stopped.
+// counts. The journal also keeps the retry state: a faulted cell's
+// attempts count against -retries across resumes, and a latched cell stays
+// latched. Ctrl-C/SIGTERM flushes the journal before exiting 130, so an
+// interrupted sweep resumes where it stopped.
 // Fault-injected runs bypass the journal exactly as they bypass the run
 // cache; the journal-level plans (kill-mid-write, journal-torn-tail)
 // instead crash the journal itself deterministically, for recovery drills.
@@ -60,9 +63,10 @@
 // worker holding the Nth assignment, for chaos drills.
 //
 // Telemetry (DESIGN.md §5e) is off unless asked for, and strictly
-// observational — results are bit-identical either way. -events FILE
-// appends machine-tailable NDJSON lifecycle events (run start/finish,
-// cache hit/restore, fault, retry, backoff, journal flush/restore).
+// observational — results are bit-identical either way. The run cache and
+// the shard pool report into one sim.Observer. -events FILE appends
+// machine-tailable NDJSON lifecycle events (run start/finish, cache
+// hit/restore, fault, retry, backoff, journal flush/restore).
 // -obs-addr HOST:PORT serves Prometheus-text /metrics, JSON /progress
 // (done/total, ETA, fault and latch counts) and /debug/pprof for live
 // sweeps; ":0" picks an ephemeral port, reported as "obs: listening on
@@ -169,7 +173,8 @@ func run() int {
 	// tracker are independent: -events alone still aggregates counters for
 	// the end-of-run summary, -obs-addr alone still serves /metrics with no
 	// log on disk. Everything here is nil when the flags are absent, and
-	// every downstream layer treats nil as "off".
+	// every downstream layer treats nil as "off". The run cache and the
+	// shard pool report into one Observer holding all four.
 	var (
 		events    *telemetry.EventLog
 		registry  *telemetry.Registry
@@ -218,6 +223,7 @@ func run() int {
 		// this line.
 		fmt.Printf("obs: listening on %s\n", addr)
 	}
+	obs := &sim.Observer{Events: events, Registry: registry, Progress: progress, Tracer: tracer}
 	events.Emit(telemetry.Event{Type: "campaign_start", Detail: strings.Join(os.Args[1:], " ")})
 
 	if *cpuProfile != "" {
@@ -310,13 +316,6 @@ func run() int {
 	}
 	var pool *shard.Pool
 	if *workers > 0 {
-		if *journalDir == "" {
-			// A sharded campaign without a journal still needs cell state
-			// that outlives individual requests: a memory-only cell store
-			// keeps retry attempts and poison-cell quarantine latches for
-			// the process lifetime (a plain cache would forget them).
-			cache, _ = sim.NewRunCacheWithJournal(nil, nil)
-		}
 		exe, err := os.Executable()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svfexp: -workers: %v\n", err)
@@ -331,9 +330,7 @@ func run() int {
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "svfexp: "+format+"\n", args...)
 			},
-			Registry: registry,
-			Events:   events,
-			Tracer:   tracer,
+			Obs: obs,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svfexp: -workers: %v\n", err)
@@ -349,11 +346,9 @@ func run() int {
 		}
 	}
 	cache.SetRetries(*retries)
-	if telemetryOn {
-		// Attached after the journal restore so the observer's opening
-		// journal_restore event reflects what actually came back from disk.
-		cache.SetObserver(&sim.Observer{Events: events, Registry: registry, Progress: progress, Tracer: tracer})
-	}
+	// Attached after the journal restore so the observer's opening
+	// journal_restore event reflects what actually came back from disk.
+	cache.SetObserver(obs)
 	cfg := experiments.Config{
 		MaxInsts: *insts, TrafficInsts: *traffic, Parallel: *parallel, Cache: cache,
 		Ctx: ctx, RunTimeout: *runTimeout, OnFault: policy, Faults: faults, Inject: plan,

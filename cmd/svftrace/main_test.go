@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -73,7 +74,9 @@ func TestRecordInfoReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	insts := []isa.Inst{{PC: 4, Kind: 200}}
-	if err := trace.Write(f, trace.Record(trace.NewSliceStream(insts), 1, trace.MaxShapes)); err != nil {
+	// Background is never done, so Record cannot fail.
+	rec, _ := trace.Record(context.Background(), trace.NewSliceStream(insts), 1, trace.MaxShapes)
+	if err := trace.Write(f, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -80,11 +80,12 @@ type Config struct {
 	// options) pairs — within one figure, across figures, or between a
 	// figure and the scorecard — simulate exactly once. Nil selects the
 	// process-wide shared cache (sim.SharedCache()); use sim.NewRunCache()
-	// for an isolated one (benchmarks do, to keep timings honest). A
-	// cache built with sim.NewRunCacheWithJournal makes the suite loop
-	// consult cells restored from a previous process: completed cells are
-	// served from disk, faulted ones re-execute under the persistent
-	// retry budget, and latched cells degrade like any other cell fault.
+	// for an isolated one (benchmarks do, to keep timings honest). Every
+	// cache retries a faulted cell after a backoff and latches it once its
+	// retry budget is spent; a latched cell degrades like any other cell
+	// fault. A cache built with sim.NewRunCacheWithJournal also consults
+	// cells restored from a previous process: completed cells are served
+	// from disk, and faulted ones carry their attempts over.
 	Cache *sim.RunCache
 	// Ctx cancels the whole suite: when it is done, in-flight simulations
 	// stop at their next poll point and the suite returns the context's

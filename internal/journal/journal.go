@@ -282,11 +282,7 @@ func (j *Journal) replayAndRepair(noCompact bool) (*Replay, error) {
 	}
 
 	rep := &Replay{}
-	type slot struct {
-		idx  int // position in rep.Records
-		seen bool
-	}
-	byKey := map[string]*slot{}
+	byKey := map[string]int{} // key → position in rep.Records
 	off := int64(len(magic))
 	goodEnd := off // end of the last frame we accepted (valid or skipped)
 	for off < int64(len(raw)) {
@@ -321,11 +317,11 @@ func (j *Journal) replayAndRepair(noCompact bool) (*Replay, error) {
 			goodEnd = frameEnd
 			continue
 		}
-		if s, ok := byKey[rec.Key]; ok {
-			rep.Records[s.idx] = rec
+		if i, ok := byKey[rec.Key]; ok {
+			rep.Records[i] = rec
 			rep.Stats.Obsolete++
 		} else {
-			byKey[rec.Key] = &slot{idx: len(rep.Records)}
+			byKey[rec.Key] = len(rep.Records)
 			rep.Records = append(rep.Records, rec)
 		}
 		off = frameEnd

@@ -26,7 +26,9 @@ func allocTestSetup(t *testing.T) (Env, *trace.Replay) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := trace.Record(synth.NewGeneratorFor(prog), allocTestInsts, trace.MaxShapes).Replay(allocTestInsts)
+	// Background is never done, so Record cannot fail.
+	rec, _ := trace.Record(context.Background(), synth.NewGeneratorFor(prog), allocTestInsts, trace.MaxShapes)
+	stream := rec.Replay(allocTestInsts)
 	hier := must(cache.NewHierarchy(cache.DefaultHierarchyConfig()))
 	env := Env{
 		Machine: SixteenWide(),

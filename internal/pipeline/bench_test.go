@@ -31,7 +31,9 @@ func benchPipeline(b *testing.B, mkEnv func() Env) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream := trace.Record(synth.NewGeneratorFor(prog), benchRawInsts, trace.MaxShapes).Replay(benchRawInsts)
+	// Background is never done, so Record cannot fail.
+	rec, _ := trace.Record(context.Background(), synth.NewGeneratorFor(prog), benchRawInsts, trace.MaxShapes)
+	stream := rec.Replay(benchRawInsts)
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {

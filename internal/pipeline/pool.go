@@ -14,15 +14,12 @@ import "sync"
 type Pool struct {
 	mu   sync.Mutex
 	free []*Pipeline
-	// Max bounds how many idle pipelines the pool retains; Put drops the
-	// machine once the pool is full. Zero means DefaultPoolMax.
-	Max int
 }
 
-// DefaultPoolMax is the retained-machine bound for pools that don't set
-// their own: enough for one machine per CPU in a parallel campaign without
-// pinning an unbounded number of large windows.
-const DefaultPoolMax = 16
+// poolMax bounds how many idle pipelines a pool retains (Put drops the
+// machine once the pool is full): enough for one machine per CPU in a
+// parallel campaign without pinning an unbounded number of large windows.
+const poolMax = 16
 
 // Get returns a pipeline reset for env, recycling a pooled machine when
 // one is available.
@@ -51,12 +48,8 @@ func (pl *Pool) Put(p *Pipeline) {
 	if p == nil {
 		return
 	}
-	max := pl.Max
-	if max <= 0 {
-		max = DefaultPoolMax
-	}
 	pl.mu.Lock()
-	if len(pl.free) < max {
+	if len(pl.free) < poolMax {
 		pl.free = append(pl.free, p)
 	}
 	pl.mu.Unlock()

@@ -69,7 +69,7 @@ func chaosSpecs() []string {
 // worker fleet under plan-driven chaos.
 func newChaosServer(t *testing.T, workers int, plan *faultinject.Plan, retries int) (*Server, *httptest.Server, *shard.Pool) {
 	t.Helper()
-	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
+	cache := sim.NewRunCache()
 	pool, err := shard.NewPool(shard.Config{
 		Workers:  workers,
 		LeaseTTL: 5 * time.Second,
@@ -89,8 +89,7 @@ func newChaosServer(t *testing.T, workers int, plan *faultinject.Plan, retries i
 		Cache:    cache,
 		Parallel: workers,
 		Plan:     plan,
-		Registry: telemetry.NewRegistry(),
-		Progress: progress,
+		Obs:      &sim.Observer{Registry: telemetry.NewRegistry(), Progress: progress},
 		Logf:     t.Logf,
 	})
 	if err != nil {
@@ -187,7 +186,7 @@ func TestChaosConcurrentClientsWorkerKills(t *testing.T) {
 
 	// No cell double-counted: the progress tracker's done count equals the
 	// total it was charged with, exactly once per admitted job cell.
-	snap := srv.cfg.Progress.Snapshot()
+	snap := srv.cfg.Obs.Progress.Snapshot()
 	totalCells := 0
 	for id := range seen {
 		j, _ := srv.Job(id)
@@ -299,7 +298,7 @@ func TestChaosDaemonKillWithFleet(t *testing.T) {
 	cache.SetExecutor(pool)
 	cache.SetRetries(2)
 	reg := telemetry.NewRegistry()
-	s2, err := New(Config{Cache: cache, Jobs: jj, JobsReplay: jrep, Registry: reg, Logf: t.Logf})
+	s2, err := New(Config{Cache: cache, Jobs: jj, JobsReplay: jrep, Obs: &sim.Observer{Registry: reg}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, label string, h http.HandlerFunc) {
-		mux.Handle(pattern, telemetry.InstrumentHTTP(s.cfg.Registry, label, h))
+		mux.Handle(pattern, telemetry.InstrumentHTTP(s.cfg.Obs.Registry, label, h))
 	}
 	route("POST /v1/jobs", "/v1/jobs", s.handleSubmit)
 	route("GET /v1/jobs/{id}", "/v1/jobs/{id}", s.handleStatus)
@@ -45,7 +45,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.countLabeled("svf_service_rejected_total", "reason", "too_large")
+			s.cfg.Obs.CountLabeled("svf_service_rejected_total", "reason", "too_large")
 			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
 				"error": fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit),
 			})
@@ -56,7 +56,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := ParseJobSpec(body)
 	if err != nil {
-		s.countLabeled("svf_service_rejected_total", "reason", "bad_spec")
+		s.cfg.Obs.CountLabeled("svf_service_rejected_total", "reason", "bad_spec")
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
@@ -105,7 +105,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Svf-Trace", j.trace)
-	_, _ = s.cfg.Tracer.WriteTrace(w, j.trace)
+	_, _ = s.cfg.Obs.Tracer.WriteTrace(w, j.trace)
 }
 
 // cellStatus is one cell's row in a status response.
@@ -239,8 +239,8 @@ func (s *Server) resultLine(i int, cs *cellState) resultLine {
 // own job accounting.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{}
-	if s.cfg.Progress != nil {
-		out["progress"] = s.cfg.Progress.Snapshot()
+	if s.cfg.Obs.Progress != nil {
+		out["progress"] = s.cfg.Obs.Progress.Snapshot()
 	}
 	type jobRow struct {
 		ID    string `json:"id"`
@@ -306,5 +306,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	telemetry.ServeMetrics(w, r, s.cfg.Registry)
+	telemetry.ServeMetrics(w, r, s.cfg.Obs.Registry)
 }

@@ -55,15 +55,14 @@ type Config struct {
 	// admission slot (default 1s).
 	AcceptStallDur time.Duration
 
-	// Registry/Progress/Events are the telemetry sinks. All optional.
-	Registry *telemetry.Registry
-	Progress *telemetry.Progress
-	Events   *telemetry.EventLog
-	// Tracer records each job's span tree (job → admit → queue →
-	// cell → …) and serves GET /v1/jobs/{id}/trace. Optional; nil
-	// disables tracing at zero cost. Wire the same tracer into the shard
-	// pool and the cache observer so their spans land in the same trees.
-	Tracer *telemetry.Tracer
+	// Obs is the telemetry handle: its registry serves /metrics, its
+	// progress tracker /v1/progress, its event log receives the job and
+	// drain events, and its tracer records each job's span tree (job →
+	// admit → queue → cell → …) and serves GET /v1/jobs/{id}/trace. Pass
+	// the observer the cache (SetObserver) and the shard pool report into,
+	// so their spans land in the same trees. Nil turns telemetry off at
+	// zero cost.
+	Obs *sim.Observer
 	// Logf narrates lifecycle to the daemon log; default discards.
 	Logf func(format string, args ...any)
 	// Exit replaces os.Exit for the injected daemon-kill (tests).
@@ -231,6 +230,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Exit == nil {
 		cfg.Exit = os.Exit
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = &sim.Observer{}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -239,7 +241,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:       map[string]*Job{},
 		sem:        make(chan struct{}, cfg.Parallel),
 	}
-	if r := cfg.Registry; r != nil {
+	if r := cfg.Obs.Registry; r != nil {
 		r.Help("svf_service_jobs_submitted_total", "jobs accepted for execution")
 		r.Help("svf_service_jobs_deduped_total", "submissions coalesced onto an existing job by content fingerprint")
 		r.Help("svf_service_jobs_completed_total", "jobs that reached the done state")
@@ -254,6 +256,8 @@ func New(cfg Config) (*Server, error) {
 		// first job.
 		r.Histogram("svf_job_queue_seconds", telemetry.SecondsBuckets...)
 		r.Histogram("svf_cell_run_seconds", telemetry.SecondsBuckets...)
+		r.Gauge("svf_service_jobs_outstanding")
+		r.Gauge("svf_service_queue_bytes")
 	}
 	if err := s.replayJobs(); err != nil {
 		cancel()
@@ -312,22 +316,30 @@ func (s *Server) replayJobs() error {
 		// span marked as a replay.
 		j.state = JobQueued
 		j.acceptedAt = time.Now()
-		j.root = s.cfg.Tracer.StartSpan(telemetry.SpanContext{Trace: j.trace}, "job")
+		j.root = s.cfg.Obs.StartSpan(telemetry.SpanContext{Trace: j.trace}, "job")
 		j.root.SetAttr("job", jr.ID)
 		j.root.SetAttr("replayed", "true")
-		s.outstanding++
-		s.outstandingBytes += j.bytes
+		s.chargeLocked(1, j.bytes)
 		s.jobsWG.Add(1)
 		s.replayed = append(s.replayed, j)
-		s.count("svf_service_jobs_replayed_total")
+		s.cfg.Obs.Count("svf_service_jobs_replayed_total", 1)
 	}
 	if n := len(s.replayed); n > 0 {
 		s.cfg.Logf("svfd: journal: restored %d job(s), %d unfinished re-enqueued", len(s.order), n)
 	} else if len(s.order) > 0 {
 		s.cfg.Logf("svfd: journal: restored %d completed job(s)", len(s.order))
 	}
-	s.gauges()
 	return nil
+}
+
+// chargeLocked charges jobs outstanding jobs and bytes spec bytes to the
+// admission budget (negative values release them) and publishes the
+// budget's gauges. Callers hold s.mu, or are New, before anything runs.
+func (s *Server) chargeLocked(jobs int, bytes int64) {
+	s.outstanding += jobs
+	s.outstandingBytes += bytes
+	s.cfg.Obs.SetGauge("svf_service_jobs_outstanding", float64(s.outstanding))
+	s.cfg.Obs.SetGauge("svf_service_queue_bytes", float64(s.outstandingBytes))
 }
 
 // Start begins executing replayed jobs and marks the server ready.
@@ -338,7 +350,7 @@ func (s *Server) Start() {
 	s.replayed = nil
 	s.mu.Unlock()
 	for _, j := range replayed {
-		s.cfg.Progress.AddTotal(len(j.cells))
+		s.cfg.Obs.Progress.AddTotal(len(j.cells))
 		s.startJob(j)
 	}
 }
@@ -383,17 +395,17 @@ func (s *Server) SubmitTraced(spec *JobSpec, rawLen int, parent telemetry.SpanCo
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.countLabeled("svf_service_rejected_total", "reason", "draining")
+		s.cfg.Obs.CountLabeled("svf_service_rejected_total", "reason", "draining")
 		return submitResult{shed: errDraining}
 	}
 	if j, ok := s.jobs[id]; ok {
 		s.mu.Unlock()
-		s.count("svf_service_jobs_deduped_total")
+		s.cfg.Obs.Count("svf_service_jobs_deduped_total", 1)
 		return submitResult{job: j, deduped: true}
 	}
 	if s.outstanding >= s.cfg.MaxJobs || s.outstandingBytes+int64(rawLen) > s.cfg.MaxQueueBytes {
 		s.mu.Unlock()
-		s.countLabeled("svf_service_rejected_total", "reason", "overload")
+		s.cfg.Obs.CountLabeled("svf_service_rejected_total", "reason", "overload")
 		return submitResult{shed: errOverload}
 	}
 	j := &Job{ID: id, spec: spec, bytes: int64(rawLen), state: JobQueued, finished: make(chan struct{})}
@@ -404,8 +416,7 @@ func (s *Server) SubmitTraced(spec *JobSpec, rawLen int, parent telemetry.SpanCo
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.outstanding++
-	s.outstandingBytes += j.bytes
+	s.chargeLocked(1, j.bytes)
 	s.acceptSeq++
 	seq := s.acceptSeq
 	started := s.started
@@ -414,18 +425,17 @@ func (s *Server) SubmitTraced(spec *JobSpec, rawLen int, parent telemetry.SpanCo
 	s.jobsWG.Add(1)
 	s.mu.Unlock()
 
-	s.count("svf_service_jobs_submitted_total")
-	s.gauges()
-	s.event(telemetry.Event{Type: "job_accepted", Key: "job|" + id, Detail: fmt.Sprintf("cells=%d bytes=%d", len(j.cells), rawLen)})
+	s.cfg.Obs.Count("svf_service_jobs_submitted_total", 1)
+	s.cfg.Obs.Events.Emit(telemetry.Event{Type: "job_accepted", Key: "job|" + id, Detail: fmt.Sprintf("cells=%d bytes=%d", len(j.cells), rawLen)})
 
 	// The job's root span opens here; the admit span covers the rest of
 	// the admission path through the durable accepted record.
-	j.root = s.cfg.Tracer.StartSpan(telemetry.SpanContext{Trace: j.trace}, "job")
+	j.root = s.cfg.Obs.StartSpan(telemetry.SpanContext{Trace: j.trace}, "job")
 	j.root.SetAttr("job", id)
 	if parent.Valid() {
 		j.root.SetAttr("remote_parent", parent.String())
 	}
-	admit := s.cfg.Tracer.StartSpan(j.root.Context(), "admit")
+	admit := s.cfg.Obs.StartSpan(j.root.Context(), "admit")
 
 	// Chaos: a stalled accept path holds its admission slot — concurrent
 	// submissions see the queue fuller, which is exactly the overload
@@ -452,7 +462,7 @@ func (s *Server) SubmitTraced(spec *JobSpec, rawLen int, parent telemetry.SpanCo
 		return submitResult{job: j}
 	}
 
-	s.cfg.Progress.AddTotal(len(j.cells))
+	s.cfg.Obs.Progress.AddTotal(len(j.cells))
 	if started {
 		s.startJob(j)
 	} else {
@@ -497,11 +507,8 @@ func (s *Server) startJob(j *Job) {
 // semaphore, then finishes the job.
 func (s *Server) runJob(j *Job) {
 	j.setState(JobRunning)
-	s.event(telemetry.Event{Type: "job_start", Key: "job|" + j.ID})
-	if s.cfg.Registry != nil {
-		s.cfg.Registry.Histogram("svf_job_queue_seconds", telemetry.SecondsBuckets...).
-			ObserveExemplar(time.Since(j.acceptedAt).Seconds(), j.trace)
-	}
+	s.cfg.Obs.Events.Emit(telemetry.Event{Type: "job_start", Key: "job|" + j.ID})
+	s.cfg.Obs.ObserveSeconds("svf_job_queue_seconds", time.Since(j.acceptedAt), j.trace)
 	ctx := s.baseCtx
 	if d := s.jobDeadline(j.spec); d > 0 {
 		var cancel context.CancelFunc
@@ -513,10 +520,10 @@ func (s *Server) runJob(j *Job) {
 		// Each cell gets a span under the job root; the queue span inside
 		// it covers the wait for an execution slot.
 		var cellSp *telemetry.ActiveSpan
-		if s.cfg.Tracer != nil {
-			cellSp = s.cfg.Tracer.StartSpan(j.root.Context(), fmt.Sprintf("cell[%d] %s", i, cs.spec.BenchID()))
+		if s.cfg.Obs.Tracer != nil {
+			cellSp = s.cfg.Obs.StartSpan(j.root.Context(), fmt.Sprintf("cell[%d] %s", i, cs.spec.BenchID()))
 		}
-		queueSp := s.cfg.Tracer.StartSpan(cellSp.Context(), "queue")
+		queueSp := s.cfg.Obs.StartSpan(cellSp.Context(), "queue")
 		select {
 		case s.sem <- struct{}{}:
 			queueSp.End()
@@ -563,10 +570,7 @@ func (s *Server) execCell(ctx context.Context, j *Job, cs *cellState, sp *teleme
 			err = fmt.Errorf("unreachable cell kind %q", spec.Kind)
 		}
 	})
-	if s.cfg.Registry != nil {
-		s.cfg.Registry.Histogram("svf_cell_run_seconds", telemetry.SecondsBuckets...).
-			ObserveExemplar(time.Since(start).Seconds(), j.trace)
-	}
+	s.cfg.Obs.ObserveSeconds("svf_cell_run_seconds", time.Since(start), j.trace)
 	s.finishCell(j, cs, err, sp)
 }
 
@@ -594,16 +598,16 @@ func (s *Server) finishCell(j *Job, cs *cellState, err error, sp *telemetry.Acti
 		status, msg = CellFailed, err.Error()
 	}
 	cs.set(status, msg)
-	if rsp := s.cfg.Tracer.StartSpan(sp.Context(), "result"); rsp != nil {
+	if rsp := s.cfg.Obs.StartSpan(sp.Context(), "result"); rsp != nil {
 		rsp.SetAttr("status", status)
 		rsp.End()
 	}
 	sp.SetAttr("status", status)
 	sp.End()
-	s.cfg.Progress.Done(1)
-	s.countLabeled("svf_service_cells_total", "status", status)
+	s.cfg.Obs.Progress.Done(1)
+	s.cfg.Obs.CountLabeled("svf_service_cells_total", "status", status)
 	if status != CellDone {
-		s.event(telemetry.Event{Type: "cell_failed", Key: cs.spec.key, Bench: cs.spec.BenchID(), Err: msg, Detail: status})
+		s.cfg.Obs.Events.Emit(telemetry.Event{Type: "cell_failed", Key: cs.spec.key, Bench: cs.spec.BenchID(), Err: msg, Detail: status})
 	}
 }
 
@@ -627,12 +631,10 @@ func (s *Server) finishJob(j *Job) {
 	j.setState(JobDone)
 
 	s.mu.Lock()
-	s.outstanding--
-	s.outstandingBytes -= j.bytes
+	s.chargeLocked(-1, -j.bytes)
 	s.mu.Unlock()
-	s.count("svf_service_jobs_completed_total")
-	s.gauges()
-	s.event(telemetry.Event{Type: "job_finish", Key: "job|" + j.ID, Detail: fmt.Sprintf("cells=%d failed=%d", len(j.cells), failed)})
+	s.cfg.Obs.Count("svf_service_jobs_completed_total", 1)
+	s.cfg.Obs.Events.Emit(telemetry.Event{Type: "job_finish", Key: "job|" + j.ID, Detail: fmt.Sprintf("cells=%d failed=%d", len(j.cells), failed)})
 	if failed > 0 {
 		s.cfg.Logf("svfd: job %s done with partial failure: %d/%d cells failed", j.ID, failed, len(j.cells))
 	} else {
@@ -689,7 +691,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Unlock()
 	if !alreadyDraining {
 		s.cfg.Logf("svfd: draining (%d job(s) outstanding)", n)
-		s.event(telemetry.Event{Type: "drain_start", Detail: fmt.Sprintf("outstanding=%d", n)})
+		s.cfg.Obs.Events.Emit(telemetry.Event{Type: "drain_start", Detail: fmt.Sprintf("outstanding=%d", n)})
 	}
 	done := make(chan struct{})
 	go func() {
@@ -706,7 +708,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 		s.cancelBase()
 		<-done
 	}
-	s.event(telemetry.Event{Type: "drain_finish"})
+	s.cfg.Obs.Events.Emit(telemetry.Event{Type: "drain_finish"})
 	return nil
 }
 
@@ -717,34 +719,4 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.cancelBase()
 	s.jobsWG.Wait()
-}
-
-// count/countReason/gauges/event are nil-safe telemetry helpers.
-func (s *Server) count(name string) {
-	if s.cfg.Registry != nil {
-		s.cfg.Registry.Counter(name).Inc()
-	}
-}
-
-func (s *Server) countLabeled(name, label, value string) {
-	if s.cfg.Registry != nil {
-		s.cfg.Registry.Counter(fmt.Sprintf("%s{%s=%q}", name, label, value)).Inc()
-	}
-}
-
-func (s *Server) gauges() {
-	if s.cfg.Registry == nil {
-		return
-	}
-	s.mu.Lock()
-	out, bytes := s.outstanding, s.outstandingBytes
-	s.mu.Unlock()
-	s.cfg.Registry.Gauge("svf_service_jobs_outstanding").Set(float64(out))
-	s.cfg.Registry.Gauge("svf_service_queue_bytes").Set(float64(bytes))
-}
-
-func (s *Server) event(ev telemetry.Event) {
-	if s.cfg.Events != nil {
-		s.cfg.Events.Emit(ev)
-	}
 }

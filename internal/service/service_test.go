@@ -36,12 +36,10 @@ func testSpec() string {
 // HTTP test frontend. mut may adjust the Config before construction.
 func newTestServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
 	cfg := Config{
-		Cache:    cache,
-		Registry: telemetry.NewRegistry(),
-		Progress: telemetry.NewProgress(),
-		Logf:     t.Logf,
+		Cache: sim.NewRunCache(),
+		Obs:   &sim.Observer{Registry: telemetry.NewRegistry(), Progress: telemetry.NewProgress()},
+		Logf:  t.Logf,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -234,7 +232,7 @@ func TestAdmissionOverload(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if got := srv.cfg.Registry.Counter(`svf_service_rejected_total{reason="overload"}`).Load(); got != 1 {
+	if got := srv.cfg.Obs.Registry.Counter(`svf_service_rejected_total{reason="overload"}`).Load(); got != 1 {
 		t.Errorf("overload rejections = %d, want 1", got)
 	}
 
@@ -526,7 +524,7 @@ func TestRestartReplay(t *testing.T) {
 	defer cellsJr2.Close()
 	defer jobsJr2.Close()
 	reg := telemetry.NewRegistry()
-	s2, err := New(Config{Cache: cache2, Jobs: jobsJr2, JobsReplay: jobsRep2, Registry: reg, Logf: t.Logf})
+	s2, err := New(Config{Cache: cache2, Jobs: jobsJr2, JobsReplay: jobsRep2, Obs: &sim.Observer{Registry: reg}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +593,7 @@ func TestRestartSkipsDoneJobs(t *testing.T) {
 	defer cellsJr2.Close()
 	defer jobsJr2.Close()
 	reg := telemetry.NewRegistry()
-	s2, err := New(Config{Cache: cache2, Jobs: jobsJr2, JobsReplay: jobsRep2, Registry: reg, Logf: t.Logf})
+	s2, err := New(Config{Cache: cache2, Jobs: jobsJr2, JobsReplay: jobsRep2, Obs: &sim.Observer{Registry: reg}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

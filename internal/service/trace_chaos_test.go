@@ -22,8 +22,8 @@ import (
 func newTracedChaosServer(t *testing.T, workers int, plan *faultinject.Plan, retries int) (*Server, *httptest.Server, *shard.Pool, *telemetry.Tracer) {
 	t.Helper()
 	tracer := telemetry.NewTracer()
-	reg := telemetry.NewRegistry()
-	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
+	obs := &sim.Observer{Registry: telemetry.NewRegistry(), Tracer: tracer}
+	cache := sim.NewRunCache()
 	pool, err := shard.NewPool(shard.Config{
 		Workers:  workers,
 		LeaseTTL: 5 * time.Second,
@@ -31,21 +31,19 @@ func newTracedChaosServer(t *testing.T, workers int, plan *faultinject.Plan, ret
 		Plan:     plan,
 		Spawn:    inprocFleet(),
 		Logf:     t.Logf,
-		Registry: reg,
-		Tracer:   tracer,
+		Obs:      obs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache.SetExecutor(pool)
 	cache.SetRetries(retries)
-	cache.SetObserver(&sim.Observer{Registry: reg, Tracer: tracer})
+	cache.SetObserver(obs)
 	srv, err := New(Config{
 		Cache:    cache,
 		Parallel: workers,
 		Plan:     plan,
-		Registry: reg,
-		Tracer:   tracer,
+		Obs:      obs,
 		Logf:     t.Logf,
 	})
 	if err != nil {

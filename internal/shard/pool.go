@@ -66,10 +66,9 @@ type Config struct {
 	// Workers is the fleet size (required, ≥ 1).
 	Workers int
 	// LeaseTTL is how long a lease survives without a heartbeat before
-	// the watchdog reclaims the worker. Default 30s.
+	// the watchdog reclaims the worker. Default 30s. Workers heartbeat
+	// every LeaseTTL/4.
 	LeaseTTL time.Duration
-	// Heartbeat is the worker heartbeat period. Default LeaseTTL/4.
-	Heartbeat time.Duration
 	// PoisonK quarantines a cell once it has killed this many distinct
 	// workers: the cell latches as permanently failed instead of
 	// crash-looping the fleet. Default 3.
@@ -82,14 +81,12 @@ type Config struct {
 	// Logf, when non-nil, receives coordinator notices (worker deaths,
 	// lease expiries, quarantines).
 	Logf func(format string, args ...any)
-	// Registry, when non-nil, receives svf_shard_* metrics.
-	Registry *telemetry.Registry
-	// Events, when non-nil, receives worker lifecycle events.
-	Events *telemetry.EventLog
-	// Tracer, when non-nil, records lease.wait and lease[gen] spans for
-	// cells whose context carries a trace, and stamps the trace context on
-	// outgoing cell frames.
-	Tracer *telemetry.Tracer
+	// Obs is the telemetry handle the cache above reports into. Its
+	// registry receives the svf_shard_* metrics, its event log the worker
+	// lifecycle events, and its tracer the lease.wait and lease[genN]
+	// spans of cells whose context carries a trace. Nil turns telemetry
+	// off.
+	Obs *sim.Observer
 }
 
 // Pool is the coordinator's worker fleet: it implements sim.Executor, so a
@@ -99,16 +96,17 @@ type Config struct {
 type Pool struct {
 	cfg Config
 
-	mu        sync.Mutex
-	workers   []*worker
-	idle      chan *worker
-	leaseSeq  uint64
-	assignSeq uint64                  // chaos-plan ordinal (1-based)
-	poison    map[string]map[int]bool // cell key → worker slots it killed
-	closed    bool
-	done      chan struct{} // closes to stop the watchdog
+	mu      sync.Mutex
+	workers []*worker
+	idle    chan *worker
+	// poison maps the key of a cell that has lost a worker, until the
+	// cell completes or is quarantined, to the worker slots it killed.
+	poison map[string]map[int]bool
+	closed bool
+	done   chan struct{} // closes to stop the watchdog
 
-	// Counters (under mu; exported via Status).
+	// Counters (under mu; exported via Status). assigned also numbers
+	// the leases and is the chaos plan's assignment ordinal (1-based).
 	assigned        uint64
 	completed       uint64
 	reenqueued      uint64
@@ -177,6 +175,9 @@ const (
 	defaultPoisonK  = 3
 )
 
+// heartbeatsPerLease is how many heartbeats a worker sends per LeaseTTL.
+const heartbeatsPerLease = 4
+
 // NewPool spawns the fleet and starts the lease watchdog. Callers own the
 // pool's lifetime: Close drains and terminates the workers.
 func NewPool(cfg Config) (*Pool, error) {
@@ -189,11 +190,11 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = defaultLeaseTTL
 	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = cfg.LeaseTTL / 4
-	}
 	if cfg.PoisonK <= 0 {
 		cfg.PoisonK = defaultPoisonK
+	}
+	if cfg.Obs == nil {
+		cfg.Obs = &sim.Observer{}
 	}
 	p := &Pool{
 		cfg:    cfg,
@@ -201,7 +202,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		poison: map[string]map[int]bool{},
 		done:   make(chan struct{}),
 	}
-	if r := cfg.Registry; r != nil {
+	if r := cfg.Obs.Registry; r != nil {
 		r.Help("svf_shard_assigned_total", "cells assigned to workers")
 		r.Help("svf_shard_completed_total", "cells completed by workers")
 		r.Help("svf_shard_reenqueued_total", "cells reclaimed from dead or expired workers and re-enqueued")
@@ -295,13 +296,16 @@ func (p *Pool) readLoop(w *worker, proc *Proc, gen int) {
 			if w.gen == gen && l != nil && l.id == f.Lease && !l.expired {
 				w.lease = nil
 				p.completed++
-				p.count("svf_shard_completed_total")
+				if f.Type == FrameResult {
+					delete(p.poison, l.key) // it completed: its deaths are history
+				}
+				p.cfg.Obs.Count("svf_shard_completed_total", 1)
 				p.mu.Unlock()
 				l.ch <- leaseOutcome{frame: f}
 				p.release(w)
 			} else {
 				p.staleResults++
-				p.count("svf_shard_stale_results_total")
+				p.cfg.Obs.Count("svf_shard_stale_results_total", 1)
 				p.mu.Unlock()
 				p.logf("shard: worker %d: discarded stale %s frame for lease %d", w.slot, f.Type, f.Lease)
 			}
@@ -323,7 +327,7 @@ func (p *Pool) workerDied(w *worker, gen int, cause error) {
 	}
 	w.alive = false
 	p.workerDeaths++
-	p.count("svf_shard_worker_deaths_total")
+	p.cfg.Obs.Count("svf_shard_worker_deaths_total", 1)
 	p.gaugeWorkers()
 
 	var outcome *leaseOutcome
@@ -345,11 +349,13 @@ func (p *Pool) workerDied(w *worker, gen int, cause error) {
 		set[w.slot] = true
 		if len(set) >= p.cfg.PoisonK {
 			p.quarantined++
-			p.count("svf_shard_quarantined_total")
+			p.cfg.Obs.Count("svf_shard_quarantined_total", 1)
+			// The cache latches the cell for good; nothing will ask again.
+			delete(p.poison, l.key)
 			outcome = &leaseOutcome{err: &PoisonCellError{Bench: l.bench, Key: l.key, Workers: len(set)}}
 		} else {
 			p.reenqueued++
-			p.count("svf_shard_reenqueued_total")
+			p.cfg.Obs.Count("svf_shard_reenqueued_total", 1)
 			p.logf("shard: %s; cell re-enqueued", reason)
 			outcome = &leaseOutcome{err: &sim.Fault{
 				Bench: l.bench,
@@ -372,7 +378,7 @@ func (p *Pool) workerDied(w *worker, gen int, cause error) {
 	p.mu.Unlock()
 
 	if outcome != nil {
-		p.event(telemetry.Event{Type: "shard_worker_death", Bench: bench, Err: cause.Error(), Detail: fmt.Sprintf("slot %d gen %d", w.slot, gen)})
+		p.cfg.Obs.Events.Emit(telemetry.Event{Type: "shard_worker_death", Bench: bench, Err: cause.Error(), Detail: fmt.Sprintf("slot %d gen %d", w.slot, gen)})
 		if pe, ok := outcome.err.(*PoisonCellError); ok {
 			p.logf("shard: %v", pe)
 		}
@@ -402,7 +408,7 @@ func (p *Pool) release(w *worker) {
 // is wedged (or its kill landed without closing the pipe), so it is
 // terminated, which funnels into the death path exactly like a crash.
 func (p *Pool) watchdog() {
-	period := p.cfg.Heartbeat / 2
+	period := p.cfg.LeaseTTL / heartbeatsPerLease / 2
 	if period < 5*time.Millisecond {
 		period = 5 * time.Millisecond
 	}
@@ -425,7 +431,7 @@ func (p *Pool) watchdog() {
 			l.expired = true
 			l.reason = fmt.Sprintf("lease %d expired after %s without a heartbeat", l.id, now.Sub(l.started).Round(time.Millisecond))
 			p.leaseExpired++
-			p.count("svf_shard_lease_expired_total")
+			p.cfg.Obs.Count("svf_shard_lease_expired_total", 1)
 			kill = append(kill, w.proc)
 			p.logf("shard: worker %d (pid %d): %s; terminating", w.slot, w.pid, l.reason)
 		}
@@ -478,10 +484,7 @@ func (p *Pool) execCell(ctx context.Context, cell *Cell, key, bench string) (*Fr
 	// also observed in svf_lease_wait_seconds with the trace ID as its
 	// exemplar. All of it is skipped when the context carries no trace.
 	sc := telemetry.SpanFromContext(ctx)
-	var waitSp *telemetry.ActiveSpan
-	if p.cfg.Tracer != nil && sc.Valid() {
-		waitSp = p.cfg.Tracer.StartSpan(sc, "lease.wait")
-	}
+	waitSp := p.cfg.Obs.StartSpan(sc, "lease.wait")
 	waitStart := time.Now()
 	var w *worker
 	for {
@@ -509,38 +512,31 @@ func (p *Pool) execCell(ctx context.Context, cell *Cell, key, bench string) (*Fr
 		p.respawns++
 		break
 	}
-	// Assign under the pool lock: lease ID, chaos ordinal, deadline.
-	p.leaseSeq++
-	p.assignSeq++
+	// Assign under the pool lock: the assignment number is the lease ID
+	// and the chaos ordinal; then the deadline.
+	p.assigned++
 	l := &lease{
-		id:       p.leaseSeq,
+		id:       p.assigned,
 		key:      key,
 		bench:    bench,
 		started:  time.Now(),
 		deadline: time.Now().Add(p.cfg.LeaseTTL),
 		ch:       make(chan leaseOutcome, 1),
 	}
-	cell.HeartbeatMS = int64(p.cfg.Heartbeat / time.Millisecond)
-	if cell.HeartbeatMS < 1 {
-		cell.HeartbeatMS = 1
-	}
-	cell.Kill = p.cfg.Plan.WorkerKillAt(p.assignSeq)
-	cell.Stall = p.cfg.Plan.WorkerStallAt(p.assignSeq)
+	cell.HeartbeatMS = max(int64(p.cfg.LeaseTTL/heartbeatsPerLease/time.Millisecond), 1)
+	cell.Kill = p.cfg.Plan.WorkerKillAt(p.assigned)
+	cell.Stall = p.cfg.Plan.WorkerStallAt(p.assigned)
 	w.lease = l
-	p.assigned++
-	p.count("svf_shard_assigned_total")
+	p.cfg.Obs.Count("svf_shard_assigned_total", 1)
 	proc := w.proc
 	slot, gen, pid := w.slot, w.gen, w.pid
 	p.mu.Unlock()
 
 	waitSp.End()
-	if p.cfg.Registry != nil {
-		p.cfg.Registry.Histogram("svf_lease_wait_seconds", telemetry.SecondsBuckets...).
-			ObserveExemplar(time.Since(waitStart).Seconds(), sc.Trace)
-	}
+	p.cfg.Obs.ObserveSeconds("svf_lease_wait_seconds", time.Since(waitStart), sc.Trace)
 	var leaseSp *telemetry.ActiveSpan
-	if p.cfg.Tracer != nil && sc.Valid() {
-		leaseSp = p.cfg.Tracer.StartSpan(sc, fmt.Sprintf("lease[gen%d]", gen))
+	if sc.Valid() && p.cfg.Obs.Tracer != nil {
+		leaseSp = p.cfg.Obs.StartSpan(sc, fmt.Sprintf("lease[gen%d]", gen))
 		leaseSp.SetAttr("lease", fmt.Sprint(l.id))
 		leaseSp.SetAttr("slot", strconv.Itoa(slot))
 		leaseSp.SetAttr("pid", strconv.Itoa(pid))
@@ -556,7 +552,7 @@ func (p *Pool) execCell(ctx context.Context, cell *Cell, key, bench string) (*Fr
 		frameTrace = &scc
 	}
 
-	p.event(telemetry.Event{Type: "shard_assign", Bench: bench, Key: key, Detail: fmt.Sprintf("worker %d lease %d", w.slot, l.id)})
+	p.cfg.Obs.Events.Emit(telemetry.Event{Type: "shard_assign", Bench: bench, Key: key, Detail: fmt.Sprintf("worker %d lease %d", w.slot, l.id)})
 	w.wmu.Lock()
 	werr := writeFrame(proc.In, &Frame{Type: FrameCell, Lease: l.id, Cell: cell, Trace: frameTrace})
 	w.wmu.Unlock()
@@ -689,30 +685,13 @@ func (p *Pool) logf(format string, args ...any) {
 	}
 }
 
-// count bumps a registry counter when telemetry is attached.
-func (p *Pool) count(name string) {
-	if p.cfg.Registry != nil {
-		p.cfg.Registry.Counter(name).Inc()
-	}
-}
-
 // gaugeWorkers refreshes the live-worker gauge; callers hold p.mu.
 func (p *Pool) gaugeWorkers() {
-	if p.cfg.Registry == nil {
-		return
-	}
 	n := 0
 	for _, w := range p.workers {
 		if w.alive {
 			n++
 		}
 	}
-	p.cfg.Registry.Gauge("svf_shard_workers_alive").Set(float64(n))
-}
-
-// event forwards to the configured event log.
-func (p *Pool) event(ev telemetry.Event) {
-	if p.cfg.Events != nil {
-		p.cfg.Events.Emit(ev)
-	}
+	p.cfg.Obs.SetGauge("svf_shard_workers_alive", float64(n))
 }

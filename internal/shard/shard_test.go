@@ -176,7 +176,7 @@ func TestWorkerKillReenqueuesAndStaysBitIdentical(t *testing.T) {
 	}
 	defer pool.Close()
 
-	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
+	cache := sim.NewRunCache()
 	cache.SetExecutor(pool)
 	cache.SetRetries(2)
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
@@ -210,14 +210,14 @@ func TestWorkerStallExpiresLease(t *testing.T) {
 	plan := &faultinject.Plan{WorkerStall: 1}
 	pool, err := NewPool(Config{
 		Workers: 2, Spawn: inprocSpawner(), Plan: plan, Logf: t.Logf,
-		LeaseTTL: 50 * time.Millisecond, Heartbeat: 10 * time.Millisecond,
+		LeaseTTL: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
-	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
+	cache := sim.NewRunCache()
 	cache.SetExecutor(pool)
 	cache.SetRetries(2)
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
@@ -293,14 +293,14 @@ func TestLateResultAfterExpiryDiscarded(t *testing.T) {
 	spawned := make(chan *manualWorker, 4)
 	pool, err := NewPool(Config{
 		Workers: 1, Spawn: manualSpawner(spawned), Logf: t.Logf,
-		LeaseTTL: 60 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
+		LeaseTTL: 60 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
-	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
+	cache := sim.NewRunCache()
 	cache.SetExecutor(pool)
 	cache.SetRetries(2)
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
@@ -395,7 +395,7 @@ func TestPoisonCellQuarantine(t *testing.T) {
 	}
 	defer pool.Close()
 
-	cache, _ := sim.NewRunCacheWithJournal(nil, nil)
+	cache := sim.NewRunCache()
 	cache.SetExecutor(pool)
 	cache.SetRetries(10) // plenty of budget left when the quarantine fires
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
@@ -433,6 +433,59 @@ func TestPoisonCellQuarantine(t *testing.T) {
 	}
 	if le.Attempts != 2 || !le.Poison {
 		t.Errorf("latch = %+v, want 2 attempts with the poison flag", le)
+	}
+	if n := poisonEntries(pool); n != 0 {
+		t.Errorf("%d poison entries kept after the quarantine, want none", n)
+	}
+}
+
+// poisonEntries counts the cells the pool keeps poison history for.
+func poisonEntries(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.poison)
+}
+
+// TestPoisonHistoryForgottenOnCompletion: a cell that kills one worker and
+// then completes on another leaves no poison entry behind, so a
+// long-running coordinator does not keep one per cell that ever lost a
+// worker.
+func TestPoisonHistoryForgottenOnCompletion(t *testing.T) {
+	prof := testProfile(t)
+	opt := testOptions()
+	spawned := make(chan *manualWorker, 4)
+	pool, err := NewPool(Config{Workers: 1, Spawn: manualSpawner(spawned), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	cache := sim.NewRunCache()
+	cache.SetExecutor(pool)
+	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := cache.Run(context.Background(), prof, opt)
+		done <- err
+	}()
+	w1 := <-spawned
+	w1.hello(t)
+	w1.readCell(t)
+	w1.die()
+	w2 := <-spawned
+	w2.hello(t)
+	cell := w2.readCell(t)
+	if n := poisonEntries(pool); n != 1 {
+		t.Fatalf("%d poison entries after the first death, want 1", n)
+	}
+	if err := writeFrame(w2.toCo, &Frame{Type: FrameResult, Lease: cell.Lease, Run: &sim.Result{Bench: prof.ID()}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := poisonEntries(pool); n != 0 {
+		t.Errorf("%d poison entries after the cell completed, want none", n)
 	}
 }
 

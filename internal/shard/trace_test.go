@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"svf/internal/sim"
 	"svf/internal/telemetry"
 )
 
@@ -152,7 +153,7 @@ func TestPoolRecordsLeaseSpans(t *testing.T) {
 		Workers:  1,
 		LeaseTTL: 5 * time.Second,
 		Spawn:    inprocSpawner(),
-		Tracer:   tracer,
+		Obs:      &sim.Observer{Tracer: tracer},
 	})
 	if err != nil {
 		t.Fatal(err)

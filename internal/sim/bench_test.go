@@ -53,7 +53,7 @@ func BenchmarkGeneratorExec(b *testing.B) {
 // cost every post-first run pays instead of BenchmarkGeneratorExec.
 func BenchmarkTraceReplay(b *testing.B) {
 	prog := benchProgram(b)
-	stream := trace.Record(synth.NewGeneratorFor(prog), benchStreamInsts, trace.MaxShapes).Replay(benchStreamInsts)
+	stream := recordProgram(prog, benchStreamInsts, trace.MaxShapes).Replay(benchStreamInsts)
 	var in isa.Inst
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,7 +79,7 @@ func BenchmarkTraceRecord(b *testing.B) {
 	var rec *trace.Recording
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec = trace.Record(synth.NewGeneratorFor(prog), recordInsts, trace.MaxShapes)
+		rec = recordProgram(prog, recordInsts, trace.MaxShapes)
 	}
 	b.ReportMetric(float64(b.N)*recordInsts/b.Elapsed().Seconds(), "insts/sec")
 	b.ReportMetric(float64(rec.Bytes())/recordInsts, "bytes/inst")

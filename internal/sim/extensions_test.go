@@ -35,7 +35,7 @@ func TestRecordedTraceMatchesLiveGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Record through the trace file format.
-	rec := trace.Record(synth.NewGeneratorFor(prog), n, trace.MaxShapes)
+	rec := recordProgram(prog, n, trace.MaxShapes)
 	var buf bytes.Buffer
 	if err := trace.Write(&buf, rec); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"svf/internal/faultinject"
 	"svf/internal/pipeline"
 	"svf/internal/synth"
+	"svf/internal/trace"
 )
 
 // An injected panic must come back as a typed *Fault carrying the run's
@@ -153,6 +154,37 @@ func TestRunDeadlineExceeded(t *testing.T) {
 	_, err := RunContext(ctx, synth.Gzip(), Options{MaxInsts: 10_000_000})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestRunCancelledWhileRecording cancels a run while its workload is being
+// recorded for the trace cache. The recording polls the run's context, so
+// the run returns long before a recording of its length would finish, and
+// the abandoned recording is not installed.
+func TestRunCancelledWhileRecording(t *testing.T) {
+	prof := synth.Vortex()
+	prog, err := ProgramFor(prof) // built first, so the deadline lands in the recording
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20_000_000
+	start := time.Now()
+	recordProgram(prog, n/20, trace.MaxShapes)
+	twentieth := time.Since(start)
+	before := TraceCacheStats()
+	ctx, cancel := context.WithTimeout(context.Background(), twentieth)
+	defer cancel()
+	start = time.Now()
+	_, err = RunContext(ctx, prof, Options{MaxInsts: n})
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took > 5*twentieth {
+		t.Errorf("a run cancelled after %s took %s; recording all %d instructions takes about %s", twentieth, took, n, 20*twentieth)
+	}
+	if after := TraceCacheStats(); after.UsedBytes > before.UsedBytes {
+		t.Errorf("the abandoned recording was installed: %d bytes resident, %d before", after.UsedBytes, before.UsedBytes)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestCampaignRecordingsFitDefaultBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := trace.Record(synth.NewGeneratorFor(prog), insts, trace.ShapeLimit(insts, DefaultTraceCacheBytes))
+		rec := recordProgram(prog, insts, trace.ShapeLimit(insts, DefaultTraceCacheBytes))
 		if rec == nil {
 			t.Fatalf("%s: not recordable under the default budget", prof.ID())
 		}
@@ -49,7 +49,7 @@ func TestCampaignTraceFilesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := trace.Record(synth.NewGeneratorFor(prog), insts, trace.MaxShapes)
+		rec := recordProgram(prog, insts, trace.MaxShapes)
 		if rec == nil {
 			t.Fatalf("%s: more than MaxShapes shapes", prof.ID())
 		}

@@ -135,18 +135,13 @@ func (s RestoreStats) String() string {
 // journaled: they are cheap, deterministic functional passes that simply
 // recompute on resume.
 //
-// A nil j (with a nil rep) gives a memory-only cell store: retry attempts,
-// backoff, budget latches and poison quarantine behave exactly as with a
-// journal, for the process lifetime, and nothing is encoded or appended.
-// A plain NewRunCache keeps no cell state at all and retries immediately.
+// The journal only adds durability: retry attempts, backoff, budget
+// latches and poison quarantine behave exactly as in a NewRunCache, whose
+// cell store holds them for the process lifetime.
 func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache, RestoreStats) {
 	c := NewRunCache()
-	s := &cellStore{
-		j:        j,
-		attempts: map[string]uint32{},
-		latched:  map[string]*LatchedError{},
-	}
-	c.store = s
+	s := c.store
+	s.j = j
 	var rs RestoreStats
 	if rep != nil {
 		rs.Journal = rep.Stats
@@ -219,7 +214,7 @@ func decodeTrafficRecord(rec journal.Record) (trafficVal, bool) {
 // journal, in deterministic (key) order, as errors ready for a fault log.
 func (c *RunCache) RestoredFaults() []error {
 	s := c.store
-	if s == nil || s.j == nil {
+	if s.j == nil {
 		return nil
 	}
 	s.mu.Lock()
@@ -239,30 +234,18 @@ func (c *RunCache) RestoredFaults() []error {
 // SetRetries sets how many times a contained fault is re-executed before
 // the cell is latched as permanently failed (the svfexp -retries flag).
 // The total attempt budget is retries+1; negative values clamp to zero
-// (no retries). Default: 1, matching the cache's historical
-// one-bounded-retry policy.
+// (no retries). Default: 1, set by NewRunCache.
 func (c *RunCache) SetRetries(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.retries = n
-	c.retriesSet = true
+	c.retries = max(n, 0)
 }
 
 // attemptBudget is the total number of executions a cell may consume.
-func (c *RunCache) attemptBudget() uint32 {
-	if !c.retriesSet {
-		return 1 + 1 // default: one retry after the first failure
-	}
-	return uint32(c.retries) + 1
-}
+func (c *RunCache) attemptBudget() uint32 { return uint32(c.retries) + 1 }
 
 // SetBackoff overrides the retry backoff policy: base doubles per attempt
 // up to cap, and seed drives the per-cell jitter. The sleeper, when
 // non-nil, replaces the real clock (tests use it to record deterministic
-// delays). Backoff applies only to caches with a cell store
-// (NewRunCacheWithJournal, journal or not) — a plain NewRunCache keeps the
-// historical immediate retry.
+// delays).
 func (c *RunCache) SetBackoff(base, cap time.Duration, seed int64, sleeper func(context.Context, time.Duration) error) {
 	c.backoffBase, c.backoffCap, c.backoffSeed = base, cap, seed
 	if sleeper != nil {
@@ -304,14 +287,10 @@ func (c *RunCache) backoffFor(key string, attempt uint32) time.Duration {
 }
 
 // sleepBackoff waits the cell's backoff delay before a retry, honouring
-// cancellation. Store-less caches return immediately: their single retry
-// has always been immediate and stays that way.
+// cancellation.
 func (c *RunCache) sleepBackoff(ctx context.Context, key string, attempt uint32) error {
-	if c.store == nil {
-		return nil
-	}
 	d := c.backoffFor(key, attempt)
-	c.obs.emit(telemetry.Event{Type: "backoff", Key: key, Attempt: attempt, DurMS: float64(d) / float64(time.Millisecond)})
+	c.obs.Events.Emit(telemetry.Event{Type: "backoff", Key: key, Attempt: attempt, DurMS: float64(d) / float64(time.Millisecond)})
 	if c.sleep != nil {
 		return c.sleep(ctx, d)
 	}

@@ -276,7 +276,7 @@ func TestJournaledCacheShrunkenBudgetStillRetriesOnce(t *testing.T) {
 // exponentially and respects the cap — chaos tests must replay exactly.
 func TestJournaledBackoffDeterministic(t *testing.T) {
 	mk := func(seed int64) *RunCache {
-		c, _ := NewRunCacheWithJournal(nil, nil)
+		c := NewRunCache()
 		c.SetBackoff(100*time.Millisecond, 5*time.Second, seed, nil)
 		return c
 	}
@@ -310,27 +310,29 @@ func TestJournaledBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// Plain in-memory caches keep the historical immediate retry: no backoff
-// sleeper is consulted.
-func TestPlainCacheRetriesWithoutBackoff(t *testing.T) {
+// A cache without a journal retries after the same seeded backoff as a
+// journaled one: the sleeper is asked for the cell's first delay, once.
+func TestRunCacheRetriesAfterBackoff(t *testing.T) {
 	c := NewRunCache()
-	slept := 0
-	c.SetBackoff(time.Hour, time.Hour, 1, func(context.Context, time.Duration) error {
-		slept++
+	var slept []time.Duration
+	c.SetBackoff(time.Hour, time.Hour, 1, func(_ context.Context, d time.Duration) error {
+		slept = append(slept, d)
 		return nil
 	})
 	prof := synth.Gzip()
+	opt := Options{MaxInsts: 1000}
 	calls := countingRunFn(c, func(call int) (*Result, error) {
 		if call == 1 {
 			return nil, &Fault{Bench: prof.ID(), Panic: "transient"}
 		}
 		return &Result{Bench: prof.ID()}, nil
 	})
-	if _, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000}); err != nil {
+	if _, err := c.Run(context.Background(), prof, opt); err != nil {
 		t.Fatal(err)
 	}
-	if *calls != 2 || slept != 0 {
-		t.Errorf("calls=%d slept=%d, want an immediate (no-backoff) retry", *calls, slept)
+	want := c.backoffFor(RunCellKey(prof, opt), 1)
+	if *calls != 2 || len(slept) != 1 || slept[0] != want {
+		t.Errorf("calls=%d slept=%v, want one retry after a %v backoff", *calls, slept, want)
 	}
 }
 

@@ -19,6 +19,7 @@ package sim
 // than pooled.
 
 import (
+	"context"
 	"sync"
 
 	"svf/internal/cache"
@@ -48,12 +49,13 @@ func TraceCacheStats() tracecache.Stats { return traceCache.Stats() }
 // the first n when the budget allows, else the live generator. A panic
 // while recording (a faulty profile) abandons the recording and falls back
 // to the live generator, so the panic surfaces inside the supervised run
-// exactly as it did before the cache existed.
-func cachedStream(prog *synth.Program, fp string, n int) trace.Stream {
+// exactly as it did before the cache existed. A recording polls ctx and
+// stops with its error once the run is cancelled.
+func cachedStream(ctx context.Context, prog *synth.Program, fp string, n int) (trace.Stream, error) {
 	return traceCache.Stream(fp, n,
-		func(maxShapes int) *trace.Recording {
+		func(maxShapes int) (*trace.Recording, error) {
 			defer func() { _ = recover() }()
-			return trace.Record(synth.NewGeneratorFor(prog), n, maxShapes)
+			return trace.Record(ctx, synth.NewGeneratorFor(prog), n, maxShapes)
 		},
 		func() trace.Stream { return synth.NewGeneratorFor(prog) },
 	)

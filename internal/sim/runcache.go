@@ -35,18 +35,20 @@ import (
 //
 // Failure policy: faults are never cached. A failed execution's entry is
 // dropped, and when the failure is a contained *Fault the cache re-executes
-// (bounded retry, SetRetries; default once) before declaring the run failed
-// — a transient fault costs extra simulations, a deterministic one exhausts
-// the budget and is reported. Fault-injected runs (Options.FaultPlan
-// matching the workload) bypass the cache entirely, so an injected result
-// can never be cached for — or served to — a clean request.
+// it after a capped, seeded-jitter exponential backoff (bounded retry,
+// SetRetries; default once) before declaring the run failed — a transient
+// fault costs extra simulations, a deterministic one exhausts the budget.
+// Every cache keeps its cells' failed attempts in a cell store (store.go),
+// so a cell whose budget is spent is latched as permanently failed and
+// later requests are refused with a *LatchedError instead of re-executing
+// it. Fault-injected runs (Options.FaultPlan matching the workload) bypass
+// the cache entirely, so an injected result can never be cached for — or
+// served to — a clean request.
 //
-// A cache built with NewRunCacheWithJournal additionally persists every
-// completed cell to an on-disk journal and starts warm from the journal's
-// replay, so sweeps survive process death: completed cells are served from
-// disk, faulted cells re-execute with their prior attempts counted against
-// the retry budget (with capped, seeded-jitter exponential backoff), and
-// cells whose budget is exhausted are latched as permanently failed.
+// A cache built with NewRunCacheWithJournal also makes the store durable:
+// it persists every completed cell and failed attempt to an on-disk
+// journal and starts warm from the journal's replay, so sweeps survive
+// process death with the same retry and latch policy.
 //
 // Results accumulate for the cache's lifetime; use a fresh cache per sweep
 // when memory matters more than reuse.
@@ -60,21 +62,20 @@ type RunCache struct {
 	// another (the shard coordinator's worker pool, a test stub).
 	exec Executor
 
-	// store is the cell state (nil for a plain NewRunCache) and restore
-	// what a journal replay put back. See store.go/journal.go.
+	// store is the cell state, and restore what a journal replay put
+	// back. See store.go/journal.go.
 	store   *cellStore
 	restore RestoreStats
 
-	// obs is the attached telemetry observer, nil when observability is
-	// off (see SetObserver; every Observer helper is nil-safe).
+	// obs is the attached telemetry observer: never nil, and a zero
+	// Observer when observability is off (see SetObserver).
 	obs *Observer
 
 	// retries is the per-cell re-execution budget after the first
-	// failure; retriesSet distinguishes an explicit 0 from the default.
-	retries    int
-	retriesSet bool
+	// failure (SetRetries).
+	retries int
 
-	// Backoff policy for retries of cells with a store (journal.go).
+	// Backoff policy for retries (journal.go).
 	backoffBase, backoffCap time.Duration
 	backoffSeed             int64
 	sleep                   func(context.Context, time.Duration) error
@@ -94,8 +95,16 @@ type cacheCounters struct {
 	simNanos atomic.Uint64 // wall-clock nanoseconds spent executing
 }
 
-// NewRunCache returns an empty cache.
-func NewRunCache() *RunCache { return &RunCache{exec: localExecutor{}} }
+// NewRunCache returns an empty cache with a memory-only cell store and the
+// default budget of one retry.
+func NewRunCache() *RunCache {
+	return &RunCache{
+		exec:    localExecutor{},
+		store:   &cellStore{attempts: map[string]uint32{}, latched: map[string]*LatchedError{}},
+		obs:     &Observer{},
+		retries: 1,
+	}
+}
 
 // sharedCache is the process-wide default used by experiments.Config.
 var sharedCache = NewRunCache()
@@ -129,15 +138,15 @@ func Canonical(opt Options) Options {
 // coordinator) is latched immediately, budget or not. Every failed attempt
 // counts in cnt.errors; every re-execution in cnt.retries.
 //
-// When the cache has a store and key is non-empty, supervision spans the
-// store's lifetime (with a journal: across process death): prior attempts
-// count against the budget, each retry waits out the cell's seeded
-// exponential backoff, every failure is recorded as a fault (the final one
-// latched permanent), and a success clears the cell's fault state. With a
-// journal, the success is also appended, encoded by record, so a later
-// process restores it.
+// When key is non-empty, supervision spans the store's lifetime (with a
+// journal: across process death): prior attempts count against the budget,
+// each retry waits out the cell's seeded exponential backoff, every failure
+// is recorded as a fault (the final one latched permanent), and a success
+// clears the cell's fault state. With a journal, the success is also
+// appended, encoded by record, so a later process restores it. An empty
+// key (a characterisation pass) keeps no cell state and retries at once.
 func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn func(context.Context) (V, error), record func(V) (journal.Record, error)) (V, error) {
-	stored := c.store != nil && key != ""
+	stored := key != ""
 	budget := c.attemptBudget()
 	// Each execution attempt gets its own span (worker.run for the first,
 	// retry for re-executions) parented to whatever span rides the caller's
@@ -145,7 +154,6 @@ func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn fu
 	// when tracing is off or the context carries no trace, and every span
 	// method on nil is a no-op, so the disabled path allocates nothing.
 	sc := telemetry.SpanFromContext(ctx)
-	tr := c.obs.tracer()
 	var attempts uint32
 	if stored {
 		if attempts = c.store.PriorAttempts(key); attempts >= budget {
@@ -165,14 +173,14 @@ func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn fu
 				}
 			}
 			c.cnt.retries.Add(1)
-			c.obs.emit(telemetry.Event{Type: "retry", Bench: bench, Key: key, Attempt: attempts + 1})
-			c.obs.count("svf_sim_retries_total", 1)
+			c.obs.Events.Emit(telemetry.Event{Type: "retry", Bench: bench, Key: key, Attempt: attempts + 1})
+			c.obs.Count("svf_sim_retries_total", 1)
 		}
 		name := "worker.run"
 		if attempts > 0 {
 			name = "retry"
 		}
-		sp := tr.StartSpan(sc, name)
+		sp := c.obs.StartSpan(sc, name)
 		if sp != nil {
 			sp.SetAttr("bench", bench)
 			sp.SetAttr("attempt", fmt.Sprint(attempts+1))
@@ -207,16 +215,16 @@ func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn fu
 		if f != nil {
 			ev.Fingerprint, ev.Cycles, ev.Committed = f.Fingerprint, f.Cycle, f.Committed
 		}
-		c.obs.emit(ev)
-		c.obs.count("svf_sim_run_faults_total", 1)
-		c.obs.progressFault()
+		c.obs.Events.Emit(ev)
+		c.obs.Count("svf_sim_run_faults_total", 1)
+		c.obs.Progress.Fault()
 		if stored {
 			c.store.Fault(key, bench, attempts, permanent, err)
 		}
 		if permanent {
 			// A latched cell is visible in the trace as a zero-width
 			// quarantine span alongside the failed attempt.
-			if qsp := tr.StartSpan(sc, "quarantine"); qsp != nil {
+			if qsp := c.obs.StartSpan(sc, "quarantine"); qsp != nil {
 				qsp.SetAttr("bench", bench)
 				qsp.SetAttr("attempt", fmt.Sprint(attempts))
 				if poison {
@@ -224,8 +232,8 @@ func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn fu
 				}
 				qsp.End()
 			}
-			c.obs.emit(telemetry.Event{Type: "latched", Bench: bench, Key: key, Attempt: attempts, Err: err.Error()})
-			c.obs.progressLatched()
+			c.obs.Events.Emit(telemetry.Event{Type: "latched", Bench: bench, Key: key, Attempt: attempts, Err: err.Error()})
+			c.obs.Progress.Latched()
 			return v, err
 		}
 	}
@@ -244,16 +252,16 @@ func (c *RunCache) Run(ctx context.Context, prof *synth.Profile, opt Options) (*
 	key := runCellKey(pfp, canon)
 	execRun := func(ctx context.Context) (*Result, error) {
 		o, fp := opt, ""
-		if c.obs != nil {
+		if c.obs.Events != nil {
 			fp = shortKey(key)
-			// With a registry attached, every executed run carries a
-			// probe mirroring into it, so /metrics aggregates occupancy
-			// across the whole sweep. The key was derived without it.
-			if o.Probe == nil && c.obs.Registry != nil {
-				o.Probe = telemetry.NewProbe(c.obs.Registry)
-			}
 		}
-		c.obs.emit(telemetry.Event{Type: "run_start", Bench: prof.ID(), Fingerprint: fp})
+		// With a registry attached, every executed run carries a probe
+		// mirroring into it, so /metrics aggregates occupancy across the
+		// whole sweep. The key was derived without it.
+		if o.Probe == nil && c.obs.Registry != nil {
+			o.Probe = telemetry.NewProbe(c.obs.Registry)
+		}
+		c.obs.Events.Emit(telemetry.Event{Type: "run_start", Bench: prof.ID(), Fingerprint: fp})
 		start := time.Now()
 		res, err := c.exec.ExecRun(ctx, prof, o)
 		if err == nil {
@@ -268,8 +276,8 @@ func (c *RunCache) Run(ctx context.Context, prof *synth.Profile, opt Options) (*
 		c.cnt.simNanos.Add(uint64(time.Since(start)))
 		if err != nil {
 			c.cnt.errors.Add(1)
-			c.obs.count("svf_sim_run_faults_total", 1)
-			c.obs.progressFault()
+			c.obs.Count("svf_sim_run_faults_total", 1)
+			c.obs.Progress.Fault()
 		}
 		return res, err
 	}
@@ -307,24 +315,22 @@ func (c *RunCache) Traffic(ctx context.Context, prof *synth.Profile, policy pipe
 // completed cell's journal record. key is the cell key the caller derived
 // once.
 func request[V any](ctx context.Context, c *RunCache, g *flightGroup[string, V], kind, bench, key string, exec func(context.Context) (V, error), payload func(V) any) (V, error) {
-	if c.store != nil {
-		if err := c.store.Gate(key, c.attemptBudget()); err != nil {
-			c.cnt.latched.Add(1)
-			c.obs.emit(telemetry.Event{Type: "latched", Bench: bench, Key: key, Err: err.Error(), Detail: "refused without execution"})
-			var zero V
-			return zero, err
-		}
+	if err := c.store.Gate(key, c.attemptBudget()); err != nil {
+		c.cnt.latched.Add(1)
+		c.obs.Events.Emit(telemetry.Event{Type: "latched", Bench: bench, Key: key, Err: err.Error(), Detail: "refused without execution"})
+		var zero V
+		return zero, err
 	}
-	var onServe func(shared, restored bool)
-	if c.obs != nil {
-		onServe = func(shared, restored bool) { c.served(ctx, bench, key, shared, restored) }
-	}
-	return g.do(ctx, key, &c.cnt, onServe, func() (V, error) {
+	v, how, err := g.do(ctx, key, &c.cnt, func() (V, error) {
 		return cacheExec(ctx, c, key, bench, exec, func(v V) (journal.Record, error) {
 			data, err := json.Marshal(payload(v))
 			return journal.Record{Kind: kind, Key: key, Data: data}, err
 		})
 	})
+	if how != unserved {
+		c.served(ctx, bench, key, how)
+	}
+	return v, err
 }
 
 // charKey identifies one unique characterisation pass.
@@ -342,17 +348,22 @@ func (c *RunCache) Characterize(ctx context.Context, prof *synth.Profile, maxIns
 		ctx = context.Background()
 	}
 	key := charKey{prof.Fingerprint(), maxInsts}
-	return c.char.do(ctx, key, &c.cnt, nil, func() (*synth.Characterization, error) {
+	ch, _, err := c.char.do(ctx, key, &c.cnt, func() (*synth.Characterization, error) {
 		// Characterisations are not journaled (empty key): cheap,
 		// deterministic functional passes that simply recompute on resume.
-		return cacheExec(ctx, c, "", prof.ID(), func(context.Context) (*synth.Characterization, error) {
+		return cacheExec(ctx, c, "", prof.ID(), func(ctx context.Context) (*synth.Characterization, error) {
 			prog, err := ProgramFor(prof)
 			if err != nil {
 				return nil, err
 			}
-			return synth.Characterize(cachedStream(prog, prof.Fingerprint(), maxInsts), prog.Layout, maxInsts), nil
+			s, err := cachedStream(ctx, prog, prof.Fingerprint(), maxInsts)
+			if err != nil {
+				return nil, err
+			}
+			return synth.Characterize(s, prog.Layout, maxInsts), nil
 		}, nil)
 	})
+	return ch, err
 }
 
 // cloneResult returns a shallow copy deep enough that callers mutating the
@@ -427,6 +438,16 @@ func (s CacheStats) String() string {
 	return out
 }
 
+// serve is how flightGroup.do answered a request.
+type serve uint8
+
+const (
+	unserved    serve = iota // a miss (do ran fn), or a cancelled wait
+	hit                      // a completed entry
+	restoredHit              // a completed entry a journal replay seeded
+	joined                   // an execution already in flight
+)
+
 // flight is one single-flight slot: done closes when val/err are final.
 // restored marks an entry seeded from a journal replay, so the telemetry
 // layer can tell a disk-restored hit (cache_restore) from an ordinary
@@ -447,41 +468,39 @@ type flightGroup[K comparable, V any] struct {
 }
 
 // do returns the value for key, joining an in-flight execution or starting
-// fn, and bumps the matching counters. A caller waiting on someone else's
-// in-flight execution stops waiting when its own context is cancelled (the
-// execution itself keeps running for the caller that started it). onServe,
-// when non-nil, is called for requests served without executing fn — a hit
-// on a completed entry (shared=false; restored when the journal replay
-// seeded it) or a join of an in-flight execution (shared=true) — which is
-// where the telemetry layer hangs cache events.
-func (g *flightGroup[K, V]) do(ctx context.Context, key K, cnt *cacheCounters, onServe func(shared, restored bool), fn func() (V, error)) (V, error) {
+// fn, bumps the matching counters, and says how it answered: the telemetry
+// layer hangs cache events on the requests served without executing fn. A
+// caller waiting on someone else's in-flight execution stops waiting when
+// its own context is cancelled (the execution itself keeps running for the
+// caller that started it), unserved.
+func (g *flightGroup[K, V]) do(ctx context.Context, key K, cnt *cacheCounters, fn func() (V, error)) (V, serve, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[K]*flight[V])
 	}
 	if f, ok := g.m[key]; ok {
-		inFlight := true
+		how := joined
 		select {
 		case <-f.done:
-			inFlight = false
+			how = hit
+			if f.restored {
+				how = restoredHit
+			}
 		default:
 		}
 		g.mu.Unlock()
-		if inFlight {
+		if how == joined {
 			select {
 			case <-f.done:
 			case <-ctx.Done():
 				var zero V
-				return zero, ctx.Err()
+				return zero, unserved, ctx.Err()
 			}
 			cnt.shared.Add(1)
 		} else {
 			cnt.hits.Add(1)
 		}
-		if onServe != nil {
-			onServe(inFlight, f.restored)
-		}
-		return f.val, f.err
+		return f.val, how, f.err
 	}
 	f := &flight[V]{done: make(chan struct{})}
 	g.m[key] = f
@@ -499,7 +518,7 @@ func (g *flightGroup[K, V]) do(ctx context.Context, key K, cnt *cacheCounters, o
 		g.mu.Unlock()
 	}
 	close(f.done)
-	return f.val, f.err
+	return f.val, unserved, f.err
 }
 
 // len returns the number of resident entries.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"svf/internal/faultinject"
 	"svf/internal/synth"
@@ -36,6 +37,7 @@ func countingRunFn(c *RunCache, results func(call int) (*Result, error)) *int {
 // and the retry show up in the counters.
 func TestRunCacheRetriesContainedFaultOnce(t *testing.T) {
 	c := NewRunCache()
+	c.SetBackoff(time.Millisecond, time.Second, 1, noSleep)
 	prof := synth.Gzip()
 	want := &Result{Bench: prof.ID()}
 	calls := countingRunFn(c, func(call int) (*Result, error) {
@@ -71,9 +73,11 @@ func TestRunCacheRetriesContainedFaultOnce(t *testing.T) {
 }
 
 // A deterministic fault fails twice (original + bounded retry), is reported,
-// and is never cached: the next request re-executes from scratch.
+// and is never cached. Its cell is latched: the next request is refused as
+// a *LatchedError without executing, and is not a cache hit either.
 func TestRunCacheNeverCachesFaults(t *testing.T) {
 	c := NewRunCache()
+	c.SetBackoff(time.Millisecond, time.Second, 1, noSleep)
 	prof := synth.Gzip()
 	calls := countingRunFn(c, func(int) (*Result, error) {
 		return nil, &Fault{Bench: prof.ID(), Panic: "deterministic"}
@@ -90,15 +94,18 @@ func TestRunCacheNeverCachesFaults(t *testing.T) {
 	if st.Misses != 1 || st.Retries != 1 || st.Errors != 2 || st.Entries != 0 {
 		t.Errorf("stats = %+v, want misses=1 retries=1 errors=2 entries=0", st)
 	}
-	// Faults are never resident: a later request re-executes.
-	if _, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000}); err == nil {
-		t.Fatal("second request should fail again")
+	// Faults are never resident; the spent budget is. A later request is
+	// refused at the gate, so the deterministic fault does not run again.
+	_, err = c.Run(context.Background(), prof, Options{MaxInsts: 1000})
+	var le *LatchedError
+	if !errors.As(err, &le) || le.Poison || le.Attempts != 2 {
+		t.Fatalf("second request err = %v, want a budget latch after 2 attempts", err)
 	}
-	if *calls != 4 {
-		t.Errorf("second request executed %d-%d times, want a fresh fail + retry", *calls-2, *calls)
+	if *calls != 2 {
+		t.Errorf("the latched cell executed again (%d calls)", *calls)
 	}
-	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
-		t.Errorf("stats = %+v, want both requests to miss", st)
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.Latched != 1 || st.Entries != 0 {
+		t.Errorf("stats = %+v, want misses=1 hits=0 latched=1 entries=0", st)
 	}
 }
 

@@ -208,13 +208,12 @@ func RunContext(ctx context.Context, prof *synth.Profile, opt Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	// A recording does not poll ctx: a run cancelled before it starts
-	// must not record first.
-	if err := ctx.Err(); err != nil {
+	fp := prof.Fingerprint()
+	s, err := cachedStream(ctx, prog, fp, opt.MaxInsts)
+	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", prof.ID(), err)
 	}
-	fp := prof.Fingerprint()
-	return runStream(ctx, prof.ID(), fp, cachedStream(prog, fp, opt.MaxInsts), opt)
+	return runStream(ctx, prof.ID(), fp, s, opt)
 }
 
 // RunStream executes one simulation over an arbitrary instruction stream
@@ -402,10 +401,10 @@ func trafficLoop(ctx context.Context, prof *synth.Profile, policy pipeline.Stack
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if err := ctx.Err(); err != nil {
+	gen, err := cachedStream(ctx, prog, prof.Fingerprint(), maxInsts)
+	if err != nil {
 		return 0, 0, 0, fmt.Errorf("sim: %s: %w", prof.ID(), err)
 	}
-	gen := cachedStream(prog, prof.Fingerprint(), maxInsts)
 	hcfg := cache.DefaultHierarchyConfig()
 	hier, err := getHierarchy(hcfg)
 	if err != nil {

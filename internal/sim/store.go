@@ -16,13 +16,12 @@ import (
 // and a latched cell is refused at the gate. (A journal-restored cell is
 // marked on its cache entry, not here.)
 //
-// The journal is optional. With one, every completed cell and every failed
-// attempt is also a durable journal append, and NewRunCacheWithJournal
-// replays the state on open, so it survives kill -9. Without one (a nil
-// *journal.Journal) the state holds for the process lifetime — what svfd
-// and a sharded svfexp use when no -journal is given — with identical
-// attempt, latch, poison and backoff semantics, and nothing is encoded or
-// appended.
+// Every RunCache keeps one, and the journal is optional. With one
+// (NewRunCacheWithJournal), every completed cell and every failed attempt
+// is also a durable journal append, and the replay restores the state on
+// open, so it survives kill -9. Without one the state holds for the
+// process lifetime, with identical attempt, latch, poison and backoff
+// semantics, and nothing is encoded or appended.
 //
 // All methods are safe for concurrent use.
 type cellStore struct {

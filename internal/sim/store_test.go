@@ -17,12 +17,6 @@ type poisonErr struct{ msg string }
 func (e *poisonErr) Error() string        { return e.msg }
 func (e *poisonErr) PermanentFault() bool { return true }
 
-// memoryOnlyCache returns a cache with a cell store but no journal.
-func memoryOnlyCache() *RunCache {
-	c, _ := NewRunCacheWithJournal(nil, nil)
-	return c
-}
-
 // TestCellStoreSemantics pins the cell store's contract in both modes,
 // memory-only and journaled: attempts accumulate, Put supersedes fault
 // state, budget latches unlatch when the budget rises, poison latches
@@ -46,13 +40,14 @@ func TestCellStoreSemantics(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			var j *journal.Journal
+			c := NewRunCache()
 			if tc.journaled {
 				var err error
 				if j, _, err = journal.Open(dir, journal.Options{}); err != nil {
 					t.Fatal(err)
 				}
+				c, _ = NewRunCacheWithJournal(j, nil)
 			}
-			c, _ := NewRunCacheWithJournal(j, nil)
 			s := c.store
 
 			s.Fault(k, "b", 1, false, errors.New("transient"))
@@ -127,7 +122,7 @@ func TestCellStoreSemantics(t *testing.T) {
 // retry budget to spare — the cache must not burn budget on a quarantined
 // cell, and the latch must survive a raised budget.
 func TestPermanentFaultLatchesImmediately(t *testing.T) {
-	c := memoryOnlyCache()
+	c := NewRunCache()
 	c.SetRetries(10)
 	prof := synth.Gzip()
 	calls := countingRunFn(c, func(int) (*Result, error) {

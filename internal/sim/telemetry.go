@@ -2,67 +2,98 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"svf/internal/telemetry"
 )
 
-// Observer bundles the telemetry sinks a RunCache reports into: the NDJSON
-// event log, the metrics registry, and the campaign progress tracker. Any
-// field may be nil; a nil *Observer disables everything (every helper is
-// nil-safe), so the cache's hot paths need no guards.
+// Observer is the cell runtime's one telemetry handle: the RunCache
+// (SetObserver), the shard pool (shard.Config.Obs) and the service
+// (service.Config.Obs) all report into the same value, so a front end
+// builds one and hands each layer the same pointer. It bundles the four
+// sinks: the NDJSON event log, the metrics registry, the campaign progress
+// tracker and the span tracer.
+//
+// Any field may be nil, which turns that sink off. The event log, the
+// progress tracker and the tracer are nil-safe themselves; the helper
+// methods below cover the registry, and are safe on a nil *Observer too.
+// The layers that hold an Observer replace a nil one with a zero Observer,
+// so their hot paths need no guards.
 type Observer struct {
-	// Events receives the typed run-lifecycle events (run_start,
+	// Events receives the typed lifecycle events: the cache's run_start,
 	// run_finish, run_fault, retry, backoff, cache_hit, cache_restore,
-	// latched, journal_restore).
+	// latched and journal_restore, the pool's shard_* events and the
+	// service's job_* and drain_* events.
 	Events *telemetry.EventLog
 	// Registry receives aggregate counters (runs, faults, retries, cache
-	// traffic, simulated cycles/instructions) and, through per-run probes,
-	// the occupancy histograms.
+	// traffic, simulated cycles/instructions, svf_shard_*, svf_service_*),
+	// gauges, latency histograms and, through per-run probes, the
+	// occupancy histograms.
 	Registry *telemetry.Registry
-	// Progress receives per-cell fault/latch counts. The done/total counts
-	// are the experiment runner's job (it knows the sweep shape).
+	// Progress receives per-cell fault/latch counts from the cache and
+	// done/total counts from the service. (In svfexp the experiment runner
+	// counts done/total: it knows the sweep shape.)
 	Progress *telemetry.Progress
-	// Tracer receives execution spans (worker.run/retry/quarantine and the
-	// cache.hit/cache.join/journal.replay serve spans) for requests whose
-	// context carries a trace. Nil disables span recording at zero cost.
+	// Tracer receives spans for requests whose context carries a trace:
+	// the service's job tree, the pool's lease spans and the cache's
+	// worker.run/retry/quarantine and cache.hit/cache.join/journal.replay
+	// spans. Nil disables span recording at zero cost.
 	Tracer *telemetry.Tracer
 }
 
-// tracer returns the attached tracer, nil-safely.
-func (o *Observer) tracer() *telemetry.Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer
-}
-
-// emit forwards one event to the log.
-func (o *Observer) emit(ev telemetry.Event) {
-	if o == nil {
-		return
-	}
-	o.Events.Emit(ev)
-}
-
-// count bumps a registry counter by n.
-func (o *Observer) count(name string, n uint64) {
+// Count adds n to the named registry counter.
+func (o *Observer) Count(name string, n uint64) {
 	if o == nil || o.Registry == nil || n == 0 {
 		return
 	}
 	o.Registry.Counter(name).Add(n)
 }
 
-// SetObserver attaches telemetry sinks to the cache. Call it before the
-// sweep starts; the cache does not synchronise against a concurrent swap.
-// For a journaled cache the replay summary is emitted immediately as a
-// journal_restore event, so a resumed campaign's log opens with what the
-// journal put back.
-func (c *RunCache) SetObserver(o *Observer) {
-	c.obs = o
-	if o == nil {
+// CountLabeled adds one to the counter name{label="value"}.
+func (o *Observer) CountLabeled(name, label, value string) {
+	if o == nil || o.Registry == nil {
 		return
 	}
+	o.Registry.Counter(fmt.Sprintf("%s{%s=%q}", name, label, value)).Inc()
+}
+
+// SetGauge sets the named registry gauge.
+func (o *Observer) SetGauge(name string, v float64) {
+	if o == nil || o.Registry == nil {
+		return
+	}
+	o.Registry.Gauge(name).Set(v)
+}
+
+// ObserveSeconds records d in the named seconds histogram
+// (telemetry.SecondsBuckets), with trace as the bucket's exemplar.
+func (o *Observer) ObserveSeconds(name string, d time.Duration, trace string) {
+	if o == nil || o.Registry == nil {
+		return
+	}
+	o.Registry.Histogram(name, telemetry.SecondsBuckets...).ObserveExemplar(d.Seconds(), trace)
+}
+
+// StartSpan opens a span under parent. It returns nil, a span whose
+// methods are no-ops, when tracing is off or parent carries no trace.
+func (o *Observer) StartSpan(parent telemetry.SpanContext, name string) *telemetry.ActiveSpan {
+	if o == nil {
+		return nil
+	}
+	return o.Tracer.StartSpan(parent, name)
+}
+
+// SetObserver attaches telemetry sinks to the cache; nil detaches them.
+// Call it before the sweep starts; the cache does not synchronise against
+// a concurrent swap. For a journaled cache the replay summary is emitted
+// immediately as a journal_restore event, so a resumed campaign's log
+// opens with what the journal put back.
+func (c *RunCache) SetObserver(o *Observer) {
+	if o == nil {
+		o = &Observer{}
+	}
+	c.obs = o
 	if r := o.Registry; r != nil {
 		r.Help("svf_sim_runs_total", "timing simulations executed (cache misses + retries)")
 		r.Help("svf_sim_run_faults_total", "contained simulation faults")
@@ -71,9 +102,9 @@ func (c *RunCache) SetObserver(o *Observer) {
 		r.Help("svf_cache_hits_total", "requests served from a completed cache entry")
 		r.Help("svf_cache_restored_hits_total", "cache hits served from journal-restored cells")
 	}
-	if c.store != nil && c.store.j != nil {
+	if c.store.j != nil {
 		rs := c.restore
-		o.emit(telemetry.Event{
+		o.Events.Emit(telemetry.Event{
 			Type:        "journal_restore",
 			Restored:    rs.Restored(),
 			Faulted:     rs.Faulted,
@@ -83,32 +114,14 @@ func (c *RunCache) SetObserver(o *Observer) {
 			SyncBatches: 0,
 		})
 		for i := 0; i < rs.Latched; i++ {
-			c.obs.progressLatched()
+			o.Progress.Latched()
 		}
 	}
 }
 
-// progressFault/progressLatched forward to the progress tracker.
-func (o *Observer) progressFault() {
-	if o == nil {
-		return
-	}
-	o.Progress.Fault()
-}
-
-func (o *Observer) progressLatched() {
-	if o == nil {
-		return
-	}
-	o.Progress.Latched()
-}
-
 // observeRunFinish records a completed timing run in the log and registry.
 func (o *Observer) observeRunFinish(res *Result, fp string, dur time.Duration) {
-	if o == nil {
-		return
-	}
-	o.emit(telemetry.Event{
+	o.Events.Emit(telemetry.Event{
 		Type:        "run_finish",
 		Bench:       res.Bench,
 		Fingerprint: fp,
@@ -117,9 +130,9 @@ func (o *Observer) observeRunFinish(res *Result, fp string, dur time.Duration) {
 		IPC:         res.IPC(),
 		DurMS:       float64(dur) / float64(time.Millisecond),
 	})
-	o.count("svf_sim_runs_total", 1)
-	o.count("svf_sim_cycles_total", res.Cycles())
-	o.count("svf_sim_insts_total", res.Pipe.Committed)
+	o.Count("svf_sim_runs_total", 1)
+	o.Count("svf_sim_cycles_total", res.Cycles())
+	o.Count("svf_sim_insts_total", res.Pipe.Committed)
 }
 
 // served reports a cache request served without execution — a hit on a
@@ -127,21 +140,24 @@ func (o *Observer) observeRunFinish(res *Result, fp string, dur time.Duration) {
 // of an in-flight simulation — as an event and registry counts, and, when
 // the request's context carries a trace, as a zero-width span named by how
 // it was served: journal.replay (the restart path's provenance marker),
-// cache.join or cache.hit. Only called with an observer attached.
-func (c *RunCache) served(ctx context.Context, bench, key string, shared, restored bool) {
+// cache.join or cache.hit.
+func (c *RunCache) served(ctx context.Context, bench, key string, how serve) {
 	o := c.obs
-	ev := telemetry.Event{Type: "cache_hit", Bench: bench, Key: key, Fingerprint: shortKey(key)}
+	ev := telemetry.Event{Type: "cache_hit", Bench: bench, Key: key}
 	span := "cache.hit"
-	switch {
-	case restored:
+	switch how {
+	case restoredHit:
 		ev.Type, span = "cache_restore", "journal.replay"
-		o.count("svf_cache_restored_hits_total", 1)
-	case shared:
+		o.Count("svf_cache_restored_hits_total", 1)
+	case joined:
 		ev.Detail, span = "joined in-flight simulation", "cache.join"
 	}
-	o.emit(ev)
-	o.count("svf_cache_hits_total", 1)
-	if sp := o.tracer().StartSpan(telemetry.SpanFromContext(ctx), span); sp != nil {
+	if o.Events != nil {
+		ev.Fingerprint = shortKey(key)
+		o.Events.Emit(ev)
+	}
+	o.Count("svf_cache_hits_total", 1)
+	if sp := o.StartSpan(telemetry.SpanFromContext(ctx), span); sp != nil {
 		sp.SetAttr("bench", bench)
 		sp.SetAttr("key", key)
 		sp.End()

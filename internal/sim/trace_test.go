@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+	"time"
 
 	"svf/internal/pipeline"
 	"svf/internal/synth"
@@ -88,10 +89,10 @@ func TestTracedRunsAreByteIdenticalToUntraced(t *testing.T) {
 		return buf
 	}
 
-	plain := runAll(memoryOnlyCache(), context.Background())
+	plain := runAll(NewRunCache(), context.Background())
 
 	tracer := telemetry.NewTracer()
-	traced := memoryOnlyCache()
+	traced := NewRunCache()
 	traced.SetObserver(&Observer{Tracer: tracer})
 	trace := telemetry.MintTraceID("svf-job|trace-test")
 	root := tracer.StartSpan(telemetry.SpanContext{Trace: trace}, "job")
@@ -130,9 +131,10 @@ func TestTracedRunsAreByteIdenticalToUntraced(t *testing.T) {
 // the original worker.run attempt under the same caller span.
 func TestServeAndRetrySpans(t *testing.T) {
 	tracer := telemetry.NewTracer()
-	c := memoryOnlyCache()
+	c := NewRunCache()
 	c.SetObserver(&Observer{Tracer: tracer})
 	c.SetRetries(1)
+	c.SetBackoff(time.Millisecond, time.Second, 1, noSleep)
 	prof := synth.Gzip()
 	opt := Options{MaxInsts: 1_000}
 	calls := countingRunFn(c, func(call int) (*Result, error) {
@@ -179,9 +181,10 @@ func TestServeAndRetrySpans(t *testing.T) {
 // quarantine span instead of leaving the attempt tree dangling.
 func TestQuarantineSpan(t *testing.T) {
 	tracer := telemetry.NewTracer()
-	c := memoryOnlyCache()
+	c := NewRunCache()
 	c.SetObserver(&Observer{Tracer: tracer})
 	c.SetRetries(1)
+	c.SetBackoff(time.Millisecond, time.Second, 1, noSleep)
 	prof := synth.Gzip()
 	countingRunFn(c, func(int) (*Result, error) {
 		return nil, &Fault{Bench: prof.ID(), Panic: "deterministic"}

@@ -16,6 +16,16 @@ import (
 // small enough that 16 profiles × 3 runs stay quick.
 const replayInsts = 40_000
 
+// recordProgram records prog's first n instructions under a context that
+// is never cancelled.
+func recordProgram(prog *synth.Program, n, maxShapes int) *trace.Recording {
+	rec, err := trace.Record(context.Background(), synth.NewGeneratorFor(prog), n, maxShapes)
+	if err != nil {
+		panic(err)
+	}
+	return rec
+}
+
 // replayOpt exercises the stack structure and port arbitration so the
 // comparison covers more than the bare scheduler.
 func replayOpt() Options {
@@ -164,7 +174,7 @@ func TestTraceEvictionFallsBackToGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetTraceCacheBudget(trace.Record(synth.NewGeneratorFor(progA), replayInsts, trace.MaxShapes).Bytes() * 5 / 3)
+	SetTraceCacheBudget(recordProgram(progA, replayInsts, trace.MaxShapes).Bytes() * 5 / 3)
 	if _, err := Run(a, replayOpt()); err != nil {
 		t.Fatal(err)
 	}

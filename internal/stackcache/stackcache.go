@@ -44,10 +44,9 @@ func (c *Config) fillDefaults() {
 
 // StackCache is the decoupled stack cache structure.
 type StackCache struct {
-	cfg   Config
+	cfg Config
+	// inner is the direct-mapped cache itself, spilling into the L2.
 	inner *cache.Cache
-	// l2 is the spill target.
-	l2 cache.Level
 
 	// ctxFlushes counts context-switch flushes; ctxBytes the bytes
 	// written back by them (Table 4).
@@ -71,7 +70,7 @@ func New(cfg Config, l2 cache.Level) (*StackCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StackCache{cfg: cfg, inner: inner, l2: l2}, nil
+	return &StackCache{cfg: cfg, inner: inner}, nil
 }
 
 // Config returns the configuration (with defaults filled).

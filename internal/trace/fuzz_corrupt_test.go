@@ -6,6 +6,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -33,7 +34,8 @@ func corruptSample(seed int64, n, every int) []isa.Inst {
 // encodeSample records insts whole and encodes the recording.
 func encodeSample(t testing.TB, insts []isa.Inst) []byte {
 	t.Helper()
-	rec := trace.Record(trace.NewSliceStream(insts), len(insts), trace.MaxShapes)
+	// Background is never done, so Record cannot fail.
+	rec, _ := trace.Record(context.Background(), trace.NewSliceStream(insts), len(insts), trace.MaxShapes)
 	var buf bytes.Buffer
 	if err := trace.Write(&buf, rec); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"unsafe"
 
 	"svf/internal/isa"
@@ -73,10 +74,16 @@ func ShapeLimit(n int, budget int64) int {
 	return int(min(room/shapeBytes, MaxShapes))
 }
 
+// ctxCheckMask is how often (in instructions, a power of two minus one)
+// Record polls its context, as often as the functional traffic loop does.
+const ctxCheckMask = 1<<16 - 1
+
 // Record reads up to n instructions from s into a Recording, stopping
 // early only if s ends. It returns nil if they have more than maxShapes
-// distinct shapes (maxShapes is capped at MaxShapes).
-func Record(s Stream, n, maxShapes int) *Recording {
+// distinct shapes (maxShapes is capped at MaxShapes). It polls ctx every
+// 64K instructions, the first time before it reads any, and abandons the
+// recording with ctx's error once ctx is done.
+func Record(ctx context.Context, s Stream, n, maxShapes int) (*Recording, error) {
 	if n < 0 {
 		n = 0
 	}
@@ -85,6 +92,11 @@ func Record(s Stream, n, maxShapes int) *Recording {
 	ids := make([]uint16, n)
 	var in isa.Inst
 	for i := range ids {
+		if i&ctxCheckMask == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		if !s.Next(&in) {
 			ids = append(make([]uint16, 0, i), ids[:i]...)
 			break
@@ -99,14 +111,14 @@ func Record(s Stream, n, maxShapes int) *Recording {
 		f := &r.front[uint(k.pc>>2)%frontSize]
 		if *f == 0 || r.keys[*f-1] != k {
 			if !r.lookup(k, &in, f, maxShapes) {
-				return nil
+				return nil, nil
 			}
 		}
 		ids[i] = *f - 1 | mem
 	}
 	shapes := make([]isa.Inst, len(r.shapes))
 	copy(shapes, r.shapes)
-	return &Recording{shapes: shapes, ids: ids, addrs: r.addrStream()}
+	return &Recording{shapes: shapes, ids: ids, addrs: r.addrStream()}, nil
 }
 
 // Replay returns a stream of the recording's first n instructions (all of

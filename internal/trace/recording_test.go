@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"context"
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -8,6 +10,53 @@ import (
 
 	"svf/internal/isa"
 )
+
+// record is Record under a context that is never cancelled.
+func record(s Stream, n, maxShapes int) *Recording {
+	rec, err := Record(context.Background(), s, n, maxShapes)
+	if err != nil {
+		panic(err)
+	}
+	return rec
+}
+
+// cancelAfter is a stream that cancels its context once it has yielded
+// n instructions, and counts what it yields.
+type cancelAfter struct {
+	Stream
+	n, read int
+	cancel  context.CancelFunc
+}
+
+func (s *cancelAfter) Next(in *isa.Inst) bool {
+	if s.read == s.n {
+		s.cancel()
+	}
+	s.read++
+	return s.Stream.Next(in)
+}
+
+// TestRecordStopsWhenCancelled: Record polls its context before reading
+// and then every 64K instructions, and abandons the recording with the
+// context's error.
+func TestRecordStopsWhenCancelled(t *testing.T) {
+	insts := distinctALU(200_000)
+	for i := range insts {
+		insts[i].PC %= 1 << 12
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s := &cancelAfter{Stream: NewSliceStream(insts), n: 70_000, cancel: cancel}
+	rec, err := Record(ctx, s, len(insts), MaxShapes)
+	if rec != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Record = %v, %v; want no recording and context.Canceled", rec, err)
+	}
+	if s.read != 2<<16 {
+		t.Errorf("read %d instructions, want %d: the first poll after the cancel stops it", s.read, 2<<16)
+	}
+	if rec, err := Record(ctx, s, len(insts), MaxShapes); rec != nil || err == nil || s.read != 2<<16 {
+		t.Errorf("a cancelled context: Record = %v, %v after reading %d more; want nothing read", rec, err, s.read-2<<16)
+	}
+}
 
 // randInst draws an instruction with every field over its full range. A
 // quarter are loads, a quarter stores, a quarter another valid kind and a
@@ -85,7 +134,7 @@ func TestRecordingReplaysEveryPrefix(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
 		insts := randStream(rng, 1+rng.IntN(3000))
 		n := rng.IntN(len(insts) + 1)
-		rec := Record(NewSliceStream(insts), n, MaxShapes)
+		rec := record(NewSliceStream(insts), n, MaxShapes)
 		if rec == nil {
 			t.Fatalf("seed %d: a %d-instruction stream was not recorded", seed, n)
 		}
@@ -121,11 +170,11 @@ func TestRecordingReplaysEveryPrefix(t *testing.T) {
 // holds what the stream had, sized to it.
 func TestRecordStopsAtStreamEnd(t *testing.T) {
 	insts := randStream(rand.New(rand.NewPCG(7, 7)), 500)
-	rec := Record(NewSliceStream(insts), 2000, MaxShapes)
+	rec := record(NewSliceStream(insts), 2000, MaxShapes)
 	if rec.Len() != 500 || !reflect.DeepEqual(drain(rec.Replay(2000)), insts) {
 		t.Fatalf("recording past the end: Len %d, want the 500-instruction stream", rec.Len())
 	}
-	if short := Record(NewSliceStream(insts), 500, MaxShapes); rec.Bytes() != short.Bytes() {
+	if short := record(NewSliceStream(insts), 500, MaxShapes); rec.Bytes() != short.Bytes() {
 		t.Errorf("Bytes = %d, want %d: a short stream's ids are sized to it", rec.Bytes(), short.Bytes())
 	}
 }
@@ -143,16 +192,16 @@ func distinctALU(n int) []isa.Inst {
 // shape more than the limit, or than MaxShapes, is not recorded.
 func TestRecordDeclinesTooManyShapes(t *testing.T) {
 	insts := distinctALU(MaxShapes + 1)
-	if Record(NewSliceStream(insts), len(insts), MaxShapes+10) != nil {
+	if record(NewSliceStream(insts), len(insts), MaxShapes+10) != nil {
 		t.Error("recorded more shapes than a 16-bit id with a load/store bit can name")
 	}
-	if Record(NewSliceStream(insts), MaxShapes, MaxShapes) == nil {
+	if record(NewSliceStream(insts), MaxShapes, MaxShapes) == nil {
 		t.Error("declined exactly MaxShapes shapes")
 	}
-	if Record(NewSliceStream(insts), 101, 100) != nil {
+	if record(NewSliceStream(insts), 101, 100) != nil {
 		t.Error("recorded 101 shapes under a limit of 100")
 	}
-	if rec := Record(NewSliceStream(insts), 100, 100); rec == nil || !reflect.DeepEqual(drain(rec.Replay(100)), insts[:100]) {
+	if rec := record(NewSliceStream(insts), 100, 100); rec == nil || !reflect.DeepEqual(drain(rec.Replay(100)), insts[:100]) {
 		t.Error("a stream at its shape limit did not record exactly")
 	}
 }
@@ -181,7 +230,7 @@ func TestShapeLimitBoundsBytes(t *testing.T) {
 			}
 			continue
 		}
-		if rec := Record(NewSliceStream(insts), n, limit); rec != nil && rec.Bytes() > budget {
+		if rec := record(NewSliceStream(insts), n, limit); rec != nil && rec.Bytes() > budget {
 			t.Fatalf("recording of %d instructions under ShapeLimit %d holds %d bytes, over the %d budget", n, limit, rec.Bytes(), budget)
 		}
 	}

@@ -47,7 +47,7 @@ func drain(s Stream) []isa.Inst {
 // recordAll records every instruction of insts.
 func recordAll(t testing.TB, insts []isa.Inst) *Recording {
 	t.Helper()
-	rec := Record(NewSliceStream(insts), len(insts), MaxShapes)
+	rec := record(NewSliceStream(insts), len(insts), MaxShapes)
 	if rec == nil {
 		t.Fatalf("a %d-instruction stream was not recorded", len(insts))
 	}

@@ -173,20 +173,25 @@ func (c *Cache) installLocked(fp string, rec *trace.Recording) {
 // returns the live generator unrecorded. Misses are single-flighted per
 // workload: a call whose budget an in-flight recording covers waits for
 // it and replays its prefix.
-func (c *Cache) Stream(fp string, n int, record func(maxShapes int) *trace.Recording, stream func() trace.Stream) trace.Stream {
+//
+// A record error (its run was cancelled) abandons the recording: Stream
+// installs nothing, returns the error, and lets the calls waiting on it
+// generate live, as after a panicking record. Unlike a nil recording it
+// marks nothing unrecordable, so a later call records afresh.
+func (c *Cache) Stream(fp string, n int, record func(maxShapes int) (*trace.Recording, error), stream func() trace.Stream) (trace.Stream, error) {
 	c.mu.Lock()
 	maxShapes := trace.ShapeLimit(n, c.budget)
 	if m, ok := c.unrecordable[fp]; maxShapes == 0 || ok && n >= m {
 		c.stats.Misses++
 		c.mu.Unlock()
-		return stream() // oversize or unrecordable: stream straight from the generator
+		return stream(), nil // oversize or unrecordable: stream straight from the generator
 	}
 	if e, ok := c.entries[fp]; ok && e.rec.Len() >= n {
 		e.unlink()
 		c.pushFront(e)
 		c.stats.Hits++
 		c.mu.Unlock()
-		return e.rec.Replay(n)
+		return e.rec.Replay(n), nil
 	}
 	if f, ok := c.inflight[fp]; ok && f.n >= n {
 		c.mu.Unlock()
@@ -195,11 +200,11 @@ func (c *Cache) Stream(fp string, n int, record func(maxShapes int) *trace.Recor
 		if f.rec == nil {
 			c.stats.Misses++
 			c.mu.Unlock()
-			return stream() // the recorder abandoned; generate live
+			return stream(), nil // the recorder abandoned; generate live
 		}
 		c.stats.Hits++
 		c.mu.Unlock()
-		return f.rec.Replay(n)
+		return f.rec.Replay(n), nil
 	}
 	c.stats.Misses++
 	f := &flight{n: n, done: make(chan struct{})}
@@ -221,14 +226,17 @@ func (c *Cache) Stream(fp string, n int, record func(maxShapes int) *trace.Recor
 		c.mu.Unlock()
 		close(f.done)
 	}()
-	rec = record(maxShapes)
+	var err error
+	if rec, err = record(maxShapes); err != nil {
+		return nil, err
+	}
 	if rec == nil {
 		c.mu.Lock()
 		if m, ok := c.unrecordable[fp]; !ok || n < m {
 			c.unrecordable[fp] = n
 		}
 		c.mu.Unlock()
-		return stream()
+		return stream(), nil
 	}
-	return rec.Replay(n)
+	return rec.Replay(n), nil
 }

@@ -1,6 +1,8 @@
 package tracecache
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -32,7 +34,18 @@ func fakeTrace(tag uint64, n int) []isa.Inst {
 
 // fakeRec records fakeTrace(tag, n).
 func fakeRec(tag uint64, n int) *trace.Recording {
-	return trace.Record(trace.NewSliceStream(fakeTrace(tag, n)), n, trace.MaxShapes)
+	// Background is never done, so Record cannot fail.
+	rec, _ := trace.Record(context.Background(), trace.NewSliceStream(fakeTrace(tag, n)), n, trace.MaxShapes)
+	return rec
+}
+
+// stream is c.Stream for a record func that cannot be cancelled.
+func stream(c *Cache, fp string, n int, record func(int) *trace.Recording, live func() trace.Stream) trace.Stream {
+	s, err := c.Stream(fp, n, func(maxShapes int) (*trace.Recording, error) { return record(maxShapes), nil }, live)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // bytesOf is the charge for recording an n-instruction fakeTrace: every
@@ -61,7 +74,7 @@ func TestRecordOnceReplayMany(t *testing.T) {
 	want := fakeTrace(1, 100)
 	records := 0
 	get := func() trace.Stream {
-		return c.Stream("p1", 100,
+		return stream(c, "p1", 100,
 			func(int) *trace.Recording { records++; return fakeRec(1, 100) },
 			func() trace.Stream { t.Fatal("budgeted miss used the live generator"); return nil })
 	}
@@ -89,11 +102,11 @@ func mustNotRecord(t *testing.T) func(int) *trace.Recording {
 
 func TestShorterBudgetReplaysPrefix(t *testing.T) {
 	c := New(1 << 20)
-	drain(t, c.Stream("p", 100,
+	drain(t, stream(c, "p", 100,
 		func(int) *trace.Recording { return fakeRec(9, 100) },
 		func() trace.Stream { return nil }), fakeTrace(9, 100))
 	for _, n := range []int{40, 1, 0, 100} {
-		drain(t, c.Stream("p", n, mustNotRecord(t), nil), fakeTrace(9, 100)[:n])
+		drain(t, stream(c, "p", n, mustNotRecord(t), nil), fakeTrace(9, 100)[:n])
 	}
 	if st := c.Stats(); st.Hits != 4 || st.Misses != 1 || st.Entries != 1 || st.UsedBytes != bytesOf(100) {
 		t.Errorf("stats = %+v, want 4 hits / 1 miss / one 100-inst entry", st)
@@ -104,7 +117,7 @@ func TestLongerBudgetReplacesRecording(t *testing.T) {
 	c := New(1 << 20)
 	records := 0
 	get := func(n int) trace.Stream {
-		return c.Stream("p", n,
+		return stream(c, "p", n,
 			func(int) *trace.Recording { records++; return fakeRec(9, n) },
 			func() trace.Stream { return nil })
 	}
@@ -130,13 +143,13 @@ func TestWaiterOnCoveringFlightRecordsNothing(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	recorded := make(chan trace.Stream)
 	go func() {
-		recorded <- c.Stream("p", 100,
+		recorded <- stream(c, "p", 100,
 			func(int) *trace.Recording { close(started); <-release; return fakeRec(4, 100) },
 			func() trace.Stream { return nil })
 	}()
 	<-started
 	waited := make(chan trace.Stream)
-	go func() { waited <- c.Stream("p", 40, mustNotRecord(t), nil) }()
+	go func() { waited <- stream(c, "p", 40, mustNotRecord(t), nil) }()
 	// Give the waiter time to block on the flight. Nothing can serve it
 	// before release: the recording is not resident yet, and its record
 	// func fails the test.
@@ -158,13 +171,13 @@ func TestShorterFlightNeverReplacesLonger(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	short := make(chan trace.Stream)
 	go func() {
-		short <- c.Stream("p", 50,
+		short <- stream(c, "p", 50,
 			func(int) *trace.Recording { close(started); <-release; return fakeRec(6, 50) },
 			func() trace.Stream { return nil })
 	}()
 	<-started
 	// The open 50-inst flight cannot cover 100: this call records its own.
-	drain(t, c.Stream("p", 100,
+	drain(t, stream(c, "p", 100,
 		func(int) *trace.Recording { return fakeRec(6, 100) },
 		func() trace.Stream { return nil }), fakeTrace(6, 100))
 	close(release)
@@ -172,7 +185,7 @@ func TestShorterFlightNeverReplacesLonger(t *testing.T) {
 	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != bytesOf(100) {
 		t.Errorf("stats = %+v, want the 100-inst recording to stay resident", st)
 	}
-	drain(t, c.Stream("p", 100, mustNotRecord(t), nil), fakeTrace(6, 100))
+	drain(t, stream(c, "p", 100, mustNotRecord(t), nil), fakeTrace(6, 100))
 }
 
 // TestPrefixHitAllocatesStreamOnly pins that a prefix is served in place:
@@ -180,7 +193,7 @@ func TestShorterFlightNeverReplacesLonger(t *testing.T) {
 // never copies the recording.
 func TestPrefixHitAllocatesStreamOnly(t *testing.T) {
 	c := New(1 << 20)
-	drain(t, c.Stream("p", 1000,
+	drain(t, stream(c, "p", 1000,
 		func(int) *trace.Recording { return fakeRec(8, 1000) },
 		func() trace.Stream { return nil }), fakeTrace(8, 1000))
 	exact := testing.AllocsPerRun(100, func() { c.Stream("p", 1000, nil, nil) })
@@ -194,7 +207,7 @@ func TestOversizeStreamsWithoutRecording(t *testing.T) {
 	c := New(bytesOf(10))
 	want := fakeTrace(2, 100)
 	streamed := false
-	s := c.Stream("big", 100,
+	s := stream(c, "big", 100,
 		func(int) *trace.Recording { t.Fatal("oversize trace was recorded"); return nil },
 		func() trace.Stream { streamed = true; return trace.NewSliceStream(fakeTrace(2, 100)) })
 	drain(t, s, want)
@@ -206,14 +219,14 @@ func TestOversizeStreamsWithoutRecording(t *testing.T) {
 	}
 	// A negative budget (svf.Options reaches here unchecked) streams
 	// live too, even with a recording resident to slice.
-	drain(t, c.Stream("small", 5, func(int) *trace.Recording { return fakeRec(3, 5) }, nil), fakeTrace(3, 5))
-	drain(t, c.Stream("small", -1, mustNotRecord(t), func() trace.Stream { return trace.NewSliceStream(nil) }), nil)
+	drain(t, stream(c, "small", 5, func(int) *trace.Recording { return fakeRec(3, 5) }, nil), fakeTrace(3, 5))
+	drain(t, stream(c, "small", -1, mustNotRecord(t), func() trace.Stream { return trace.NewSliceStream(nil) }), nil)
 }
 
 func TestLRUEvictionUnderBudget(t *testing.T) {
 	c := New(bytesOf(250)) // fits two 100-inst traces, not three
 	add := func(tag uint64, fp string) {
-		s := c.Stream(fp, 100,
+		s := stream(c, fp, 100,
 			func(int) *trace.Recording { return fakeRec(tag, 100) },
 			func() trace.Stream { return nil })
 		drain(t, s, fakeTrace(tag, 100))
@@ -221,7 +234,7 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	add(1, "a")
 	add(2, "b")
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	drain(t, c.Stream("a", 100, nil, nil), fakeTrace(1, 100))
+	drain(t, stream(c, "a", 100, nil, nil), fakeTrace(1, 100))
 	add(3, "c")
 
 	st := c.Stats()
@@ -236,7 +249,7 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	}
 	// The evicted key transparently re-records.
 	rerecorded := false
-	s := c.Stream("b", 100,
+	s := stream(c, "b", 100,
 		func(int) *trace.Recording { rerecorded = true; return fakeRec(2, 100) },
 		func() trace.Stream { return nil })
 	drain(t, s, fakeTrace(2, 100))
@@ -249,7 +262,7 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 	c := New(1 << 20)
 	for i := 0; i < 4; i++ {
 		tag, fp := uint64(i), fmt.Sprint(i)
-		drain(t, c.Stream(fp, 10,
+		drain(t, stream(c, fp, 10,
 			func(int) *trace.Recording { return fakeRec(tag, 10) },
 			func() trace.Stream { return nil }), fakeTrace(tag, 10))
 	}
@@ -263,7 +276,7 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 	}
 	// Disabled cache streams straight through.
 	used := false
-	drain(t, c.Stream("x", 10,
+	drain(t, stream(c, "x", 10,
 		func(int) *trace.Recording { t.Fatal("recorded while disabled"); return nil },
 		func() trace.Stream { used = true; return trace.NewSliceStream(fakeTrace(7, 10)) }),
 		fakeTrace(7, 10))
@@ -282,7 +295,7 @@ func TestSingleFlightConcurrentMisses(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := c.Stream("p", 64,
+			s := stream(c, "p", 64,
 				func(int) *trace.Recording {
 					records.Add(1)
 					<-release // hold the flight open so others pile up
@@ -322,12 +335,12 @@ func TestPanickingRecorderReleasesWaiters(t *testing.T) {
 				t.Fatal("record panic did not propagate")
 			}
 		}()
-		c.Stream("boom", 8,
+		stream(c, "boom", 8,
 			func(int) *trace.Recording { panic("synthetic") },
 			func() trace.Stream { return nil })
 	}()
 	// The flight must be gone: the next call records normally.
-	drain(t, c.Stream("boom", 8,
+	drain(t, stream(c, "boom", 8,
 		func(int) *trace.Recording { return fakeRec(3, 8) },
 		func() trace.Stream { return nil }), fakeTrace(3, 8))
 	if st := c.Stats(); st.Entries != 1 {
@@ -344,17 +357,17 @@ func TestDeclinedRecordingStreamsLive(t *testing.T) {
 	tries := 0
 	decline := func(int) *trace.Recording { tries++; return nil }
 	live := func() trace.Stream { return trace.NewSliceStream(fakeTrace(4, 100)) }
-	drain(t, c.Stream("wide", 100, decline, live), fakeTrace(4, 100))
-	drain(t, c.Stream("wide", 150, decline, live), fakeTrace(4, 100))
+	drain(t, stream(c, "wide", 100, decline, live), fakeTrace(4, 100))
+	drain(t, stream(c, "wide", 150, decline, live), fakeTrace(4, 100))
 	if tries != 1 {
 		t.Errorf("record ran %d times, want once: a declined budget must not be retried", tries)
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want two live misses and nothing resident", st)
 	}
-	drain(t, c.Stream("wide", 50, func(int) *trace.Recording { return fakeRec(4, 50) }, nil), fakeTrace(4, 50))
+	drain(t, stream(c, "wide", 50, func(int) *trace.Recording { return fakeRec(4, 50) }, nil), fakeTrace(4, 50))
 	c.SetBudget(2 << 20)
-	drain(t, c.Stream("wide", 100, func(int) *trace.Recording { return fakeRec(4, 100) }, nil), fakeTrace(4, 100))
+	drain(t, stream(c, "wide", 100, func(int) *trace.Recording { return fakeRec(4, 100) }, nil), fakeTrace(4, 100))
 	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != bytesOf(100) {
 		t.Errorf("stats = %+v, want the 100-inst recording after the budget changed", st)
 	}
@@ -366,9 +379,86 @@ func TestRecordGetsShapeLimit(t *testing.T) {
 	for _, budget := range []int64{1 << 20, 10_000, 2_000} {
 		c := New(budget)
 		got := -1
-		c.Stream("p", 50, func(maxShapes int) *trace.Recording { got = maxShapes; return fakeRec(1, 0) }, nil)
+		stream(c, "p", 50, func(maxShapes int) *trace.Recording { got = maxShapes; return fakeRec(1, 0) }, nil)
 		if want := trace.ShapeLimit(50, budget); got != want {
 			t.Errorf("budget %d: record got a limit of %d shapes, want %d", budget, got, want)
 		}
+	}
+}
+
+// cancelAt is a stream that, before its k'th instruction, waits for
+// release and then cancels its run's context.
+type cancelAt struct {
+	trace.Stream
+	k       int
+	release chan struct{}
+	cancel  context.CancelFunc
+}
+
+func (s *cancelAt) Next(in *isa.Inst) bool {
+	if s.k--; s.k == 0 {
+		<-s.release
+		s.cancel()
+	}
+	return s.Stream.Next(in)
+}
+
+// TestCancelledRecordingLeavesNoTrace: a recording whose run is cancelled
+// mid-way returns the context's error, installs nothing, lets the call
+// waiting on it stream live and marks nothing unrecordable, so a later run
+// records the workload and the run after it replays the recording.
+func TestCancelledRecordingLeavesNoTrace(t *testing.T) {
+	c := New(1 << 30)
+	insts := make([]isa.Inst, 1<<17)
+	for i := range insts {
+		insts[i] = isa.Inst{PC: uint64(i%1000) * 4, Kind: isa.KindALU}
+	}
+	n := len(insts)
+	ctx, cancel := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	cut := &cancelAt{Stream: trace.NewSliceStream(insts), k: 1000, release: release, cancel: cancel}
+	type result struct {
+		s   trace.Stream
+		err error
+	}
+	started, recorded := make(chan struct{}), make(chan result)
+	go func() {
+		s, err := c.Stream("p", n,
+			func(maxShapes int) (*trace.Recording, error) {
+				close(started)
+				return trace.Record(ctx, cut, n, maxShapes)
+			},
+			func() trace.Stream { t.Error("the cancelled recorder streamed live"); return nil })
+		recorded <- result{s, err}
+	}()
+	<-started
+	waited := make(chan trace.Stream)
+	go func() {
+		waited <- stream(c, "p", 100, mustNotRecord(t), func() trace.Stream { return trace.NewSliceStream(insts[:100]) })
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter block on the flight
+	close(release)
+	if r := <-recorded; r.s != nil || !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled recording = %v, %v; want no stream and context.Canceled", r.s, r.err)
+	}
+	drain(t, <-waited, insts[:100])
+	c.mu.Lock()
+	_, memo := c.unrecordable["p"]
+	c.mu.Unlock()
+	if st := c.Stats(); st.Entries != 0 || st.UsedBytes != 0 || memo {
+		t.Fatalf("after the cancel: stats %+v, unrecordable %v; want nothing resident or memoized", st, memo)
+	}
+
+	records := 0
+	record := func(int) *trace.Recording {
+		records++
+		// Background is never done, so Record cannot fail.
+		rec, _ := trace.Record(context.Background(), trace.NewSliceStream(insts), n, trace.MaxShapes)
+		return rec
+	}
+	drain(t, stream(c, "p", n, record, nil), insts)
+	drain(t, stream(c, "p", n, record, nil), insts)
+	if st := c.Stats(); records != 1 || st.Entries != 1 || st.Hits != 1 {
+		t.Errorf("recorded %d times, stats %+v; want one recording, then a hit", records, st)
 	}
 }

@@ -153,7 +153,8 @@ func RecordTrace(p *Profile, n int) (*Recording, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rec := trace.Record(synth.NewGeneratorFor(prog), n, trace.MaxShapes); rec != nil {
+	// Record fails only when its context is done, and Background never is.
+	if rec, _ := trace.Record(context.Background(), synth.NewGeneratorFor(prog), n, trace.MaxShapes); rec != nil {
 		return rec, nil
 	}
 	return nil, fmt.Errorf("svf: %s: %d instructions name more than %d distinct instruction shapes, the most a trace holds", p.ID(), n, trace.MaxShapes)
@@ -225,7 +226,9 @@ type ExperimentConfig = experiments.Config
 // RunCache memoizes complete simulation runs, keyed by the workload's
 // content fingerprint and the canonicalized Options, with single-flight
 // deduplication of concurrent identical runs. Experiment harnesses share
-// one via ExperimentConfig.Cache.
+// one via ExperimentConfig.Cache. A run that faults is retried once after
+// a short backoff (SetRetries changes the budget); a cell whose budget is
+// spent is refused for the cache's lifetime rather than run again.
 type RunCache = sim.RunCache
 
 // RunCacheStats is a point-in-time summary of a RunCache.
