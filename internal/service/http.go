@@ -126,23 +126,24 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown job"})
 		return
 	}
-	cells := make([]cellStatus, len(j.cells))
+	state, statuses := j.snapshot()
+	cells := make([]cellStatus, len(statuses))
 	counts := map[string]int{}
 	failed := 0
-	for i, cs := range j.cells {
-		st, msg := cs.get()
-		cells[i] = cellStatus{Index: i, Kind: cs.spec.Kind, Bench: cs.spec.BenchID(), Key: cs.spec.key, Status: st, Error: msg}
-		counts[st]++
-		if st != CellDone && st != CellPending && st != CellRunning {
+	for i, cs := range statuses {
+		spec := j.spec.Cells[i]
+		cells[i] = cellStatus{Index: i, Kind: spec.Kind, Bench: spec.BenchID(), Key: spec.key, Status: cs.status, Error: cs.errMsg}
+		counts[cs.status]++
+		if cs.terminal() && cs.status != CellDone {
 			failed++
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":              j.ID,
-		"state":           j.State(),
+		"state":           state,
 		"cells":           cells,
 		"counts":          counts,
-		"partial_failure": j.State() == JobDone && failed > 0,
+		"partial_failure": state == JobDone && failed > 0,
 		"failed_cells":    failed,
 	})
 }
@@ -183,13 +184,12 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	for i, cs := range j.cells {
-		select {
-		case <-cs.done:
-		case <-r.Context().Done():
+	for i, spec := range j.spec.Cells {
+		cs, ok := j.waitCell(r.Context(), i)
+		if !ok {
 			return // client went away; the job is untouched
 		}
-		if err := enc.Encode(s.resultLine(i, cs)); err != nil {
+		if err := enc.Encode(s.resultLine(i, spec, cs)); err != nil {
 			return
 		}
 		if flusher != nil {
@@ -205,12 +205,10 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resultLine builds cell i's stream record.
-func (s *Server) resultLine(i int, cs *cellState) resultLine {
-	spec := cs.spec
-	st, msg := cs.get()
-	line := resultLine{Index: i, Kind: spec.Kind, Bench: spec.BenchID(), Key: spec.key, Status: st, Error: msg}
-	if st != CellDone {
+// resultLine builds the stream record of cell i, spec, in state cs.
+func (s *Server) resultLine(i int, spec *CellSpec, cs cellState) resultLine {
+	line := resultLine{Index: i, Kind: spec.Kind, Bench: spec.BenchID(), Key: spec.key, Status: cs.status, Error: cs.errMsg}
+	if cs.status != CellDone {
 		return line
 	}
 	// A done cell's payload always comes from the cache — Background
@@ -269,9 +267,10 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	rows := make([]jobRow, len(jobs))
 	for i, j := range jobs {
-		row := jobRow{ID: j.ID, State: j.State(), Total: len(j.cells)}
-		for _, cs := range j.cells {
-			if st, _ := cs.get(); st != CellPending && st != CellRunning {
+		state, statuses := j.snapshot()
+		row := jobRow{ID: j.ID, State: state, Total: len(statuses)}
+		for _, cs := range statuses {
+			if cs.terminal() {
 				row.Done++
 			}
 		}

@@ -89,35 +89,20 @@ const (
 	JobDone    = "done"
 )
 
-// cellState is one cell's mutable execution state. done closes exactly
-// once, when the cell reaches a terminal status; the results stream waits
-// on it.
+// cellState is one cell's status and, for a failed cell, why.
 type cellState struct {
-	spec *CellSpec
-
-	mu     sync.Mutex
 	status string
 	errMsg string
-	done   chan struct{}
 }
 
-func (cs *cellState) set(status, errMsg string) {
-	cs.mu.Lock()
-	cs.status, cs.errMsg = status, errMsg
-	terminal := status != CellPending && status != CellRunning
-	cs.mu.Unlock()
-	if terminal {
-		close(cs.done)
-	}
+// terminal reports whether the cell has finished, one way or another.
+func (cs cellState) terminal() bool {
+	return cs.status != CellPending && cs.status != CellRunning
 }
 
-func (cs *cellState) get() (status, errMsg string) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.status, cs.errMsg
-}
-
-// Job is one accepted submission.
+// Job is one accepted submission. Once it is done it retains its ID, its
+// trace ID, one cellState per cell and its spec, whose cells are the
+// server's shared ones (Server.internLocked).
 type Job struct {
 	ID   string
 	spec *JobSpec
@@ -128,15 +113,30 @@ type Job struct {
 	// accepted by a pre-tracing build) continues the same trace. Immutable
 	// after construction.
 	trace string
-	// root is the job's root span (nil when tracing is off); acceptedAt
-	// anchors the queue-wait histogram.
+	// root is the job's root span until the job is done (nil when tracing
+	// is off); acceptedAt anchors the queue-wait histogram.
 	root       *telemetry.ActiveSpan
 	acceptedAt time.Time
 
-	mu       sync.Mutex
-	state    string
-	cells    []*cellState
-	finished chan struct{}
+	// mu guards state, cells and changed, so a reader sees the job's
+	// state and its cells' statuses as one snapshot.
+	mu    sync.Mutex
+	state string
+	// cells holds the status of spec.Cells[i] at index i.
+	cells []cellState
+	// changed exists while a results stream waits for a cell: the next
+	// cell to finish closes and clears it, and the next waiter makes a
+	// new one.
+	changed chan struct{}
+}
+
+// newJob returns a queued job with every cell pending.
+func newJob(id string, spec *JobSpec, bytes int64) *Job {
+	j := &Job{ID: id, spec: spec, bytes: bytes, state: JobQueued, cells: make([]cellState, len(spec.Cells))}
+	for i := range j.cells {
+		j.cells[i].status = CellPending
+	}
+	return j
 }
 
 func (j *Job) setState(s string) {
@@ -145,10 +145,47 @@ func (j *Job) setState(s string) {
 	j.mu.Unlock()
 }
 
-func (j *Job) State() string {
+// setCell records cell i's status and, once the cell has finished, wakes
+// the results streams waiting on the job.
+func (j *Job) setCell(i int, status, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	j.cells[i] = cellState{status: status, errMsg: errMsg}
+	if j.changed != nil && j.cells[i].terminal() {
+		close(j.changed)
+		j.changed = nil
+	}
+}
+
+// snapshot returns the job's state and a copy of its cells' statuses, read
+// under one lock, so a done job never shows an unfinished cell.
+func (j *Job) snapshot() (state string, cells []cellState) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, append([]cellState(nil), j.cells...)
+}
+
+// waitCell blocks until cell i has finished and returns its status, or
+// returns false once ctx ends.
+func (j *Job) waitCell(ctx context.Context, i int) (cellState, bool) {
+	for {
+		j.mu.Lock()
+		cs := j.cells[i]
+		if cs.terminal() {
+			j.mu.Unlock()
+			return cs, true
+		}
+		if j.changed == nil {
+			j.changed = make(chan struct{})
+		}
+		changed := j.changed
+		j.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return cs, false
+		}
+	}
 }
 
 // jobRecord is the journal body for a job (Kind "job", Key "job|"+ID).
@@ -181,7 +218,8 @@ type Server struct {
 
 	mu               sync.Mutex
 	jobs             map[string]*Job
-	order            []string // submission order, replayed jobs first
+	order            []string             // submission order, replayed jobs first
+	cells            map[string]*CellSpec // by cell key; see internLocked
 	outstanding      int
 	outstandingBytes int64
 	draining         bool
@@ -239,6 +277,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:    ctx,
 		cancelBase: cancel,
 		jobs:       map[string]*Job{},
+		cells:      map[string]*CellSpec{},
 		sem:        make(chan struct{}, cfg.Parallel),
 	}
 	if r := cfg.Obs.Registry; r != nil {
@@ -289,7 +328,8 @@ func (s *Server) replayJobs() error {
 			s.cfg.Logf("svfd: journal: job %s no longer resolves, dropping: %v", jr.ID, err)
 			continue
 		}
-		j := &Job{ID: jr.ID, spec: spec, bytes: int64(len(jr.Spec)), finished: make(chan struct{})}
+		s.internLocked(spec)
+		j := newJob(jr.ID, spec, int64(len(jr.Spec)))
 		// Pre-tracing records carry no trace ID; minting is deterministic
 		// on the job ID, so the replayed job continues the same trace its
 		// original acceptance would have had.
@@ -297,24 +337,18 @@ func (s *Server) replayJobs() error {
 		if j.trace == "" {
 			j.trace = telemetry.MintTraceID("svf-job|" + jr.ID)
 		}
-		for _, c := range spec.Cells {
-			j.cells = append(j.cells, &cellState{spec: c, status: CellPending, done: make(chan struct{})})
-		}
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
 		if jr.State == "done" && len(jr.Cells) == len(j.cells) {
 			j.state = JobDone
 			for i, cr := range jr.Cells {
-				j.cells[i].status, j.cells[i].errMsg = cr.Status, cr.Err
-				close(j.cells[i].done)
+				j.cells[i] = cellState{status: cr.Status, errMsg: cr.Err}
 			}
-			close(j.finished)
 			continue
 		}
 		// Unfinished: the accepted record survived, the done record did
 		// not — the daemon died mid-job. Re-admit it, with a fresh root
 		// span marked as a replay.
-		j.state = JobQueued
 		j.acceptedAt = time.Now()
 		j.root = s.cfg.Obs.StartSpan(telemetry.SpanContext{Trace: j.trace}, "job")
 		j.root.SetAttr("job", jr.ID)
@@ -329,7 +363,27 @@ func (s *Server) replayJobs() error {
 	} else if len(s.order) > 0 {
 		s.cfg.Logf("svfd: journal: restored %d completed job(s)", len(s.order))
 	}
+	// The jobs are rebuilt; the records need not outlive them.
+	s.cfg.JobsReplay = nil
 	return nil
+}
+
+// internLocked replaces each of spec's cells with the server's resolved
+// cell of the same key, and adopts the cells it has not seen, so every
+// job that names a cell shares one key string, one Options and one
+// profile: the server's retained state grows with distinct cells, not
+// with jobs × cells. A job's journaled spec therefore spells a shared
+// cell the way its first submitter did; replay resolves either spelling
+// to the same key and job ID. Callers hold s.mu, or are New, before
+// anything runs.
+func (s *Server) internLocked(spec *JobSpec) {
+	for i, c := range spec.Cells {
+		if shared, ok := s.cells[c.key]; ok {
+			spec.Cells[i] = shared
+		} else {
+			s.cells[c.key] = c
+		}
+	}
 }
 
 // chargeLocked charges jobs outstanding jobs and bytes spec bytes to the
@@ -408,12 +462,10 @@ func (s *Server) SubmitTraced(spec *JobSpec, rawLen int, parent telemetry.SpanCo
 		s.cfg.Obs.CountLabeled("svf_service_rejected_total", "reason", "overload")
 		return submitResult{shed: errOverload}
 	}
-	j := &Job{ID: id, spec: spec, bytes: int64(rawLen), state: JobQueued, finished: make(chan struct{})}
+	s.internLocked(spec)
+	j := newJob(id, spec, int64(rawLen))
 	j.trace = telemetry.MintTraceID("svf-job|" + id)
 	j.acceptedAt = time.Now()
-	for _, c := range spec.Cells {
-		j.cells = append(j.cells, &cellState{spec: c, status: CellPending, done: make(chan struct{})})
-	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.chargeLocked(1, j.bytes)
@@ -516,12 +568,12 @@ func (s *Server) runJob(j *Job) {
 		defer cancel()
 	}
 	var wg sync.WaitGroup
-	for i, cs := range j.cells {
+	for i, spec := range j.spec.Cells {
 		// Each cell gets a span under the job root; the queue span inside
 		// it covers the wait for an execution slot.
 		var cellSp *telemetry.ActiveSpan
 		if s.cfg.Obs.Tracer != nil {
-			cellSp = s.cfg.Obs.StartSpan(j.root.Context(), fmt.Sprintf("cell[%d] %s", i, cs.spec.BenchID()))
+			cellSp = s.cfg.Obs.StartSpan(j.root.Context(), fmt.Sprintf("cell[%d] %s", i, spec.BenchID()))
 		}
 		queueSp := s.cfg.Obs.StartSpan(cellSp.Context(), "queue")
 		select {
@@ -531,35 +583,35 @@ func (s *Server) runJob(j *Job) {
 			// Deadline or shutdown while waiting for a slot: the
 			// remaining cells terminate without executing.
 			queueSp.End()
-			s.finishCell(j, cs, ctx.Err(), cellSp)
+			s.finishCell(j, i, ctx.Err(), cellSp)
 			continue
 		}
 		wg.Add(1)
-		go func(cs *cellState, sp *telemetry.ActiveSpan) {
+		go func(i int, sp *telemetry.ActiveSpan) {
 			defer wg.Done()
 			defer func() { <-s.sem }()
-			s.execCell(ctx, j, cs, sp)
-		}(cs, cellSp)
+			s.execCell(ctx, j, i, sp)
+		}(i, cellSp)
 	}
 	wg.Wait()
 	s.finishJob(j)
 }
 
-// execCell runs one cell under its own deadline and records the outcome.
+// execCell runs cell i under its own deadline and records the outcome.
 // The cell span rides the context into the cache (and from there into the
 // shard pool), and the goroutine carries pprof job/cell labels so
 // /debug/pprof profiles segment by job.
-func (s *Server) execCell(ctx context.Context, j *Job, cs *cellState, sp *telemetry.ActiveSpan) {
+func (s *Server) execCell(ctx context.Context, j *Job, i int, sp *telemetry.ActiveSpan) {
 	if d := s.cellDeadline(j.spec); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	cs.set(CellRunning, "")
+	j.setCell(i, CellRunning, "")
 	ctx = telemetry.ContextWithSpan(ctx, sp.Context())
 	start := time.Now()
 	var err error
-	spec := cs.spec
+	spec := j.spec.Cells[i]
 	pprof.Do(ctx, pprof.Labels("job", j.ID, "cell", spec.key), func(ctx context.Context) {
 		switch spec.Kind {
 		case CellRun:
@@ -571,12 +623,12 @@ func (s *Server) execCell(ctx context.Context, j *Job, cs *cellState, sp *teleme
 		}
 	})
 	s.cfg.Obs.ObserveSeconds("svf_cell_run_seconds", time.Since(start), j.trace)
-	s.finishCell(j, cs, err, sp)
+	s.finishCell(j, i, err, sp)
 }
 
-// finishCell classifies err into a terminal status and records it, closing
-// the cell's span with a zero-width result marker.
-func (s *Server) finishCell(j *Job, cs *cellState, err error, sp *telemetry.ActiveSpan) {
+// finishCell classifies err into cell i's terminal status and records it,
+// closing the cell's span with a zero-width result marker.
+func (s *Server) finishCell(j *Job, i int, err error, sp *telemetry.ActiveSpan) {
 	status, msg := CellDone, ""
 	var le *sim.LatchedError
 	switch {
@@ -597,7 +649,7 @@ func (s *Server) finishCell(j *Job, cs *cellState, err error, sp *telemetry.Acti
 	default:
 		status, msg = CellFailed, err.Error()
 	}
-	cs.set(status, msg)
+	j.setCell(i, status, msg)
 	if rsp := s.cfg.Obs.StartSpan(sp.Context(), "result"); rsp != nil {
 		rsp.SetAttr("status", status)
 		rsp.End()
@@ -607,26 +659,28 @@ func (s *Server) finishCell(j *Job, cs *cellState, err error, sp *telemetry.Acti
 	s.cfg.Obs.Progress.Done(1)
 	s.cfg.Obs.CountLabeled("svf_service_cells_total", "status", status)
 	if status != CellDone {
-		s.cfg.Obs.Events.Emit(telemetry.Event{Type: "cell_failed", Key: cs.spec.key, Bench: cs.spec.BenchID(), Err: msg, Detail: status})
+		spec := j.spec.Cells[i]
+		s.cfg.Obs.Events.Emit(telemetry.Event{Type: "cell_failed", Key: spec.key, Bench: spec.BenchID(), Err: msg, Detail: status})
 	}
 }
 
-// finishJob journals the outcome, releases the admission charge, and
-// closes the job's finished channel.
+// finishJob journals the outcome and releases the admission charge.
 func (s *Server) finishJob(j *Job) {
-	cells := make([]cellRecord, len(j.cells))
+	_, statuses := j.snapshot()
+	cells := make([]cellRecord, len(statuses))
 	failed := 0
-	for i, cs := range j.cells {
-		st, msg := cs.get()
-		cells[i] = cellRecord{Status: st, Err: msg}
-		if st != CellDone {
+	for i, cs := range statuses {
+		cells[i] = cellRecord{Status: cs.status, Err: cs.errMsg}
+		if cs.status != CellDone {
 			failed++
 		}
 	}
 	// The root span ends before the state flips to done, so a client that
 	// polled the job done and fetches the trace sees the frozen, complete
-	// span tree — byte-identical across refetches.
+	// span tree — byte-identical across refetches. The tracer keeps the
+	// ended span; the job need not.
 	j.root.End()
+	j.root = nil
 	s.journalJob(j, "done", cells)
 	j.setState(JobDone)
 
@@ -640,7 +694,6 @@ func (s *Server) finishJob(j *Job) {
 	} else {
 		s.cfg.Logf("svfd: job %s done (%d cells)", j.ID, len(j.cells))
 	}
-	close(j.finished)
 }
 
 func (s *Server) jobDeadline(spec *JobSpec) time.Duration {

@@ -74,7 +74,7 @@ type JobSpec struct {
 type CellSpec struct {
 	// Kind is "run" or "traffic".
 	Kind string `json:"kind"`
-	// Bench names a bundled workload (synth.ByName); exactly one of
+	// Bench names a bundled workload (synth.Bundled); exactly one of
 	// Bench/Profile must be set.
 	Bench string `json:"bench,omitempty"`
 	// Profile is a full custom workload profile, validated with
@@ -97,7 +97,10 @@ type CellSpec struct {
 	// Resolved state (never serialized): the workload profile, the
 	// parsed policy, and the cell's canonical identity — the exact
 	// string the run cache journals the cell under, so job fingerprints
-	// and the cell journal agree on what a cell is.
+	// and the cell journal agree on what a cell is. A resolved cell is
+	// never modified again, so a server shares one among every job that
+	// names it (Server.internLocked); prof is then shared too, and a
+	// bundled workload's is synth's own table entry.
 	prof   *synth.Profile
 	policy pipeline.StackPolicy
 	key    string
@@ -171,7 +174,7 @@ func (c *CellSpec) resolve(i int) error {
 	case c.Bench != "" && c.Profile != nil:
 		return &SpecError{Field: field("bench"), Msg: "bench and profile are mutually exclusive"}
 	case c.Bench != "":
-		c.prof = synth.ByName(c.Bench)
+		c.prof = synth.Bundled(c.Bench)
 		if c.prof == nil {
 			return &SpecError{Field: field("bench"), Msg: fmt.Sprintf("unknown workload %q", c.Bench)}
 		}

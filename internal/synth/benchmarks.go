@@ -125,20 +125,34 @@ func X86Variant(p *Profile) *Profile {
 	return &q
 }
 
-// ByName returns the profile whose Name or ID matches name, or nil. Both
-// the SPECint benchmark inputs and the stack-stress families resolve.
-func ByName(name string) *Profile {
-	for _, p := range BenchmarkInputs() {
-		if p.Name == name || p.ID() == name {
-			return p
-		}
-	}
-	for _, p := range Families() {
+// bundled is every profile a name resolves to, built once: the SPECint
+// benchmark inputs, then the stack-stress families. Its entries are shared
+// and must never be modified.
+var bundled = append(BenchmarkInputs(), Families()...)
+
+// Bundled returns the bundled profile whose Name or ID matches name, or
+// nil. Both the SPECint benchmark inputs and the stack-stress families
+// resolve. The profile is the one shared, read-only table entry, so every
+// caller that resolves a name gets the same pointer; a caller that may
+// modify the profile uses ByName's copy instead.
+func Bundled(name string) *Profile {
+	for _, p := range bundled {
 		if p.Name == name || p.ID() == name {
 			return p
 		}
 	}
 	return nil
+}
+
+// ByName returns a caller-owned copy of the profile Bundled resolves name
+// to, or nil.
+func ByName(name string) *Profile {
+	p := Bundled(name)
+	if p == nil {
+		return nil
+	}
+	q := *p
+	return &q
 }
 
 // Bzip2 models 256.bzip2 (input "graphic"): compression kernels dominated

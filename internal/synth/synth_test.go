@@ -59,8 +59,34 @@ func TestBenchmarkSets(t *testing.T) {
 	if ByName("176.gcc") == nil || ByName("176.gcc.cp-decl") == nil {
 		t.Error("ByName should resolve both name and id forms")
 	}
-	if ByName("nonexistent") != nil {
-		t.Error("ByName should return nil for unknown names")
+	if ByName("nonexistent") != nil || Bundled("nonexistent") != nil {
+		t.Error("ByName and Bundled should return nil for unknown names")
+	}
+}
+
+// TestBundledIsSharedByNameIsOwned: every name resolves through Bundled to
+// one shared entry, equal to a fresh build of the same profile, and
+// ByName's copy can be modified without touching that entry.
+func TestBundledIsSharedByNameIsOwned(t *testing.T) {
+	for _, fresh := range append(BenchmarkInputs(), Families()...) {
+		shared := Bundled(fresh.ID())
+		if shared == nil || Bundled(fresh.ID()) != shared {
+			t.Fatalf("Bundled(%q) = %p, want one shared entry", fresh.ID(), shared)
+		}
+		if shared.Fingerprint() != fresh.Fingerprint() {
+			t.Errorf("Bundled(%q) differs from a fresh build", fresh.ID())
+		}
+		own := ByName(fresh.ID())
+		if own == shared {
+			t.Fatalf("ByName(%q) returned the shared entry", fresh.ID())
+		}
+		own.Seed++
+		if shared.Fingerprint() != fresh.Fingerprint() {
+			t.Errorf("modifying ByName(%q)'s copy changed the shared entry", fresh.ID())
+		}
+	}
+	if Bundled("256.bzip2") != Bundled("256.bzip2.graphic") {
+		t.Error("a bare benchmark name should resolve to its first input")
 	}
 }
 
