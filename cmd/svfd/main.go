@@ -23,8 +23,8 @@
 // -resume flag: resuming is a daemon's normal startup.
 //
 // With -workers N cells execute on N supervised worker processes (this
-// binary re-exec'd with -worker) exactly as in svfexp: time-bounded
-// leases, crash reclaim, poison-cell quarantine. With or without a
+// binary re-exec'd with -worker) exactly as in svfexp: 30-second leases,
+// crash reclaim, and quarantine of a cell that kills 3 distinct workers. With or without a
 // journal, a faulted cell is retried after a backoff, -retries times, and
 // then latched for the daemon's lifetime. The service, the run cache and
 // the shard pool report into one sim.Observer, whose registry serves
@@ -76,8 +76,6 @@ func run() int {
 	eventsPath := flag.String("events", "", "append structured NDJSON lifecycle events to this file")
 	workers := flag.Int("workers", 0, "execute cells on this many supervised worker processes (0 = in-process)")
 	workerMode := flag.Bool("worker", false, "run as a shard worker speaking frames over stdin/stdout (internal; spawned by -workers)")
-	leaseTTL := flag.Duration("lease", 30*time.Second, "sharded mode: lease TTL before a silent worker's cell is reclaimed")
-	poisonK := flag.Int("poison-k", 3, "sharded mode: quarantine a cell once it has killed this many distinct workers")
 	flag.Parse()
 
 	plan, err := faultinject.Parse(*inject)
@@ -171,13 +169,11 @@ func run() int {
 			return 1
 		}
 		pool, err = shard.NewPool(shard.Config{
-			Workers:  *workers,
-			LeaseTTL: *leaseTTL,
-			PoisonK:  *poisonK,
-			Plan:     plan,
-			Spawn:    shard.CommandSpawner(exe, "-worker"),
-			Logf:     func(format string, args ...any) { logf("svfd: "+format, args...) },
-			Obs:      obs,
+			Workers: *workers,
+			Plan:    plan,
+			Spawn:   shard.CommandSpawner(exe, "-worker"),
+			Logf:    func(format string, args ...any) { logf("svfd: "+format, args...) },
+			Obs:     obs,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "svfd: -workers: %v\n", err)

@@ -49,12 +49,12 @@
 //
 // Sharded campaigns (-workers N, DESIGN.md §5g) farm every simulation out
 // to N supervised worker processes (this binary re-exec'd with -worker)
-// over a length-prefixed pipe protocol. Cells are held under time-bounded
-// leases with heartbeats every lease/4 (-lease): a worker that crashes, is
-// kill -9'd, or wedges past its lease has the cell reclaimed and
-// re-enqueued under the same -retries budget, and a cell that kills
-// -poison-k distinct workers is quarantined as a poison cell (latched
-// permanently) instead of crash-looping the fleet. Results are
+// over a length-prefixed pipe protocol. Cells are held under 30-second
+// leases with heartbeats every 7.5 s: a worker that crashes, is kill
+// -9'd, or wedges past its lease has the cell reclaimed and re-enqueued
+// under the same -retries budget, and a cell that kills 3 distinct workers
+// is quarantined as a poison cell (latched permanently) instead of
+// crash-looping the fleet. Results are
 // byte-identical to an in-process run. Combine with -journal/-resume for
 // crash tolerance of the coordinator itself; workers never open the
 // journal. -cache-stats adds a one-line fleet summary (deaths, lease
@@ -132,8 +132,6 @@ func run() int {
 	traceCacheMB := flag.Int64("trace-cache-mb", sim.DefaultTraceCacheBytes>>20, "memory budget (MiB) for the recorded-trace cache; 0 disables trace recording")
 	workers := flag.Int("workers", 0, "shard the campaign across this many supervised worker processes (0 = simulate in-process)")
 	workerMode := flag.Bool("worker", false, "run as a shard worker speaking frames over stdin/stdout (internal; spawned by -workers)")
-	leaseTTL := flag.Duration("lease", 30*time.Second, "sharded mode: how long a worker's cell may go without a heartbeat before the lease expires and the cell is re-enqueued")
-	poisonK := flag.Int("poison-k", 3, "sharded mode: quarantine a cell as poison (latch it permanently) once it has killed this many distinct workers")
 	flag.Parse()
 	sim.SetTraceCacheBudget(*traceCacheMB << 20)
 
@@ -322,11 +320,9 @@ func run() int {
 			return 1
 		}
 		pool, err = shard.NewPool(shard.Config{
-			Workers:  *workers,
-			LeaseTTL: *leaseTTL,
-			PoisonK:  *poisonK,
-			Plan:     plan,
-			Spawn:    shard.CommandSpawner(exe, "-worker", fmt.Sprintf("-trace-cache-mb=%d", *traceCacheMB)),
+			Workers: *workers,
+			Plan:    plan,
+			Spawn:   shard.CommandSpawner(exe, "-worker", fmt.Sprintf("-trace-cache-mb=%d", *traceCacheMB)),
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "svfexp: "+format+"\n", args...)
 			},

@@ -18,10 +18,10 @@ func ExampleSharedRunCache() {
 	prof := svf.ByName("164.gzip")
 	opt := svf.Options{Policy: svf.PolicySVF, StackPorts: 2, MaxInsts: 20_000}
 	cache := svf.SharedRunCache()
-	first, _ := cache.Run(ctx, prof, opt)
+	first, _ := cache.Do(ctx, svf.RunCell(prof, &opt))
 	hits := cache.Stats().Hits
-	again, _ := cache.Run(ctx, prof, opt)
-	fmt.Println(again.Cycles() == first.Cycles(), cache.Stats().Hits == hits+1)
+	again, _ := cache.Do(ctx, svf.RunCell(prof, &opt))
+	fmt.Println(again.Run.Cycles() == first.Run.Cycles(), cache.Stats().Hits == hits+1)
 	// Output: true true
 }
 
@@ -98,14 +98,14 @@ func ExampleOpenJournal() {
 
 	j, rep, _ := svf.OpenJournal(dir)
 	cache, _ := svf.NewJournaledRunCache(j, rep)
-	first, _ := cache.Run(context.Background(), prof, opt)
+	first, _ := cache.Do(context.Background(), svf.RunCell(prof, &opt))
 	j.Close()
 
 	j, rep, _ = svf.OpenJournal(dir)
 	defer j.Close()
 	cache, restored := svf.NewJournaledRunCache(j, rep)
-	again, _ := cache.Run(context.Background(), prof, opt)
-	fmt.Println(restored.Restored(), "restored;", cache.Stats().Misses, "simulated;", again.Cycles() == first.Cycles())
+	again, _ := cache.Do(context.Background(), svf.RunCell(prof, &opt))
+	fmt.Println(restored.Restored(), "restored;", cache.Stats().Misses, "simulated;", again.Run.Cycles() == first.Run.Cycles())
 	// Output: 1 restored; 0 simulated; true
 }
 

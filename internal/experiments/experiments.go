@@ -274,7 +274,8 @@ func nextRow(next []int, warm []bool, cols int) int {
 func (c Config) timingGrid(profs []*synth.Profile, opts ...sim.Options) ([][]*sim.Result, error) {
 	return runGrid(c, profs, opts, func(ctx context.Context, prof *synth.Profile, opt sim.Options) (*sim.Result, error) {
 		opt.MaxInsts, opt.FaultPlan = c.MaxInsts, c.Inject
-		return c.Cache.Run(ctx, prof, opt)
+		out, err := c.Cache.Do(ctx, sim.RunCell(prof, &opt))
+		return out.Run, err
 	})
 }
 
@@ -286,22 +287,19 @@ type trafficCol struct {
 	ctxPeriod uint64
 }
 
-// trafficCell is one traffic cell's outcome.
-type trafficCell struct{ in, out, ctxBytes uint64 }
-
-// qw is the cell's steady-state traffic in quadwords: fills plus
+// qw is a traffic cell's steady-state traffic in quadwords: fills plus
 // writebacks.
-func (t *trafficCell) qw() uint64 { return t.in + t.out }
+func qw(o *sim.Outcome) uint64 { return o.In + o.Out }
 
 // trafficGrid runs every profile's functional traffic loop under every
 // column at the suite's traffic budget.
-func (c Config) trafficGrid(profs []*synth.Profile, cols ...trafficCol) ([][]*trafficCell, error) {
-	return runGrid(c, profs, cols, func(ctx context.Context, prof *synth.Profile, col trafficCol) (*trafficCell, error) {
-		in, out, ctxBytes, err := c.Cache.Traffic(ctx, prof, col.policy, col.sizeBytes, c.TrafficInsts, col.ctxPeriod)
+func (c Config) trafficGrid(profs []*synth.Profile, cols ...trafficCol) ([][]*sim.Outcome, error) {
+	return runGrid(c, profs, cols, func(ctx context.Context, prof *synth.Profile, col trafficCol) (*sim.Outcome, error) {
+		out, err := c.Cache.Do(ctx, sim.TrafficCell(prof, col.policy, col.sizeBytes, c.TrafficInsts, col.ctxPeriod))
 		if err != nil {
 			return nil, err
 		}
-		return &trafficCell{in, out, ctxBytes}, nil
+		return &out, nil
 	})
 }
 

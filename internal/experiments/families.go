@@ -134,8 +134,8 @@ func FamilyTraffic(cfg Config) (*FamilyTrafficResult, error) {
 		}
 		res.Rows[b] = FamilyTrafficRow{
 			Bench: prof.ID(),
-			SC4K:  c[0].qw(), SC8K: c[1].qw(), SVF4K: c[2].qw(), SVF8K: c[3].qw(), RSE8K: c[4].qw(),
-			SCCtxBytes: c[1].ctxBytes, SVFCtxBytes: c[3].ctxBytes, RSECtxBytes: c[4].ctxBytes,
+			SC4K:  qw(c[0]), SC8K: qw(c[1]), SVF4K: qw(c[2]), SVF8K: qw(c[3]), RSE8K: qw(c[4]),
+			SCCtxBytes: c[1].CtxBytes, SVFCtxBytes: c[3].CtxBytes, RSECtxBytes: c[4].CtxBytes,
 		}
 	}
 	return res, nil

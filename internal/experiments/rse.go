@@ -56,8 +56,8 @@ func RSE(cfg Config) (*RSEResult, error) {
 			row = RSERow{
 				Bench:      prof.ID(),
 				SVFSpeedup: speedup(t[0], t[1]), SCSpeedup: speedup(t[0], t[2]), RSESpeedup: speedup(t[0], t[3]),
-				SVFQW: q[0].qw(), SCQW: q[1].qw(), RSEQW: q[2].qw(),
-				SVFCtxBytes: q[0].ctxBytes, SCCtxBytes: q[1].ctxBytes, RSECtxBytes: q[2].ctxBytes,
+				SVFQW: qw(q[0]), SCQW: qw(q[1]), RSEQW: qw(q[2]),
+				SVFCtxBytes: q[0].CtxBytes, SCCtxBytes: q[1].CtxBytes, RSECtxBytes: q[2].CtxBytes,
 			}
 		}
 		res.Rows[b] = row

@@ -56,8 +56,8 @@ func Table3(cfg Config) (*Table3Result, error) {
 				row.Failed[s] = true
 				continue
 			}
-			row.SCIn[s], row.SCOut[s] = sc.in, sc.out
-			row.SVFIn[s], row.SVFOut[s] = svf.in, svf.out
+			row.SCIn[s], row.SCOut[s] = sc.In, sc.Out
+			row.SVFIn[s], row.SVFOut[s] = svf.In, svf.Out
 		}
 	}
 	return res, nil
@@ -128,7 +128,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 			res.Rows[b] = Table4Row{Bench: prof.ID(), Failed: true}
 			continue
 		}
-		res.Rows[b] = Table4Row{Bench: prof.ID(), StackCacheBytes: c[0].ctxBytes, SVFBytes: c[1].ctxBytes}
+		res.Rows[b] = Table4Row{Bench: prof.ID(), StackCacheBytes: c[0].CtxBytes, SVFBytes: c[1].CtxBytes}
 	}
 	return res, nil
 }

@@ -44,10 +44,10 @@ func FuzzParseJobSpec(f *testing.F) {
 			t.Fatal("accepted spec has no identity")
 		}
 		for i, c := range spec.Cells {
-			if c.key == "" {
+			if c.cell == nil || c.cell.Key() == "" {
 				t.Fatalf("cell %d accepted without a resolved identity", i)
 			}
-			if c.prof == nil {
+			if c.cell.Prof == nil {
 				t.Fatalf("cell %d accepted without a resolved profile", i)
 			}
 			if c.Kind == CellRun && (c.Opt == nil || c.Opt.MaxInsts > MaxCellInsts) {

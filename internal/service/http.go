@@ -132,7 +132,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	failed := 0
 	for i, cs := range statuses {
 		spec := j.spec.Cells[i]
-		cells[i] = cellStatus{Index: i, Kind: spec.Kind, Bench: spec.BenchID(), Key: spec.key, Status: cs.status, Error: cs.errMsg}
+		cells[i] = cellStatus{Index: i, Kind: spec.Kind, Bench: spec.BenchID(), Key: spec.cell.Key(), Status: cs.status, Error: cs.errMsg}
 		counts[cs.status]++
 		if cs.terminal() && cs.status != CellDone {
 			failed++
@@ -207,27 +207,20 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 // resultLine builds the stream record of cell i, spec, in state cs.
 func (s *Server) resultLine(i int, spec *CellSpec, cs cellState) resultLine {
-	line := resultLine{Index: i, Kind: spec.Kind, Bench: spec.BenchID(), Key: spec.key, Status: cs.status, Error: cs.errMsg}
+	line := resultLine{Index: i, Kind: spec.Kind, Bench: spec.BenchID(), Key: spec.cell.Key(), Status: cs.status, Error: cs.errMsg}
 	if cs.status != CellDone {
 		return line
 	}
 	// A done cell's payload always comes from the cache — Background
 	// context because a completed cell must stream even mid-drain.
-	switch spec.Kind {
-	case CellRun:
-		res, err := s.cfg.Cache.Run(context.Background(), spec.prof, *spec.Opt)
-		if err != nil {
-			line.Status, line.Error = CellFailed, "refetch: "+err.Error()
-			return line
-		}
-		line.Result = res
-	case CellTraffic:
-		in, out, ctxBytes, err := s.cfg.Cache.Traffic(context.Background(), spec.prof, spec.policy, spec.SizeBytes, spec.MaxInsts, spec.CtxPeriod)
-		if err != nil {
-			line.Status, line.Error = CellFailed, "refetch: "+err.Error()
-			return line
-		}
-		line.Traffic = &trafficCounters{QWIn: in, QWOut: out, CtxBytes: ctxBytes}
+	out, err := s.cfg.Cache.Do(context.Background(), spec.cell)
+	switch {
+	case err != nil:
+		line.Status, line.Error = CellFailed, "refetch: "+err.Error()
+	case spec.Kind == CellRun:
+		line.Result = out.Run
+	default:
+		line.Traffic = &trafficCounters{QWIn: out.In, QWOut: out.Out, CtxBytes: out.CtxBytes}
 	}
 	return line
 }

@@ -378,10 +378,10 @@ func (s *Server) replayJobs() error {
 // anything runs.
 func (s *Server) internLocked(spec *JobSpec) {
 	for i, c := range spec.Cells {
-		if shared, ok := s.cells[c.key]; ok {
+		if shared, ok := s.cells[c.cell.Key()]; ok {
 			spec.Cells[i] = shared
 		} else {
-			s.cells[c.key] = c
+			s.cells[c.cell.Key()] = c
 		}
 	}
 }
@@ -612,15 +612,8 @@ func (s *Server) execCell(ctx context.Context, j *Job, i int, sp *telemetry.Acti
 	start := time.Now()
 	var err error
 	spec := j.spec.Cells[i]
-	pprof.Do(ctx, pprof.Labels("job", j.ID, "cell", spec.key), func(ctx context.Context) {
-		switch spec.Kind {
-		case CellRun:
-			_, err = s.cfg.Cache.Run(ctx, spec.prof, *spec.Opt)
-		case CellTraffic:
-			_, _, _, err = s.cfg.Cache.Traffic(ctx, spec.prof, spec.policy, spec.SizeBytes, spec.MaxInsts, spec.CtxPeriod)
-		default:
-			err = fmt.Errorf("unreachable cell kind %q", spec.Kind)
-		}
+	pprof.Do(ctx, pprof.Labels("job", j.ID, "cell", spec.cell.Key()), func(ctx context.Context) {
+		_, err = s.cfg.Cache.Do(ctx, spec.cell)
 	})
 	s.cfg.Obs.ObserveSeconds("svf_cell_run_seconds", time.Since(start), j.trace)
 	s.finishCell(j, i, err, sp)
@@ -660,7 +653,7 @@ func (s *Server) finishCell(j *Job, i int, err error, sp *telemetry.ActiveSpan) 
 	s.cfg.Obs.CountLabeled("svf_service_cells_total", "status", status)
 	if status != CellDone {
 		spec := j.spec.Cells[i]
-		s.cfg.Obs.Events.Emit(telemetry.Event{Type: "cell_failed", Key: spec.key, Bench: spec.BenchID(), Err: msg, Detail: status})
+		s.cfg.Obs.Events.Emit(telemetry.Event{Type: "cell_failed", Key: spec.cell.Key(), Bench: spec.BenchID(), Err: msg, Detail: status})
 	}
 }
 

@@ -82,7 +82,7 @@ func TestJobsShareCells(t *testing.T) {
 	if a.spec.Cells[0] != b.spec.Cells[0] {
 		t.Fatal("two jobs naming one cell hold different *CellSpecs")
 	}
-	if a.spec.Cells[0].prof != synth.Bundled("186.crafty") {
+	if a.spec.Cells[0].cell.Prof != synth.Bundled("186.crafty") {
 		t.Error("a bench cell does not hold synth's shared profile")
 	}
 	if err := s1.Drain(0); err != nil {

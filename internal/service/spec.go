@@ -94,20 +94,18 @@ type CellSpec struct {
 	// CtxPeriod enables context switching for traffic cells.
 	CtxPeriod uint64 `json:"ctx_period,omitempty"`
 
-	// Resolved state (never serialized): the workload profile, the
-	// parsed policy, and the cell's canonical identity — the exact
-	// string the run cache journals the cell under, so job fingerprints
-	// and the cell journal agree on what a cell is. A resolved cell is
-	// never modified again, so a server shares one among every job that
-	// names it (Server.internLocked); prof is then shared too, and a
-	// bundled workload's is synth's own table entry.
-	prof   *synth.Profile
-	policy pipeline.StackPolicy
-	key    string
+	// cell is what the spec resolves into (never serialized): the one
+	// value the run cache executes, whose key is the exact string the
+	// cache journals the cell under, so job fingerprints and the cell
+	// journal agree on what a cell is. A run cell shares Opt. A resolved
+	// cell is never modified again, so a server shares one among every
+	// job that names it (Server.internLocked); its profile is then shared
+	// too, and a bundled workload's is synth's own table entry.
+	cell *sim.Cell
 }
 
 // BenchID returns the resolved workload's display ID.
-func (c *CellSpec) BenchID() string { return c.prof.ID() }
+func (c *CellSpec) BenchID() string { return c.cell.Prof.ID() }
 
 // Cell kinds.
 const (
@@ -136,9 +134,9 @@ func ParseJobSpec(data []byte) (*JobSpec, error) {
 	return spec, nil
 }
 
-// resolve validates the spec and computes every cell's profile, policy,
-// and canonical identity. It is called by ParseJobSpec and again when a
-// journaled job is replayed after a restart.
+// resolve validates the spec and resolves every cell into its sim.Cell,
+// which derives the cell's canonical identity. It is called by
+// ParseJobSpec and again when a journaled job is replayed after a restart.
 func (s *JobSpec) resolve() error {
 	if len(s.Cells) == 0 {
 		return &SpecError{Field: "cells", Msg: "empty job"}
@@ -160,53 +158,52 @@ func (s *JobSpec) resolve() error {
 		if err := c.resolve(i); err != nil {
 			return err
 		}
-		if prev, dup := seen[c.key]; dup {
+		if prev, dup := seen[c.cell.Key()]; dup {
 			return &SpecError{Field: fmt.Sprintf("cells[%d]", i), Msg: fmt.Sprintf("duplicate of cells[%d] (same cell identity)", prev)}
 		}
-		seen[c.key] = i
+		seen[c.cell.Key()] = i
 	}
 	return nil
 }
 
 func (c *CellSpec) resolve(i int) error {
 	field := func(name string) string { return fmt.Sprintf("cells[%d].%s", i, name) }
+	var prof *synth.Profile
 	switch {
 	case c.Bench != "" && c.Profile != nil:
 		return &SpecError{Field: field("bench"), Msg: "bench and profile are mutually exclusive"}
 	case c.Bench != "":
-		c.prof = synth.Bundled(c.Bench)
-		if c.prof == nil {
+		prof = synth.Bundled(c.Bench)
+		if prof == nil {
 			return &SpecError{Field: field("bench"), Msg: fmt.Sprintf("unknown workload %q", c.Bench)}
 		}
 	case c.Profile != nil:
 		if err := c.Profile.Validate(); err != nil {
 			return &SpecError{Field: field("profile"), Msg: err.Error()}
 		}
-		c.prof = c.Profile
+		prof = c.Profile
 	default:
 		return &SpecError{Field: field("bench"), Msg: "one of bench or profile is required"}
 	}
 
 	switch c.Kind {
 	case CellRun:
-		opt := sim.Options{}
-		if c.Opt != nil {
-			opt = *c.Opt
+		if c.Opt == nil {
+			c.Opt = &sim.Options{}
 		}
-		if opt.FaultPlan != nil {
+		if c.Opt.FaultPlan != nil {
 			return &SpecError{Field: field("opt.FaultPlan"), Msg: "fault injection is not accepted over the API"}
 		}
-		if opt.Probe != nil {
+		if c.Opt.Probe != nil {
 			return &SpecError{Field: field("opt.Probe"), Msg: "probes are not accepted over the API"}
 		}
-		if opt.MaxInsts < 0 || opt.MaxInsts > MaxCellInsts {
-			return &SpecError{Field: field("opt.MaxInsts"), Msg: fmt.Sprintf("%d outside [0, %d]", opt.MaxInsts, MaxCellInsts)}
+		if c.Opt.MaxInsts < 0 || c.Opt.MaxInsts > MaxCellInsts {
+			return &SpecError{Field: field("opt.MaxInsts"), Msg: fmt.Sprintf("%d outside [0, %d]", c.Opt.MaxInsts, MaxCellInsts)}
 		}
 		if c.Policy != "" || c.SizeBytes != 0 || c.CtxPeriod != 0 || c.MaxInsts != 0 {
 			return &SpecError{Field: field("kind"), Msg: "run cells configure via opt, not the traffic fields"}
 		}
-		c.Opt = &opt
-		c.key = sim.RunCellKey(c.prof, opt)
+		c.cell = sim.RunCell(prof, c.Opt)
 	case CellTraffic:
 		if c.Opt != nil {
 			return &SpecError{Field: field("opt"), Msg: "traffic cells configure via policy/size_bytes/max_insts/ctx_period, not opt"}
@@ -217,7 +214,6 @@ func (c *CellSpec) resolve(i int) error {
 		if err != nil || pol == pipeline.PolicyNone {
 			return &SpecError{Field: field("policy"), Msg: fmt.Sprintf("unknown policy %q (want %s)", c.Policy, strings.Join(policyNames(), ", "))}
 		}
-		c.policy = pol
 		if c.SizeBytes < 0 {
 			return &SpecError{Field: field("size_bytes"), Msg: "negative"}
 		}
@@ -230,7 +226,7 @@ func (c *CellSpec) resolve(i int) error {
 		if c.MaxInsts == 0 {
 			c.MaxInsts = 1_000_000
 		}
-		c.key = sim.TrafficCellKey(c.prof, c.policy, c.SizeBytes, c.MaxInsts, c.CtxPeriod)
+		c.cell = sim.TrafficCell(prof, pol, c.SizeBytes, c.MaxInsts, c.CtxPeriod)
 	default:
 		return &SpecError{Field: field("kind"), Msg: fmt.Sprintf("unknown kind %q (want %q or %q)", c.Kind, CellRun, CellTraffic)}
 	}
@@ -252,7 +248,7 @@ func (s *JobSpec) ID() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "svfd-job-v1|%d|%d\n", s.JobDeadlineMS, s.CellDeadlineMS)
 	for _, c := range s.Cells {
-		h.Write([]byte(c.key))
+		h.Write([]byte(c.cell.Key()))
 		h.Write([]byte{'\n'})
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]

@@ -20,9 +20,10 @@ import (
 // may not grow.
 func TestFrameAllocs(t *testing.T) {
 	f := &Frame{Type: FrameCell, Lease: 7, Cell: &Cell{
-		Kind:        CellRun,
-		Prof:        synth.Crafty(),
-		Opt:         &sim.Options{Policy: pipeline.PolicySVF, StackPorts: 2, DL1Ports: 2, MaxInsts: 20_000},
+		Cell: sim.Cell{
+			Prof: synth.Crafty(),
+			Opt:  &sim.Options{Policy: pipeline.PolicySVF, StackPorts: 2, DL1Ports: 2, MaxInsts: 20_000},
+		},
 		HeartbeatMS: 500,
 	}}
 	var buf bytes.Buffer

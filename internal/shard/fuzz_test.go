@@ -6,6 +6,10 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"svf/internal/pipeline"
+	"svf/internal/sim"
+	"svf/internal/synth"
 )
 
 // FuzzReadFrame feeds arbitrary byte streams — and mutations of valid
@@ -14,17 +18,22 @@ import (
 // length for data that never arrives, and classifies every failure as
 // exactly one of the typed codec errors (or clean io.EOF at a boundary).
 func FuzzReadFrame(f *testing.F) {
-	// A valid hello frame, a valid cell frame, and degenerate seeds.
-	var hello bytes.Buffer
-	if err := writeFrame(&hello, &Frame{Type: FrameHello, Version: ProtocolVersion, PID: 42}); err != nil {
-		f.Fatal(err)
+	// Valid hello, cell (timing and traffic) and result frames, and
+	// degenerate seeds.
+	prof := synth.Crafty()
+	for _, fr := range []*Frame{
+		{Type: FrameHello, Version: ProtocolVersion, PID: 42},
+		{Type: FrameCell, Lease: 7, Cell: &Cell{Cell: sim.Cell{Prof: prof, Opt: &sim.Options{Policy: pipeline.PolicySVF, MaxInsts: 2000}}, HeartbeatMS: 50}},
+		{Type: FrameCell, Lease: 8, Cell: &Cell{Cell: sim.Cell{Prof: prof, Policy: pipeline.PolicySVF, SizeBytes: 8 << 10, MaxInsts: 2000}, HeartbeatMS: 50}},
+		{Type: FrameResult, Lease: 7, Outcome: &sim.Outcome{Run: &sim.Result{Bench: prof.ID()}}},
+		{Type: FrameResult, Lease: 8, Outcome: &sim.Outcome{In: 1, Out: 2, CtxBytes: 3}},
+	} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(hello.Bytes())
-	var cell bytes.Buffer
-	if err := writeFrame(&cell, &Frame{Type: FrameCell, Lease: 7, Cell: &Cell{Kind: CellRun}}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(cell.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	// Truncated body: header claims 100 bytes, stream has 3.

@@ -445,30 +445,17 @@ func (p *Pool) watchdog() {
 // ExecRun implements sim.Executor for timing runs.
 func (p *Pool) ExecRun(ctx context.Context, prof *synth.Profile, opt sim.Options) (*sim.Result, error) {
 	opt.Probe = nil // instrumentation never crosses the wire
-	cell := &Cell{Kind: CellRun, Prof: prof, Opt: &opt}
-	key := sim.RunCellKey(prof, opt)
-	f, err := p.execCell(ctx, cell, key, prof.ID())
-	if err != nil {
-		return nil, err
+	out, err := p.execCell(ctx, &Cell{Cell: *sim.RunCell(prof, &opt)})
+	if err == nil && out.Run == nil {
+		err = fmt.Errorf("shard: result frame without a run")
 	}
-	if f.Run == nil {
-		return nil, fmt.Errorf("shard: result frame without run payload")
-	}
-	return f.Run, nil
+	return out.Run, err
 }
 
 // ExecTraffic implements sim.Executor for functional traffic runs.
 func (p *Pool) ExecTraffic(ctx context.Context, prof *synth.Profile, policy pipeline.StackPolicy, sizeBytes, maxInsts int, ctxPeriod uint64) (uint64, uint64, uint64, error) {
-	cell := &Cell{
-		Kind: CellTraffic, Prof: prof,
-		Policy: policy, SizeBytes: sizeBytes, MaxInsts: maxInsts, CtxPeriod: ctxPeriod,
-	}
-	key := sim.TrafficCellKey(prof, policy, sizeBytes, maxInsts, ctxPeriod)
-	f, err := p.execCell(ctx, cell, key, prof.ID())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return f.In, f.Out, f.CtxBytes, nil
+	out, err := p.execCell(ctx, &Cell{Cell: *sim.TrafficCell(prof, policy, sizeBytes, maxInsts, ctxPeriod)})
+	return out.In, out.Out, out.CtxBytes, err
 }
 
 // execCell assigns the cell to an idle worker under a fresh lease and
@@ -477,7 +464,8 @@ func (p *Pool) ExecTraffic(ctx context.Context, prof *synth.Profile, policy pipe
 // honoured only while waiting for a worker — once assigned, the dispatcher
 // waits the lease out, which is what makes SIGTERM a graceful drain
 // (in-flight cells finish; the wait is bounded by the lease TTL).
-func (p *Pool) execCell(ctx context.Context, cell *Cell, key, bench string) (*Frame, error) {
+func (p *Pool) execCell(ctx context.Context, cell *Cell) (sim.Outcome, error) {
+	key, bench := cell.Key(), cell.Prof.ID()
 	// Tracing: the caller's span (the cache's worker.run/retry attempt)
 	// parents a lease.wait span covering the idle-worker wait and a
 	// lease[genN] span covering assignment through outcome. The wait is
@@ -492,13 +480,13 @@ func (p *Pool) execCell(ctx context.Context, cell *Cell, key, bench string) (*Fr
 		case w = <-p.idle:
 		case <-ctx.Done():
 			waitSp.End()
-			return nil, ctx.Err()
+			return sim.Outcome{}, ctx.Err()
 		}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
 			waitSp.End()
-			return nil, fmt.Errorf("shard: pool is closed")
+			return sim.Outcome{}, fmt.Errorf("shard: pool is closed")
 		}
 		if w.alive {
 			break
@@ -507,7 +495,7 @@ func (p *Pool) execCell(ctx context.Context, cell *Cell, key, bench string) (*Fr
 		if err := p.spawnLocked(w); err != nil {
 			p.mu.Unlock()
 			waitSp.End()
-			return nil, fmt.Errorf("shard: no live worker for %s: %w", bench, err)
+			return sim.Outcome{}, fmt.Errorf("shard: no live worker for %s: %w", bench, err)
 		}
 		p.respawns++
 		break
@@ -578,13 +566,15 @@ func (p *Pool) execCell(ctx context.Context, cell *Cell, key, bench string) (*Fr
 		}
 		leaseSp.End()
 	}
-	if out.err != nil {
-		return nil, out.err
+	switch {
+	case out.err != nil:
+		return sim.Outcome{}, out.err
+	case out.frame.Type == FrameFault:
+		return sim.Outcome{}, out.frame.Fault.Err()
+	case out.frame.Outcome == nil:
+		return sim.Outcome{}, fmt.Errorf("shard: result frame without an outcome")
 	}
-	if out.frame.Type == FrameFault {
-		return nil, out.frame.Fault.Err()
-	}
-	return out.frame, nil
+	return *out.frame.Outcome, nil
 }
 
 // Close drains the fleet: shutdown frames to idle workers, a grace period

@@ -20,16 +20,17 @@ import (
 	"fmt"
 	"io"
 
-	"svf/internal/pipeline"
 	"svf/internal/sim"
-	"svf/internal/synth"
 	"svf/internal/telemetry"
 )
 
 // ProtocolVersion guards against a coordinator driving a worker built from
 // different sources; the worker's hello carries it and the pool refuses a
-// mismatch rather than exchanging frames it might misread.
-const ProtocolVersion = 1
+// mismatch rather than exchanging frames it might misread. A respawned
+// worker runs the binary on disk, which may be newer than the
+// coordinator's. Version 2: a cell frame carries a sim.Cell, without a
+// kind, and a result frame a sim.Outcome.
+const ProtocolVersion = 2
 
 // Frame types. The worker sends hello once at startup, then heartbeat /
 // result / fault per lease; the coordinator sends cell assignments and a
@@ -62,13 +63,8 @@ type Frame struct {
 	// Cell is the assignment payload (cell frames).
 	Cell *Cell `json:",omitempty"`
 
-	// Run is a finished timing run (result frames for run cells).
-	Run *sim.Result `json:",omitempty"`
-	// In/Out/CtxBytes are a finished traffic run's counters (result
-	// frames for traffic cells).
-	In       uint64 `json:",omitempty"`
-	Out      uint64 `json:",omitempty"`
-	CtxBytes uint64 `json:",omitempty"`
+	// Outcome is what the cell produced (result frames).
+	Outcome *sim.Outcome `json:",omitempty"`
 
 	// Fault is a contained execution failure (fault frames).
 	Fault *FaultInfo `json:",omitempty"`
@@ -82,23 +78,12 @@ type Frame struct {
 	Trace *telemetry.SpanContext `json:",omitempty"`
 }
 
-// Cell is one unit of campaign work: a timing run or a functional traffic
-// run, shipped with its full workload profile (synth.Profile is pure data)
-// so the worker rebuilds the exact program from the same seed.
+// Cell is one lease's assignment: the sim.Cell to execute, a timing cell
+// when Opt is set and a traffic cell otherwise, plus the lease's terms.
+// The coordinator strips Opt's Probe before marshalling: instrumentation
+// never crosses the wire.
 type Cell struct {
-	// Kind is "run" or "traffic".
-	Kind string
-	// Prof is the complete workload profile.
-	Prof *synth.Profile
-	// Opt is the run configuration (run cells). The coordinator strips
-	// Probe before marshalling — instrumentation never crosses the wire.
-	Opt *sim.Options `json:",omitempty"`
-
-	// Traffic-cell parameters (TrafficOnly's signature).
-	Policy    pipeline.StackPolicy `json:",omitempty"`
-	SizeBytes int                  `json:",omitempty"`
-	MaxInsts  int                  `json:",omitempty"`
-	CtxPeriod uint64               `json:",omitempty"`
+	sim.Cell
 
 	// HeartbeatMS is the heartbeat period the worker must keep for this
 	// lease; missing ~LeaseTTL of them gets the worker reclaimed.
@@ -110,12 +95,6 @@ type Cell struct {
 	Kill  bool `json:",omitempty"`
 	Stall bool `json:",omitempty"`
 }
-
-// CellKinds.
-const (
-	CellRun     = "run"
-	CellTraffic = "traffic"
-)
 
 // FaultInfo is a *sim.Fault flattened for the wire (Fault carries an error
 // field, which JSON cannot round-trip). IsFault distinguishes a contained,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"sync"
@@ -67,11 +68,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	opt := testOptions()
 	frames := []*Frame{
 		{Type: FrameHello, Version: ProtocolVersion, PID: 1234},
-		{Type: FrameCell, Lease: 7, Cell: &Cell{Kind: CellRun, Prof: prof, Opt: &opt, HeartbeatMS: 50, Kill: true}},
-		{Type: FrameCell, Lease: 8, Cell: &Cell{Kind: CellTraffic, Prof: prof, Policy: pipeline.PolicyStackCache, SizeBytes: 8 << 10, MaxInsts: 1000, CtxPeriod: 400, HeartbeatMS: 50}},
+		{Type: FrameCell, Lease: 7, Cell: &Cell{Cell: sim.Cell{Prof: prof, Opt: &opt}, HeartbeatMS: 50, Kill: true}},
+		{Type: FrameCell, Lease: 8, Cell: &Cell{Cell: sim.Cell{Prof: prof, Policy: pipeline.PolicyStackCache, SizeBytes: 8 << 10, MaxInsts: 1000, CtxPeriod: 400}, HeartbeatMS: 50}},
 		{Type: FrameHeartbeat, Lease: 7},
-		{Type: FrameResult, Lease: 7, Run: &sim.Result{Bench: prof.ID()}},
-		{Type: FrameResult, Lease: 8, In: 1, Out: 2, CtxBytes: 3},
+		{Type: FrameResult, Lease: 7, Outcome: &sim.Outcome{Run: &sim.Result{Bench: prof.ID()}}},
+		{Type: FrameResult, Lease: 8, Outcome: &sim.Outcome{In: 1, Out: 2, CtxBytes: 3}},
 		{Type: FrameShutdown},
 	}
 	var buf bytes.Buffer
@@ -91,6 +92,44 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := readFrame(&buf); err != io.EOF {
 		t.Errorf("drained stream read = %v, want io.EOF", err)
+	}
+}
+
+// TestBundledCellsRoundTrip: the run cell and the traffic cell of every
+// bundled workload cross the wire field for field, so the worker executes
+// exactly the cell the coordinator keyed: the decoded cell, rebuilt,
+// derives the sender's key.
+func TestBundledCellsRoundTrip(t *testing.T) {
+	for _, prof := range append(synth.BenchmarkInputs(), synth.Families()...) {
+		opt := sim.Options{Machine: pipeline.EightWide(), DL1Ports: 1, Policy: pipeline.PolicySVF, StackPorts: 2, Predictor: sim.PredGshare, MaxInsts: 20_000, CtxSwitchPeriod: 4096}
+		for _, sent := range []*sim.Cell{
+			sim.RunCell(prof, &opt),
+			sim.TrafficCell(prof, pipeline.PolicyRSE, 2<<10, 300_000, 100_000),
+		} {
+			var buf bytes.Buffer
+			if err := writeFrame(&buf, &Frame{Type: FrameCell, Lease: 9, Cell: &Cell{Cell: *sent, HeartbeatMS: 50}}); err != nil {
+				t.Fatal(err)
+			}
+			f, err := readFrame(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := f.Cell.Cell
+			rebuilt := sim.TrafficCell(got.Prof, got.Policy, got.SizeBytes, got.MaxInsts, got.CtxPeriod)
+			if got.Opt != nil {
+				rebuilt = sim.RunCell(got.Prof, got.Opt)
+			}
+			if !reflect.DeepEqual(*got.Prof, *sent.Prof) || !reflect.DeepEqual(got.Opt, sent.Opt) ||
+				got.Policy != sent.Policy || got.SizeBytes != sent.SizeBytes || got.MaxInsts != sent.MaxInsts || got.CtxPeriod != sent.CtxPeriod {
+				t.Errorf("%s: cell did not round-trip:\n got %+v\nwant %+v", prof.ID(), got, *sent)
+			}
+			if rebuilt.Key() != sent.Key() {
+				t.Errorf("%s: decoded cell keys as %q, want %q", prof.ID(), rebuilt.Key(), sent.Key())
+			}
+			if f.Cell.HeartbeatMS != 50 {
+				t.Errorf("%s: heartbeat period %d did not round-trip", prof.ID(), f.Cell.HeartbeatMS)
+			}
+		}
 	}
 }
 
@@ -181,7 +220,7 @@ func TestWorkerKillReenqueuesAndStaysBitIdentical(t *testing.T) {
 	cache.SetRetries(2)
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
 
-	got, err := cache.Run(context.Background(), prof, opt)
+	got, err := cache.Do(context.Background(), sim.RunCell(prof, &opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +228,7 @@ func TestWorkerKillReenqueuesAndStaysBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got.Run, want) {
 		t.Errorf("post-kill result differs from clean run")
 	}
 	st := pool.Status()
@@ -222,7 +261,7 @@ func TestWorkerStallExpiresLease(t *testing.T) {
 	cache.SetRetries(2)
 	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
 
-	if _, err := cache.Run(context.Background(), prof, opt); err != nil {
+	if _, err := cache.Do(context.Background(), sim.RunCell(prof, &opt)); err != nil {
 		t.Fatal(err)
 	}
 	st := pool.Status()
@@ -283,6 +322,57 @@ func (m *manualWorker) readCell(t *testing.T) *Frame {
 // die closes the worker's output, which the pool reads as process death.
 func (m *manualWorker) die() { m.toCo.Close() }
 
+// TestOtherProtocolVersionIsReplaced: a worker whose hello names another
+// protocol version (a respawn that ran a different binary from disk) is
+// killed before it can misread a frame, its cell is re-enqueued, and the
+// respawned worker that speaks this version runs it.
+func TestOtherProtocolVersionIsReplaced(t *testing.T) {
+	prof := testProfile(t)
+	opt := testOptions()
+	spawned := make(chan *manualWorker, 4)
+	pool, err := NewPool(Config{Workers: 1, Spawn: manualSpawner(spawned), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	cache := sim.NewRunCache()
+	cache.SetExecutor(pool)
+	cache.SetBackoff(time.Millisecond, time.Millisecond, 1, func(context.Context, time.Duration) error { return nil })
+	done := make(chan error, 1)
+	go func() {
+		out, err := cache.Do(context.Background(), sim.RunCell(prof, &opt))
+		if err == nil && out.Run.Bench != prof.ID() {
+			err = fmt.Errorf("result for %q", out.Run.Bench)
+		}
+		done <- err
+	}()
+
+	old := <-spawned
+	if err := writeFrame(old.toCo, &Frame{Type: FrameHello, Version: ProtocolVersion - 1, PID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	old.readCell(t) // the assignment the old worker must not run
+	select {
+	case <-old.killed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the pool kept a worker that speaks another protocol version")
+	}
+	old.die()
+
+	w := <-spawned
+	w.hello(t)
+	cell := w.readCell(t)
+	if err := writeFrame(w.toCo, &Frame{Type: FrameResult, Lease: cell.Lease, Outcome: &sim.Outcome{Run: &sim.Result{Bench: prof.ID()}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.Status(); st.WorkerDeaths != 1 || st.Reenqueued != 1 || st.Completed != 1 {
+		t.Errorf("status = %+v, want 1 death, 1 re-enqueue, 1 completion", st)
+	}
+}
+
 // TestLateResultAfterExpiryDiscarded is the satellite-3 edge case: the
 // worker goes silent, the watchdog expires the lease, and THEN the result
 // (and a heartbeat) arrive. Both must be discarded as stale — the retry
@@ -318,8 +408,8 @@ func TestLateResultAfterExpiryDiscarded(t *testing.T) {
 	}
 	done := make(chan runOut, 1)
 	go func() {
-		res, err := cache.Run(context.Background(), prof, opt)
-		done <- runOut{res, err}
+		out, err := cache.Do(context.Background(), sim.RunCell(prof, &opt))
+		done <- runOut{out.Run, err}
 	}()
 
 	// First assignment: receive the cell, heartbeat never, wait for the
@@ -335,7 +425,7 @@ func TestLateResultAfterExpiryDiscarded(t *testing.T) {
 	}
 	// The lease is expired but our pipe still works: deliver the result
 	// late, plus a late heartbeat. Both must be discarded.
-	late := &Frame{Type: FrameResult, Lease: cell.Lease, Run: &sim.Result{Bench: "late-imposter"}}
+	late := &Frame{Type: FrameResult, Lease: cell.Lease, Outcome: &sim.Outcome{Run: &sim.Result{Bench: "late-imposter"}}}
 	if err := writeFrame(w1.toCo, late); err != nil {
 		t.Fatalf("late result write: %v", err)
 	}
@@ -355,7 +445,7 @@ func TestLateResultAfterExpiryDiscarded(t *testing.T) {
 	if cell2.Lease == cell.Lease {
 		t.Fatalf("retry reused lease %d", cell.Lease)
 	}
-	if err := writeFrame(w2.toCo, &Frame{Type: FrameResult, Lease: cell2.Lease, Run: real}); err != nil {
+	if err := writeFrame(w2.toCo, &Frame{Type: FrameResult, Lease: cell2.Lease, Outcome: &sim.Outcome{Run: real}}); err != nil {
 		t.Fatalf("result write: %v", err)
 	}
 
@@ -402,7 +492,7 @@ func TestPoisonCellQuarantine(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := cache.Run(context.Background(), prof, opt)
+		_, err := cache.Do(context.Background(), sim.RunCell(prof, &opt))
 		done <- err
 	}()
 
@@ -426,7 +516,7 @@ func TestPoisonCellQuarantine(t *testing.T) {
 	}
 
 	// The cell is latched: a second request is refused without executing.
-	_, err = cache.Run(context.Background(), prof, opt)
+	_, err = cache.Do(context.Background(), sim.RunCell(prof, &opt))
 	var le *sim.LatchedError
 	if !errors.As(err, &le) {
 		t.Fatalf("post-quarantine run error = %v, want *sim.LatchedError", err)
@@ -465,7 +555,7 @@ func TestPoisonHistoryForgottenOnCompletion(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := cache.Run(context.Background(), prof, opt)
+		_, err := cache.Do(context.Background(), sim.RunCell(prof, &opt))
 		done <- err
 	}()
 	w1 := <-spawned
@@ -478,7 +568,7 @@ func TestPoisonHistoryForgottenOnCompletion(t *testing.T) {
 	if n := poisonEntries(pool); n != 1 {
 		t.Fatalf("%d poison entries after the first death, want 1", n)
 	}
-	if err := writeFrame(w2.toCo, &Frame{Type: FrameResult, Lease: cell.Lease, Run: &sim.Result{Bench: prof.ID()}}); err != nil {
+	if err := writeFrame(w2.toCo, &Frame{Type: FrameResult, Lease: cell.Lease, Outcome: &sim.Outcome{Run: &sim.Result{Bench: prof.ID()}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {

@@ -15,13 +15,13 @@ import (
 
 // Frames carrying a trace context must round-trip it, and frames without
 // one — from a worker built before tracing existed — must decode with a
-// nil Trace. The protocol version is deliberately unchanged.
+// nil Trace. The trace context needed no protocol version of its own.
 func TestFrameTraceRoundTripAndCompat(t *testing.T) {
 	sc := &telemetry.SpanContext{Trace: "deadbeefdeadbeef", Span: "0000000000000001"}
 	frames := []*Frame{
-		{Type: FrameCell, Lease: 7, Cell: &Cell{Kind: CellRun, Prof: testProfile(t), HeartbeatMS: 50}, Trace: sc},
+		{Type: FrameCell, Lease: 7, Cell: &Cell{Cell: sim.Cell{Prof: testProfile(t)}, HeartbeatMS: 50}, Trace: sc},
 		{Type: FrameHeartbeat, Lease: 7, Trace: sc},
-		{Type: FrameResult, Lease: 7, In: 1, Out: 2, Trace: sc},
+		{Type: FrameResult, Lease: 7, Outcome: &sim.Outcome{In: 1, Out: 2}, Trace: sc},
 		{Type: FrameFault, Lease: 7, Fault: &FaultInfo{IsFault: true, Bench: "b"}, Trace: sc},
 	}
 	var buf bytes.Buffer
@@ -113,7 +113,7 @@ func TestWorkerEchoesTraceOnHeartbeatAndResult(t *testing.T) {
 	for attempt, insts := 0, 200_000; heartbeats == 0 && attempt < 3; attempt, insts = attempt+1, insts*4 {
 		opt := testOptions()
 		opt.MaxInsts = insts
-		cell := &Cell{Kind: CellRun, Prof: testProfile(t), Opt: &opt, HeartbeatMS: 1}
+		cell := &Cell{Cell: sim.Cell{Prof: testProfile(t), Opt: &opt}, HeartbeatMS: 1}
 		lease := uint64(42 + attempt)
 		if err := writeFrame(inW, &Frame{Type: FrameCell, Lease: lease, Cell: cell, Trace: sc}); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -118,31 +119,20 @@ func (w *Worker) runCell(ctx context.Context, f *Frame) error {
 		labels = append(labels, "job", f.Trace.Trace)
 	}
 	pprof.Do(ctx, pprof.Labels(labels...), func(ctx context.Context) {
-		switch cell.Kind {
-		case CellRun:
-			if cell.Prof == nil || cell.Opt == nil {
-				out.Type, out.Fault = FrameFault, &FaultInfo{Msg: "shard: run cell missing profile or options"}
-				break
-			}
-			res, err := sim.RunContext(ctx, cell.Prof, *cell.Opt)
-			if err != nil {
-				out.Type, out.Fault = FrameFault, faultInfoOf(err)
-			} else {
-				out.Type, out.Run = FrameResult, res
-			}
-		case CellTraffic:
-			if cell.Prof == nil {
-				out.Type, out.Fault = FrameFault, &FaultInfo{Msg: "shard: traffic cell missing profile"}
-				break
-			}
-			in, outQW, cb, err := sim.TrafficOnly(ctx, cell.Prof, cell.Policy, cell.SizeBytes, cell.MaxInsts, cell.CtxPeriod)
-			if err != nil {
-				out.Type, out.Fault = FrameFault, faultInfoOf(err)
-			} else {
-				out.Type, out.In, out.Out, out.CtxBytes = FrameResult, in, outQW, cb
-			}
+		var o sim.Outcome
+		var err error
+		switch {
+		case cell.Prof == nil:
+			err = errors.New("shard: cell missing profile")
+		case cell.Opt != nil:
+			o.Run, err = sim.RunContext(ctx, cell.Prof, *cell.Opt)
 		default:
-			out.Type, out.Fault = FrameFault, &FaultInfo{Msg: fmt.Sprintf("shard: unknown cell kind %q", cell.Kind)}
+			o.In, o.Out, o.CtxBytes, err = sim.TrafficOnly(ctx, cell.Prof, cell.Policy, cell.SizeBytes, cell.MaxInsts, cell.CtxPeriod)
+		}
+		if err != nil {
+			out.Type, out.Fault = FrameFault, faultInfoOf(err)
+		} else {
+			out.Type, out.Outcome = FrameResult, &o
 		}
 	})
 	stopHB()

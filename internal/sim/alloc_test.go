@@ -34,20 +34,24 @@ func TestCellKeyAllocs(t *testing.T) {
 }
 
 // TestRunCacheHitAllocs guards the cache-hit path, which every restored
-// or repeated cell pays: the allocations of a Run hit and a Traffic hit on
-// a NewRunCache may not grow, with no observer and with one holding a
-// registry and a tracer but serving a request with no inbound span. Most
-// of them derive the cell key (TestCellKeyAllocs).
+// or repeated cell pays: the allocations of a Do hit on a timing cell and
+// on a traffic cell of a NewRunCache may not grow, with no observer and
+// with one holding a registry and a tracer but serving a request with no
+// inbound span. A hit derives nothing, since the cell carries its key:
+// the timing hit's one allocation is the caller's private copy of the
+// Result, and a traffic hit makes none.
 func TestRunCacheHitAllocs(t *testing.T) {
 	prof := synth.Crafty()
 	opt := Options{Policy: pipeline.PolicySVF, StackPorts: 2, DL1Ports: 2, MaxInsts: 20_000}
+	runCell := RunCell(prof, &opt)
+	trafficCell := TrafficCell(prof, pipeline.PolicySVF, 8<<10, 20_000, 0)
 	for _, c := range []struct {
 		name         string
 		obs          *Observer
 		run, traffic float64
 	}{
-		{"no observer", nil, 10, 10},
-		{"registry and tracer", &Observer{Registry: telemetry.NewRegistry(), Tracer: telemetry.NewTracer()}, 10, 10},
+		{"no observer", nil, 1, 0},
+		{"registry and tracer", &Observer{Registry: telemetry.NewRegistry(), Tracer: telemetry.NewTracer()}, 1, 0},
 	} {
 		cache := NewRunCache()
 		cache.SetExecutor(stubRuns{run: func(context.Context, *synth.Profile, Options) (*Result, error) {
@@ -56,22 +60,22 @@ func TestRunCacheHitAllocs(t *testing.T) {
 		cache.SetObserver(c.obs)
 		ctx := context.Background()
 		traffic := func() {
-			if _, _, _, err := cache.Traffic(ctx, prof, pipeline.PolicySVF, 8<<10, 20_000, 0); err != nil {
+			if _, err := cache.Do(ctx, trafficCell); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run := func() {
-			if _, err := cache.Run(ctx, prof, opt); err != nil {
+			if _, err := cache.Do(ctx, runCell); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run() // the misses, outside the count
 		traffic()
 		if got := testing.AllocsPerRun(100, run); got > c.run {
-			t.Errorf("%s: a Run hit allocates %v times, want at most %v", c.name, got, c.run)
+			t.Errorf("%s: a timing-cell hit allocates %v times, want at most %v", c.name, got, c.run)
 		}
 		if got := testing.AllocsPerRun(100, traffic); got > c.traffic {
-			t.Errorf("%s: a Traffic hit allocates %v times, want at most %v", c.name, got, c.traffic)
+			t.Errorf("%s: a traffic-cell hit allocates %v times, want at most %v", c.name, got, c.traffic)
 		}
 	}
 }

@@ -72,19 +72,19 @@ const stateDumpEntries = 4
 
 // runContained executes the pipeline under the recover net and folds every
 // failure mode into a *Fault — except context cancellation, which passes
-// through as ctx.Err() wrapped with the run's name.
-func runContained(ctx context.Context, name, fp string, pl *pipeline.Pipeline, s trace.Stream, maxInsts uint64) (pipeline.Stats, error) {
+// through as ctx.Err() wrapped with the run's name. The caller fills in
+// the fault's Fingerprint.
+func runContained(ctx context.Context, name string, pl *pipeline.Pipeline, s trace.Stream, maxInsts uint64) (pipeline.Stats, error) {
 	st, err := func() (st pipeline.Stats, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = &Fault{
-					Bench:       name,
-					Fingerprint: fp,
-					Cycle:       pl.Cycle(),
-					Committed:   pl.Stats().Committed,
-					Panic:       fmt.Sprint(r),
-					State:       pl.StateDump(stateDumpEntries),
-					Stack:       boundedStack(),
+					Bench:     name,
+					Cycle:     pl.Cycle(),
+					Committed: pl.Stats().Committed,
+					Panic:     fmt.Sprint(r),
+					State:     pl.StateDump(stateDumpEntries),
+					Stack:     boundedStack(),
 				}
 			}
 		}()
@@ -103,12 +103,11 @@ func runContained(ctx context.Context, name, fp string, pl *pipeline.Pipeline, s
 	// Pipeline errors (watchdog, $sp shadow, RSE consistency) fold into
 	// the same type so supervisors handle one shape.
 	fault := &Fault{
-		Bench:       name,
-		Fingerprint: fp,
-		Cycle:       pl.Cycle(),
-		Committed:   pl.Stats().Committed,
-		State:       pl.StateDump(stateDumpEntries),
-		Err:         err,
+		Bench:     name,
+		Cycle:     pl.Cycle(),
+		Committed: pl.Stats().Committed,
+		State:     pl.StateDump(stateDumpEntries),
+		Err:       err,
 	}
 	var dl *pipeline.DeadlockError
 	if errors.As(err, &dl) {

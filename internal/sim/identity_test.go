@@ -38,7 +38,7 @@ func TestCellIdentityJoinsUp(t *testing.T) {
 		c.SetObserver(&Observer{Events: log})
 		opt := Options{MaxInsts: 2_000}
 		for i := 0; i < 2; i++ {
-			if _, err := c.Run(context.Background(), prof, opt); err != nil {
+			if _, err := c.Do(context.Background(), RunCell(prof, &opt)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -153,7 +153,7 @@ func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache,
 					rs.SkippedDecode++
 					continue
 				}
-				c.runs.seed(rec.Key, res)
+				c.cells.seed(rec.Key, Outcome{Run: res})
 				rs.Runs++
 			case recKindTraffic:
 				v, ok := decodeTrafficRecord(rec)
@@ -161,7 +161,7 @@ func NewRunCacheWithJournal(j *journal.Journal, rep *journal.Replay) (*RunCache,
 					rs.SkippedDecode++
 					continue
 				}
-				c.traffic.seed(rec.Key, v)
+				c.cells.seed(rec.Key, v)
 				rs.Traffic++
 			case recKindFault:
 				var p faultPayload
@@ -202,12 +202,12 @@ func decodeRunRecord(rec journal.Record) (*Result, bool) {
 
 // decodeTrafficRecord decodes a "traffic" journal record's result,
 // rejecting records whose key no longer round-trips.
-func decodeTrafficRecord(rec journal.Record) (trafficVal, bool) {
+func decodeTrafficRecord(rec journal.Record) (Outcome, bool) {
 	var p trafficPayload
 	if json.Unmarshal(rec.Data, &p) != nil || trafficCellKey(p.Prof, p.Policy, p.SizeBytes, p.MaxInsts, p.CtxPeriod) != rec.Key {
-		return trafficVal{}, false
+		return Outcome{}, false
 	}
-	return trafficVal{p.In, p.Out, p.CtxBytes}, true
+	return Outcome{In: p.In, Out: p.Out, CtxBytes: p.CtxBytes}, true
 }
 
 // RestoredFaults returns the permanently latched cells replayed from the

@@ -41,11 +41,11 @@ func TestJournaledCachePersistsAndRestoresRuns(t *testing.T) {
 	if rs.Restored() != 0 {
 		t.Fatalf("fresh journal restored %d cells", rs.Restored())
 	}
-	first, err := c1.Run(ctx, prof, opt)
+	first, err := c1.Do(ctx, RunCell(prof, &opt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	in1, out1, cb1, err := c1.Traffic(ctx, prof, pipeline.PolicySVF, 4096, 5_000, 0)
+	traffic1, err := c1.Do(ctx, TrafficCell(prof, pipeline.PolicySVF, 4096, 5_000, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestJournaledCachePersistsAndRestoresRuns(t *testing.T) {
 		t.Error("restored cell re-executed")
 		return nil, errors.New("unreachable")
 	})
-	second, err := c2.Run(ctx, prof, opt)
+	second, err := c2.Do(ctx, RunCell(prof, &opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +78,12 @@ func TestJournaledCachePersistsAndRestoresRuns(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Error("restored result is not bit-identical to the original run")
 	}
-	in2, out2, cb2, err := c2.Traffic(ctx, prof, pipeline.PolicySVF, 4096, 5_000, 0)
+	traffic2, err := c2.Do(ctx, TrafficCell(prof, pipeline.PolicySVF, 4096, 5_000, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in1 != in2 || out1 != out2 || cb1 != cb2 {
-		t.Errorf("restored traffic = (%d,%d,%d), want (%d,%d,%d)", in2, out2, cb2, in1, out1, cb1)
+	if traffic1 != traffic2 {
+		t.Errorf("restored traffic = %+v, want %+v", traffic2, traffic1)
 	}
 	if st := c2.Stats(); st.Misses != 0 || st.Hits != 2 {
 		t.Errorf("stats = %+v, want both restored requests to hit", st)
@@ -111,7 +111,7 @@ func TestJournaledCacheLatchesExhaustedCell(t *testing.T) {
 	calls := countingRunFn(c1, func(int) (*Result, error) {
 		return nil, &Fault{Bench: prof.ID(), Panic: "deterministic"}
 	})
-	_, err := c1.Run(ctx, prof, opt)
+	_, err := c1.Do(ctx, RunCell(prof, &opt))
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want the fault", err)
@@ -123,7 +123,7 @@ func TestJournaledCacheLatchesExhaustedCell(t *testing.T) {
 		t.Errorf("stats = %+v, want errors=3 retries=2", st)
 	}
 	// The latch refuses the next request without executing.
-	_, err = c1.Run(ctx, prof, opt)
+	_, err = c1.Do(ctx, RunCell(prof, &opt))
 	var le *LatchedError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want LatchedError", err)
@@ -153,7 +153,7 @@ func TestJournaledCacheLatchesExhaustedCell(t *testing.T) {
 		t.Error("latched cell re-executed under the same budget")
 		return nil, errors.New("unreachable")
 	})
-	if _, err := c2.Run(ctx, prof, opt); !errors.As(err, &le) {
+	if _, err := c2.Do(ctx, RunCell(prof, &opt)); !errors.As(err, &le) {
 		t.Fatalf("resumed err = %v, want LatchedError", err)
 	}
 	_ = calls2
@@ -167,9 +167,9 @@ func TestJournaledCacheLatchesExhaustedCell(t *testing.T) {
 	c3.SetBackoff(time.Millisecond, time.Second, 42, noSleep)
 	want := &Result{Bench: prof.ID()}
 	calls3 := countingRunFn(c3, func(int) (*Result, error) { return want, nil })
-	res, err := c3.Run(ctx, prof, opt)
-	if err != nil || res.Bench != prof.ID() {
-		t.Fatalf("un-latched run = %+v, %v", res, err)
+	out, err := c3.Do(ctx, RunCell(prof, &opt))
+	if err != nil || out.Run.Bench != prof.ID() {
+		t.Fatalf("un-latched run = %+v, %v", out, err)
 	}
 	if *calls3 != 1 {
 		t.Errorf("un-latched cell executed %d times", *calls3)
@@ -218,7 +218,7 @@ func TestJournaledCachePriorAttemptsCountAgainstBudget(t *testing.T) {
 	calls := countingRunFn(c, func(int) (*Result, error) {
 		return nil, &Fault{Bench: prof.ID(), Panic: "still broken"}
 	})
-	_, err = c.Run(context.Background(), prof, opt)
+	_, err = c.Do(context.Background(), RunCell(prof, &opt))
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want the fault", err)
@@ -231,7 +231,7 @@ func TestJournaledCachePriorAttemptsCountAgainstBudget(t *testing.T) {
 	}
 	// That failure exhausted the budget: the cell is latched now.
 	var le *LatchedError
-	if _, err := c.Run(context.Background(), prof, opt); !errors.As(err, &le) {
+	if _, err := c.Do(context.Background(), RunCell(prof, &opt)); !errors.As(err, &le) {
 		t.Fatalf("err = %v, want LatchedError", err)
 	}
 	if le.Attempts != 2 {
@@ -263,9 +263,9 @@ func TestJournaledCacheShrunkenBudgetStillRetriesOnce(t *testing.T) {
 	c.SetBackoff(time.Millisecond, time.Second, 7, noSleep)
 	want := &Result{Bench: prof.ID()}
 	calls := countingRunFn(c, func(int) (*Result, error) { return want, nil })
-	res, err := c.Run(context.Background(), prof, opt)
-	if err != nil || res.Bench != prof.ID() {
-		t.Fatalf("run = %+v, %v", res, err)
+	out, err := c.Do(context.Background(), RunCell(prof, &opt))
+	if err != nil || out.Run.Bench != prof.ID() {
+		t.Fatalf("run = %+v, %v", out, err)
 	}
 	if *calls != 1 {
 		t.Errorf("executed %d times, want the one owed attempt", *calls)
@@ -327,7 +327,7 @@ func TestRunCacheRetriesAfterBackoff(t *testing.T) {
 		}
 		return &Result{Bench: prof.ID()}, nil
 	})
-	if _, err := c.Run(context.Background(), prof, opt); err != nil {
+	if _, err := c.Do(context.Background(), RunCell(prof, &opt)); err != nil {
 		t.Fatal(err)
 	}
 	want := c.backoffFor(RunCellKey(prof, opt), 1)
@@ -350,7 +350,7 @@ func TestJournaledCacheInjectedRunsBypassJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000, FaultPlan: plan}); err != nil {
+	if _, err := c.Do(context.Background(), RunCell(prof, &Options{MaxInsts: 1000, FaultPlan: plan})); err != nil {
 		t.Fatal(err)
 	}
 	if *calls != 1 {
@@ -373,17 +373,17 @@ func TestJournaledCacheCrashRecoveryBitIdentical(t *testing.T) {
 
 	plan := &faultinject.Plan{Seed: 11, JournalKillWrite: 2}
 	c1, _, j1 := openJournaledCache(t, dir, journal.Options{Inject: plan})
-	first, err := c1.Run(ctx, prof, optA)
+	first, err := c1.Do(ctx, RunCell(prof, &optA))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The second cell's append dies mid-write; the in-memory result is
 	// still served (durability lost, correctness kept).
-	second, err := c1.Run(ctx, prof, optB)
+	second, err := c1.Do(ctx, RunCell(prof, &optB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second == nil || second.Pipe.Cycles == 0 {
+	if second.Run == nil || second.Run.Pipe.Cycles == 0 {
 		t.Fatalf("run during journal crash returned %+v", second)
 	}
 	j1.Close()
@@ -400,7 +400,7 @@ func TestJournaledCacheCrashRecoveryBitIdentical(t *testing.T) {
 		t.Error("pre-crash cell re-executed")
 		return nil, errors.New("unreachable")
 	})
-	restored, err := c2.Run(ctx, prof, optA)
+	restored, err := c2.Do(ctx, RunCell(prof, &optA))
 	if err != nil {
 		t.Fatal(err)
 	}

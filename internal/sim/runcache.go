@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"svf/internal/journal"
-	"svf/internal/pipeline"
 	"svf/internal/synth"
 	"svf/internal/telemetry"
 )
@@ -20,11 +19,11 @@ import (
 // profile (not its ID — see Profile.Fingerprint) and the canonicalized
 // Options, so two requests hit the same entry exactly when they would
 // simulate the same machine on the same workload. The key is derived once
-// per request and is the cell's only identity: the single-flight entry,
-// the store's gate and the journal record use it, and faults and events
-// carry its short form. Concurrent requests for one key share a single
-// in-flight simulation (single-flight deduplication); later requests are
-// served from the cache.
+// per cell, by RunCell or TrafficCell, and is the cell's only identity:
+// the single-flight entry, the store's gate and the journal record use
+// it, and faults and events carry its short form. Concurrent requests for
+// one key share a single in-flight simulation (single-flight
+// deduplication); later requests are served from the cache.
 //
 // The experiment harnesses route every timing run, traffic run and
 // characterisation pass through one RunCache (experiments.Config.Cache), so
@@ -53,10 +52,9 @@ import (
 // Results accumulate for the cache's lifetime; use a fresh cache per sweep
 // when memory matters more than reuse.
 type RunCache struct {
-	runs    flightGroup[string, *Result]    // keyed by RunCellKey
-	traffic flightGroup[string, trafficVal] // keyed by TrafficCellKey
-	char    flightGroup[charKey, *synth.Characterization]
-	cnt     cacheCounters
+	cells flightGroup[string, Outcome] // keyed by cell key
+	char  flightGroup[charKey, *synth.Characterization]
+	cnt   cacheCounters
 
 	// exec executes cache misses: in process unless SetExecutor installed
 	// another (the shard coordinator's worker pool, a test stub).
@@ -118,7 +116,7 @@ func SharedCache() *RunCache { return sharedCache }
 // normalised, so equivalent configurations compare equal as cache keys: the
 // machine's display Name is dropped, the DL1Ports override is cleared
 // after fillDefaults has folded it into Machine.DL1Ports, any FaultPlan
-// is cleared (injected runs never reach the cache's key space — see Run),
+// is cleared (injected runs never reach the cache's key space — see Do),
 // and any Probe is cleared (instrumentation must never affect a cache key
 // or fingerprint).
 func Canonical(opt Options) Options {
@@ -239,98 +237,87 @@ func cacheExec[V any](ctx context.Context, c *RunCache, key, bench string, fn fu
 	}
 }
 
-// Run returns the memoized Result of RunContext(ctx, prof, opt), executing
-// the simulation at most once per unique (profile contents, canonical
-// options) pair. Runs with an active FaultPlan matching the profile execute
-// outside the cache (and without retry — injection is deterministic). The
-// returned Result is a private copy; callers may modify it.
-func (c *RunCache) Run(ctx context.Context, prof *synth.Profile, opt Options) (*Result, error) {
+// Do returns the memoized outcome of cell, executing it at most once per
+// cell key: a timing cell's Result, which is a private copy the caller may
+// modify, or a traffic cell's counters. The cell must come from RunCell or
+// TrafficCell. A timing cell with an active FaultPlan matching its
+// workload executes outside the cache, and without retry: injection is
+// deterministic.
+func (c *RunCache) Do(ctx context.Context, cell *Cell) (Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pfp, canon := prof.Fingerprint(), Canonical(opt)
-	key := runCellKey(pfp, canon)
-	execRun := func(ctx context.Context) (*Result, error) {
-		o, fp := opt, ""
-		if c.obs.Events != nil {
-			fp = shortKey(key)
-		}
-		// With a registry attached, every executed run carries a probe
-		// mirroring into it, so /metrics aggregates occupancy across the
-		// whole sweep. The key was derived without it.
-		if o.Probe == nil && c.obs.Registry != nil {
-			o.Probe = telemetry.NewProbe(c.obs.Registry)
-		}
-		c.obs.Events.Emit(telemetry.Event{Type: "run_start", Bench: prof.ID(), Fingerprint: fp})
-		start := time.Now()
-		res, err := c.exec.ExecRun(ctx, prof, o)
-		if err == nil {
-			c.obs.observeRunFinish(res, fp, time.Since(start))
-		}
-		return res, err
+	// The workload's ID is rendered only where it is reported: a hit
+	// needs it only for an event log or a span.
+	key := cell.key
+	if key == "" {
+		return Outcome{}, fmt.Errorf("sim: %s: cell has no key (build it with RunCell or TrafficCell)", cell.Prof.ID())
 	}
-	if opt.FaultPlan.Active() && opt.FaultPlan.Matches(prof.ID()) {
+	if cell.Opt != nil && cell.Opt.FaultPlan.Active() && cell.Opt.FaultPlan.Matches(cell.Prof.ID()) {
 		c.cnt.misses.Add(1)
 		start := time.Now()
-		res, err := execRun(ctx)
+		out, err := c.execute(ctx, cell)
 		c.cnt.simNanos.Add(uint64(time.Since(start)))
 		if err != nil {
 			c.cnt.errors.Add(1)
 			c.obs.Count("svf_sim_run_faults_total", 1)
 			c.obs.Progress.Fault()
 		}
-		return res, err
+		return out, err
 	}
-	res, err := request(ctx, c, &c.runs, recKindRun, prof.ID(), key, execRun, func(r *Result) any {
-		return runPayload{Prof: pfp, Opt: canon, Res: r}
-	})
-	return cloneResult(res), err
-}
-
-type trafficVal struct{ in, out, ctx uint64 }
-
-// Traffic returns the memoized result of TrafficOnly.
-func (c *RunCache) Traffic(ctx context.Context, prof *synth.Profile, policy pipeline.StackPolicy, sizeBytes, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pfp := prof.Fingerprint()
-	key := trafficCellKey(pfp, policy, sizeBytes, maxInsts, ctxPeriod)
-	v, err := request(ctx, c, &c.traffic, recKindTraffic, prof.ID(), key, func(ctx context.Context) (trafficVal, error) {
-		in, out, cb, err := c.exec.ExecTraffic(ctx, prof, policy, sizeBytes, maxInsts, ctxPeriod)
-		return trafficVal{in, out, cb}, err
-	}, func(v trafficVal) any {
-		return trafficPayload{
-			Prof: pfp, Policy: policy, SizeBytes: sizeBytes, MaxInsts: maxInsts, CtxPeriod: ctxPeriod,
-			In: v.in, Out: v.out, CtxBytes: v.ctx,
-		}
-	})
-	return v.in, v.out, v.ctx, err
-}
-
-// request is the one request path of a journaled cell, shared by Run and
-// Traffic: the store's gate and its latched refusal, the serve hook, the
-// single flight and the supervised execution. The kinds differ only in
-// exec, which executes a miss, and payload, which gives the JSON body of a
-// completed cell's journal record. key is the cell key the caller derived
-// once.
-func request[V any](ctx context.Context, c *RunCache, g *flightGroup[string, V], kind, bench, key string, exec func(context.Context) (V, error), payload func(V) any) (V, error) {
 	if err := c.store.Gate(key, c.attemptBudget()); err != nil {
 		c.cnt.latched.Add(1)
-		c.obs.Events.Emit(telemetry.Event{Type: "latched", Bench: bench, Key: key, Err: err.Error(), Detail: "refused without execution"})
-		var zero V
-		return zero, err
+		c.obs.Events.Emit(telemetry.Event{Type: "latched", Bench: cell.Prof.ID(), Key: key, Err: err.Error(), Detail: "refused without execution"})
+		return Outcome{}, err
 	}
-	v, how, err := g.do(ctx, key, &c.cnt, func() (V, error) {
-		return cacheExec(ctx, c, key, bench, exec, func(v V) (journal.Record, error) {
-			data, err := json.Marshal(payload(v))
-			return journal.Record{Kind: kind, Key: key, Data: data}, err
-		})
+	out, how, err := c.cells.do(ctx, key, &c.cnt, func() (Outcome, error) {
+		return cacheExec(ctx, c, key, cell.Prof.ID(), func(ctx context.Context) (Outcome, error) {
+			return c.execute(ctx, cell)
+		}, cell.record)
 	})
 	if how != unserved {
-		c.served(ctx, bench, key, how)
+		c.served(ctx, cell, how)
 	}
-	return v, err
+	out.Run = cloneResult(out.Run)
+	return out, err
+}
+
+// execute runs one execution of cell on the cache's executor. A timing
+// run executes on a copy of the cell's options: with a registry attached
+// it carries a probe mirroring into it, so /metrics aggregates occupancy
+// across the whole sweep, and the cell itself may be shared.
+func (c *RunCache) execute(ctx context.Context, cell *Cell) (Outcome, error) {
+	if cell.Opt == nil {
+		in, out, cb, err := c.exec.ExecTraffic(ctx, cell.Prof, cell.Policy, cell.SizeBytes, cell.MaxInsts, cell.CtxPeriod)
+		return Outcome{In: in, Out: out, CtxBytes: cb}, err
+	}
+	o, fp := *cell.Opt, ""
+	if c.obs.Events != nil {
+		fp = shortKey(cell.key)
+	}
+	if o.Probe == nil && c.obs.Registry != nil {
+		o.Probe = telemetry.NewProbe(c.obs.Registry)
+	}
+	c.obs.Events.Emit(telemetry.Event{Type: "run_start", Bench: cell.Prof.ID(), Fingerprint: fp})
+	start := time.Now()
+	res, err := c.exec.ExecRun(ctx, cell.Prof, o)
+	if err == nil {
+		c.obs.observeRunFinish(res, fp, time.Since(start))
+	}
+	return Outcome{Run: res}, err
+}
+
+// record encodes the journal record of the cell's completed outcome.
+func (cell *Cell) record(o Outcome) (journal.Record, error) {
+	kind, payload := recKindTraffic, any(trafficPayload{
+		Prof: cell.fp, Policy: cell.Policy, SizeBytes: cell.SizeBytes, MaxInsts: cell.MaxInsts, CtxPeriod: cell.CtxPeriod,
+		In: o.In, Out: o.Out, CtxBytes: o.CtxBytes,
+	})
+	if cell.Opt != nil {
+		kind, payload = recKindRun, runPayload{Prof: cell.fp, Opt: Canonical(*cell.Opt), Res: o.Run}
+	}
+	data, err := json.Marshal(payload)
+	return journal.Record{Kind: kind, Key: cell.key, Data: data}, err
 }
 
 // charKey identifies one unique characterisation pass.
@@ -352,11 +339,11 @@ func (c *RunCache) Characterize(ctx context.Context, prof *synth.Profile, maxIns
 		// Characterisations are not journaled (empty key): cheap,
 		// deterministic functional passes that simply recompute on resume.
 		return cacheExec(ctx, c, "", prof.ID(), func(ctx context.Context) (*synth.Characterization, error) {
-			prog, err := ProgramFor(prof)
+			prog, err := programFor(prof, key.prof)
 			if err != nil {
 				return nil, err
 			}
-			s, err := cachedStream(ctx, prog, prof.Fingerprint(), maxInsts)
+			s, err := cachedStream(ctx, prog, key.prof, maxInsts)
 			if err != nil {
 				return nil, err
 			}
@@ -420,7 +407,7 @@ func (c *RunCache) Stats() CacheStats {
 		Errors:  c.cnt.errors.Load(),
 		Retries: c.cnt.retries.Load(),
 		Latched: c.cnt.latched.Load(),
-		Entries: c.runs.len() + c.traffic.len() + c.char.len(),
+		Entries: c.cells.len() + c.char.len(),
 		SimTime: time.Duration(c.cnt.simNanos.Load()),
 	}
 }
@@ -459,73 +446,80 @@ type flight[V any] struct {
 	restored bool
 }
 
-// flightGroup is a memoizing single-flight map: concurrent callers of the
-// same key share one execution, and every later caller gets the cached
-// value without re-executing.
-type flightGroup[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*flight[V]
-}
+// flightGroup is the package's one single-flight helper, a memoizing map
+// from K to *flight[V]: concurrent callers of the same key share one
+// execution, and every later caller gets the cached value without
+// re-executing or taking a lock.
+type flightGroup[K comparable, V any] struct{ sync.Map }
+
+// errFlightPanicked is what the callers waiting on an execution that
+// panicked get; the panic itself goes on up the executing caller's stack.
+var errFlightPanicked = errors.New("sim: the shared execution panicked")
 
 // do returns the value for key, joining an in-flight execution or starting
-// fn, bumps the matching counters, and says how it answered: the telemetry
-// layer hangs cache events on the requests served without executing fn. A
-// caller waiting on someone else's in-flight execution stops waiting when
-// its own context is cancelled (the execution itself keeps running for the
-// caller that started it), unserved.
+// fn, bumps the matching counters (cnt may be nil), and says how it
+// answered: the telemetry layer hangs cache events on the requests served
+// without executing fn. A caller waiting on someone else's in-flight
+// execution stops waiting when its own context is cancelled (the execution
+// itself keeps running for the caller that started it), unserved.
 func (g *flightGroup[K, V]) do(ctx context.Context, key K, cnt *cacheCounters, fn func() (V, error)) (V, serve, error) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[K]*flight[V])
+	v, loaded := g.Load(key)
+	if !loaded {
+		v, loaded = g.LoadOrStore(key, &flight[V]{done: make(chan struct{})})
 	}
-	if f, ok := g.m[key]; ok {
-		how := joined
+	f := v.(*flight[V])
+	if loaded {
+		how := hit
+		if f.restored {
+			how = restoredHit
+		}
 		select {
 		case <-f.done:
-			how = hit
-			if f.restored {
-				how = restoredHit
-			}
 		default:
-		}
-		g.mu.Unlock()
-		if how == joined {
+			how = joined
 			select {
 			case <-f.done:
 			case <-ctx.Done():
 				var zero V
 				return zero, unserved, ctx.Err()
 			}
+		}
+		switch {
+		case cnt == nil:
+		case how == joined:
 			cnt.shared.Add(1)
-		} else {
+		default:
 			cnt.hits.Add(1)
 		}
 		return f.val, how, f.err
 	}
-	f := &flight[V]{done: make(chan struct{})}
-	g.m[key] = f
-	g.mu.Unlock()
 
-	cnt.misses.Add(1)
-	start := time.Now()
-	f.val, f.err = fn()
-	cnt.simNanos.Add(uint64(time.Since(start)))
-	if f.err != nil {
-		// Failed runs are not cached: drop the entry so a later request
-		// re-executes instead of replaying the error forever.
-		g.mu.Lock()
-		delete(g.m, key)
-		g.mu.Unlock()
+	if cnt != nil {
+		cnt.misses.Add(1)
 	}
-	close(f.done)
+	start := time.Now()
+	// A failed execution's entry is dropped, so a later request
+	// re-executes instead of replaying the error forever. f.err stays
+	// errFlightPanicked only if fn panics, which drops the entry too.
+	f.err = errFlightPanicked
+	defer func() {
+		if cnt != nil {
+			cnt.simNanos.Add(uint64(time.Since(start)))
+		}
+		if f.err != nil {
+			g.CompareAndDelete(key, f)
+		}
+		close(f.done)
+	}()
+	f.val, f.err = fn()
 	return f.val, unserved, f.err
 }
 
 // len returns the number of resident entries.
 func (g *flightGroup[K, V]) len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
+	n := 0
+	g.Range(func(any, any) bool { n++; return true })
+	return n
 }
 
 // seed installs an already-completed entry marked restored (a cell
@@ -533,15 +527,7 @@ func (g *flightGroup[K, V]) len() int {
 // existing entry wins: a live execution is at least as fresh as a replayed
 // record.
 func (g *flightGroup[K, V]) seed(key K, val V) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.m == nil {
-		g.m = make(map[K]*flight[V])
-	}
-	if _, ok := g.m[key]; ok {
-		return
-	}
 	f := &flight[V]{done: make(chan struct{}), val: val, restored: true}
 	close(f.done)
-	g.m[key] = f
+	g.LoadOrStore(key, f)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,12 +47,12 @@ func TestRunCacheRetriesContainedFaultOnce(t *testing.T) {
 		}
 		return want, nil
 	})
-	res, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000})
+	out, err := c.Do(context.Background(), RunCell(prof, &Options{MaxInsts: 1000}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res == nil || res.Bench != prof.ID() {
-		t.Fatalf("retry result = %+v", res)
+	if out.Run == nil || out.Run.Bench != prof.ID() {
+		t.Fatalf("retry result = %+v", out.Run)
 	}
 	if *calls != 2 {
 		t.Fatalf("executed %d times, want fail + one retry", *calls)
@@ -61,7 +62,7 @@ func TestRunCacheRetriesContainedFaultOnce(t *testing.T) {
 		t.Errorf("stats = %+v, want misses=1 retries=1 errors=1 entries=1", st)
 	}
 	// The retried success is a normal cached entry now.
-	if _, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000}); err != nil {
+	if _, err := c.Do(context.Background(), RunCell(prof, &Options{MaxInsts: 1000})); err != nil {
 		t.Fatal(err)
 	}
 	if *calls != 2 {
@@ -82,7 +83,7 @@ func TestRunCacheNeverCachesFaults(t *testing.T) {
 	calls := countingRunFn(c, func(int) (*Result, error) {
 		return nil, &Fault{Bench: prof.ID(), Panic: "deterministic"}
 	})
-	_, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000})
+	_, err := c.Do(context.Background(), RunCell(prof, &Options{MaxInsts: 1000}))
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want the fault", err)
@@ -96,7 +97,7 @@ func TestRunCacheNeverCachesFaults(t *testing.T) {
 	}
 	// Faults are never resident; the spent budget is. A later request is
 	// refused at the gate, so the deterministic fault does not run again.
-	_, err = c.Run(context.Background(), prof, Options{MaxInsts: 1000})
+	_, err = c.Do(context.Background(), RunCell(prof, &Options{MaxInsts: 1000}))
 	var le *LatchedError
 	if !errors.As(err, &le) || le.Poison || le.Attempts != 2 {
 		t.Fatalf("second request err = %v, want a budget latch after 2 attempts", err)
@@ -119,7 +120,7 @@ func TestRunCacheDoesNotRetryAfterCancellation(t *testing.T) {
 		cancel() // the fault and the suite's shutdown race; shutdown wins
 		return nil, &Fault{Bench: prof.ID(), Panic: "boom"}
 	})
-	if _, err := c.Run(ctx, prof, Options{MaxInsts: 1000}); err == nil {
+	if _, err := c.Do(ctx, RunCell(prof, &Options{MaxInsts: 1000})); err == nil {
 		t.Fatal("expected an error")
 	}
 	if *calls != 1 {
@@ -140,7 +141,7 @@ func TestRunCacheInjectedRunsBypassCache(t *testing.T) {
 	})
 	injected := Options{MaxInsts: 1000, FaultPlan: &faultinject.Plan{EOFAfter: 100}}
 	for i := 0; i < 2; i++ {
-		if _, err := c.Run(context.Background(), prof, injected); err != nil {
+		if _, err := c.Do(context.Background(), RunCell(prof, &injected)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +154,7 @@ func TestRunCacheInjectedRunsBypassCache(t *testing.T) {
 	}
 	// A clean request for the canonically-identical options must simulate
 	// fresh, not be served the injected result.
-	if _, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000}); err != nil {
+	if _, err := c.Do(context.Background(), RunCell(prof, &Options{MaxInsts: 1000})); err != nil {
 		t.Fatal(err)
 	}
 	if *calls != 3 {
@@ -169,7 +170,7 @@ func TestRunCacheInjectedRunsBypassCache(t *testing.T) {
 	calls2 := countingRunFn(c2, func(int) (*Result, error) {
 		return nil, &Fault{Bench: prof.ID(), Panic: "injected"}
 	})
-	if _, err := c2.Run(context.Background(), prof, injected); err == nil {
+	if _, err := c2.Do(context.Background(), RunCell(prof, &injected)); err == nil {
 		t.Fatal("expected the injected fault")
 	}
 	if *calls2 != 1 {
@@ -177,5 +178,89 @@ func TestRunCacheInjectedRunsBypassCache(t *testing.T) {
 	}
 	if st := c2.Stats(); st.Retries != 0 || st.Errors != 1 {
 		t.Errorf("stats = %+v, want retries=0 errors=1", st)
+	}
+}
+
+// TestPanickingExecutorLeavesNoEntry: an executor that panics once must not
+// leave its cell's single-flight entry behind, or every later request for
+// the cell would wait on an execution that never finishes. The panic
+// reaches the requesting caller, and the next request executes afresh.
+func TestPanickingExecutorLeavesNoEntry(t *testing.T) {
+	c := NewRunCache()
+	prof := synth.Gzip()
+	cell := RunCell(prof, &Options{MaxInsts: 1000})
+	calls := countingRunFn(c, func(call int) (*Result, error) {
+		if call == 1 {
+			panic("executor bug")
+		}
+		return &Result{Bench: prof.ID()}, nil
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "executor bug" {
+				t.Fatalf("recovered %v, want the executor's panic", r)
+			}
+		}()
+		c.Do(context.Background(), cell)
+	}()
+	if _, ok := c.cells.Load(cell.Key()); ok {
+		t.Fatal("the panicked execution left its entry behind")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	out, err := c.Do(ctx, cell)
+	if err != nil || out.Run == nil || *calls != 2 {
+		t.Fatalf("next request = %+v, %v after %d execution(s); want a second, successful execution", out, err, *calls)
+	}
+}
+
+// joinSignal is a context that closes joining when a caller first asks for
+// its Done channel, which flightGroup.do does only once it has joined an
+// execution in flight and is about to wait on it.
+type joinSignal struct {
+	context.Context
+	once    sync.Once
+	joining chan struct{}
+}
+
+func (c *joinSignal) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joining) })
+	return c.Context.Done()
+}
+
+// TestFlightWaitersReleasedOnPanic: a caller that joined an execution that
+// then panics is released with an error, not left waiting on a flight that
+// never lands.
+func TestFlightWaitersReleasedOnPanic(t *testing.T) {
+	var g flightGroup[string, int]
+	started, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer func() { recover() }()
+		g.do(context.Background(), "k", nil, func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	ctx := &joinSignal{Context: context.Background(), joining: make(chan struct{})}
+	type answer struct {
+		how serve
+		err error
+	}
+	waited := make(chan answer, 1)
+	go func() {
+		_, how, err := g.do(ctx, "k", nil, func() (int, error) { return 7, nil })
+		waited <- answer{how, err}
+	}()
+	<-ctx.joining
+	close(release)
+	select {
+	case a := <-waited:
+		if a.how != joined || !errors.Is(a.err, errFlightPanicked) {
+			t.Errorf("waiter answered %v, %v; want joined, errFlightPanicked", a.how, a.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter is still blocked on the panicked flight")
 	}
 }

@@ -36,7 +36,7 @@ func TestRunCacheCountersExactUnderConcurrency(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for cell := 0; cell < cells; cell++ {
 					opt := Options{MaxInsts: 1000 * (cell + 1)}
-					if _, err := c.Run(context.Background(), prof, opt); err != nil {
+					if _, err := c.Do(context.Background(), RunCell(prof, &opt)); err != nil {
 						t.Errorf("cell %d: %v", cell, err)
 					}
 				}

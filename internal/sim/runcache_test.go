@@ -94,21 +94,21 @@ func TestRunCacheDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewRunCache()
-	first, err := c.Run(context.Background(), prof, opt)
+	first, err := c.Do(context.Background(), RunCell(prof, &opt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh, first) {
+	if !reflect.DeepEqual(fresh, first.Run) {
 		t.Error("cached run differs from a fresh run")
 	}
 	// Mutate the handed-out copy, then re-fetch: the cache must be intact.
-	first.Pipe.Cycles = 0
-	first.SVF.MorphedLoads = 0
-	second, err := c.Run(context.Background(), prof, opt)
+	first.Run.Pipe.Cycles = 0
+	first.Run.SVF.MorphedLoads = 0
+	second, err := c.Do(context.Background(), RunCell(prof, &opt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh, second) {
+	if !reflect.DeepEqual(fresh, second.Run) {
 		t.Error("mutating a returned Result corrupted the cached entry")
 	}
 	st := c.Stats()
@@ -123,14 +123,14 @@ func TestRunCacheDedupsConcurrentRequests(t *testing.T) {
 	prof := synth.Gzip()
 	opt := Options{MaxInsts: cacheTestInsts}
 	const n = 8
-	results := make([]*Result, n)
+	results := make([]Outcome, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Run(context.Background(), prof, opt)
+			results[i], errs[i] = c.Do(context.Background(), RunCell(prof, &opt))
 		}(i)
 	}
 	wg.Wait()
@@ -157,12 +157,12 @@ func TestRunCacheDedupsConcurrentRequests(t *testing.T) {
 func TestRunCacheCanonicalKeys(t *testing.T) {
 	c := NewRunCache()
 	prof := synth.Gzip()
-	if _, err := c.Run(context.Background(), prof, Options{Machine: pipeline.SixteenWide(), DL1Ports: 2, MaxInsts: cacheTestInsts}); err != nil {
+	if _, err := c.Do(context.Background(), RunCell(prof, &Options{Machine: pipeline.SixteenWide(), DL1Ports: 2, MaxInsts: cacheTestInsts})); err != nil {
 		t.Fatal(err)
 	}
 	renamed := pipeline.SixteenWide() // DL1Ports defaults to 2
 	renamed.Name = "16-wide (relabeled)"
-	if _, err := c.Run(context.Background(), prof, Options{Machine: renamed, MaxInsts: cacheTestInsts}); err != nil {
+	if _, err := c.Do(context.Background(), RunCell(prof, &Options{Machine: renamed, MaxInsts: cacheTestInsts})); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -170,7 +170,7 @@ func TestRunCacheCanonicalKeys(t *testing.T) {
 		t.Errorf("stats = %+v, want the equivalent configs to share one entry", st)
 	}
 	// A behavioral difference must be a different key.
-	if _, err := c.Run(context.Background(), prof, Options{Machine: pipeline.SixteenWide(), DL1Ports: 1, MaxInsts: cacheTestInsts}); err != nil {
+	if _, err := c.Do(context.Background(), RunCell(prof, &Options{Machine: pipeline.SixteenWide(), DL1Ports: 1, MaxInsts: cacheTestInsts})); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 2 {
@@ -184,7 +184,7 @@ func TestRunCacheDoesNotCacheErrors(t *testing.T) {
 	prof := synth.Gzip()
 	bad := Options{Predictor: "bogus", MaxInsts: 1000}
 	for i := 0; i < 2; i++ {
-		if _, err := c.Run(context.Background(), prof, bad); err == nil {
+		if _, err := c.Do(context.Background(), RunCell(prof, &bad)); err == nil {
 			t.Fatal("expected an error for an unknown predictor")
 		}
 	}
@@ -204,17 +204,16 @@ func TestRunCacheDoesNotCacheErrors(t *testing.T) {
 func TestRunCacheTrafficAndCharacterize(t *testing.T) {
 	c := NewRunCache()
 	prof := synth.Crafty()
-	in1, out1, ctx1, err := c.Traffic(context.Background(), prof, pipeline.PolicySVF, 8<<10, 100_000, 0)
+	first, err := c.Do(context.Background(), TrafficCell(prof, pipeline.PolicySVF, 8<<10, 100_000, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	in2, out2, ctx2, err := c.Traffic(context.Background(), prof, pipeline.PolicySVF, 8<<10, 100_000, 0)
+	second, err := c.Do(context.Background(), TrafficCell(prof, pipeline.PolicySVF, 8<<10, 100_000, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in1 != in2 || out1 != out2 || ctx1 != ctx2 {
-		t.Errorf("cached traffic (%d,%d,%d) differs from first run (%d,%d,%d)",
-			in2, out2, ctx2, in1, out1, ctx1)
+	if first != second {
+		t.Errorf("cached traffic %+v differs from first run %+v", second, first)
 	}
 	ch1, err := c.Characterize(context.Background(), prof, 100_000)
 	if err != nil {

@@ -7,8 +7,8 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 
 	"svf/internal/bpred"
 	"svf/internal/cache"
@@ -156,40 +156,21 @@ func (r *Result) Cycles() uint64 { return r.Pipe.Cycles }
 // ID with a bundled profile, and keying on ID alone would silently hand one
 // of them the other's program. Builds are single-flight: callers that miss
 // together wait for one build instead of each running it.
-var programCache sync.Map // fingerprint string → *programBuild
-
-// programBuild is one profile's build, done once done is closed.
-type programBuild struct {
-	done chan struct{}
-	prog *synth.Program
-	err  error
-}
+var programCache flightGroup[string, *synth.Program]
 
 // ProgramFor returns the (cached) built program for a profile. A build
 // that fails or panics leaves no entry behind: its waiters get its error,
 // and the next caller builds afresh.
 func ProgramFor(prof *synth.Profile) (*synth.Program, error) {
-	fp := prof.Fingerprint()
-	v, ok := programCache.Load(fp)
-	if !ok {
-		v, ok = programCache.LoadOrStore(fp, &programBuild{done: make(chan struct{})})
-	}
-	b := v.(*programBuild)
-	if ok {
-		<-b.done
-		return b.prog, b.err
-	}
-	defer func() {
-		if b.prog == nil {
-			if b.err == nil {
-				b.err = fmt.Errorf("sim: building the program for %s panicked", prof.ID())
-			}
-			programCache.CompareAndDelete(fp, b)
-		}
-		close(b.done)
-	}()
-	b.prog, b.err = synth.BuildProgram(prof)
-	return b.prog, b.err
+	return programFor(prof, prof.Fingerprint())
+}
+
+// programFor is ProgramFor for a caller that holds prof's fingerprint fp.
+func programFor(prof *synth.Profile, fp string) (*synth.Program, error) {
+	prog, _, err := programCache.do(context.Background(), fp, nil, func() (*synth.Program, error) {
+		return synth.BuildProgram(prof)
+	})
+	return prog, err
 }
 
 // Run executes one simulation and returns its Result. It is RunContext
@@ -204,11 +185,11 @@ func Run(prof *synth.Profile, opt Options) (*Result, error) {
 // cancellation stops the run promptly with ctx.Err().
 func RunContext(ctx context.Context, prof *synth.Profile, opt Options) (*Result, error) {
 	opt.fillDefaults()
-	prog, err := ProgramFor(prof)
+	fp := prof.Fingerprint()
+	prog, err := programFor(prof, fp)
 	if err != nil {
 		return nil, err
 	}
-	fp := prof.Fingerprint()
 	s, err := cachedStream(ctx, prog, fp, opt.MaxInsts)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", prof.ID(), err)
@@ -226,7 +207,7 @@ func RunStream(ctx context.Context, name string, gen trace.Stream, opt Options) 
 
 // runStream is the shared run body; identity stands in for the profile
 // fingerprint in the cell key a fault reports (profile contents for Run,
-// the stream name for RunStream).
+// the stream name for RunStream). The key is rendered only for a fault.
 func runStream(ctx context.Context, name, identity string, gen trace.Stream, opt Options) (*Result, error) {
 	opt.fillDefaults()
 
@@ -284,10 +265,14 @@ func runStream(ctx context.Context, name, identity string, gen trace.Stream, opt
 	if err != nil {
 		return nil, err
 	}
-	ps, err := runContained(ctx, name, shortKey(runCellKey(identity, Canonical(opt))), pl, gen, uint64(opt.MaxInsts))
+	ps, err := runContained(ctx, name, pl, gen, uint64(opt.MaxInsts))
 	if err != nil {
 		// A faulted or cancelled machine is dropped, not pooled: its
 		// state is suspect by definition.
+		var f *Fault
+		if errors.As(err, &f) {
+			f.Fingerprint = shortKey(runCellKey(identity, Canonical(opt)))
+		}
 		return nil, err
 	}
 	machinePool.Put(pl)
@@ -394,14 +379,14 @@ func trafficFault(prof *synth.Profile, cell string, committed uint64, panicked a
 // with no timing. Only references routed to the stack structure touch the
 // hierarchy, and nothing is forwarded from an LSQ, so the traffic depends
 // on the trace and the structure alone. Faults name the policy's traffic
-// cell of svfCfg's size.
+// cell of svfCfg's size, whose key is rendered only for a fault.
 func trafficLoop(ctx context.Context, prof *synth.Profile, policy pipeline.StackPolicy, svfCfg core.Config, maxInsts int, ctxPeriod uint64) (qwIn, qwOut, ctxBytes uint64, err error) {
-	cell := TrafficCellKey(prof, policy, svfCfg.SizeBytes, maxInsts, ctxPeriod)
-	prog, err := ProgramFor(prof)
+	fp := prof.Fingerprint()
+	prog, err := programFor(prof, fp)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	gen, err := cachedStream(ctx, prog, prof.Fingerprint(), maxInsts)
+	gen, err := cachedStream(ctx, prog, fp, maxInsts)
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("sim: %s: %w", prof.ID(), err)
 	}
@@ -419,9 +404,10 @@ func trafficLoop(ctx context.Context, prof *synth.Profile, policy pipeline.Stack
 	var in isa.Inst
 	var committed uint64
 	nextCtx := ctxPeriod
+	cell := func() string { return trafficCellKey(fp, policy, svfCfg.SizeBytes, maxInsts, ctxPeriod) }
 	defer func() {
 		if r := recover(); r != nil {
-			err = trafficFault(prof, cell, committed, r, nil)
+			err = trafficFault(prof, cell(), committed, r, nil)
 		}
 	}()
 	for i := 0; i < maxInsts; i++ {
@@ -439,12 +425,12 @@ func trafficLoop(ctx context.Context, prof *synth.Profile, policy pipeline.Stack
 		switch {
 		case in.Kind == isa.KindSPAdjust:
 			if serr := st.AdjustSP(&in); serr != nil {
-				return 0, 0, 0, trafficFault(prof, cell, committed, nil, serr)
+				return 0, 0, 0, trafficFault(prof, cell(), committed, nil, serr)
 			}
 		case in.IsMem():
 			if in.SPRelative() {
 				if serr := st.AnchorSP(&in); serr != nil {
-					return 0, 0, 0, trafficFault(prof, cell, committed, nil, serr)
+					return 0, 0, 0, trafficFault(prof, cell(), committed, nil, serr)
 				}
 			}
 			if rt := st.Route(&in, layout.InStack(in.Addr)); rt != pipeline.RouteDL1 {

@@ -104,10 +104,8 @@ func TestCellStoreSemantics(t *testing.T) {
 			if rs.Runs != 1 || rs.Latched != 1 || rs.SkippedDecode != 0 {
 				t.Errorf("restore stats = %+v, want 1 run + 1 latched", rs)
 			}
-			c2.runs.mu.Lock()
-			f := c2.runs.m[k]
-			c2.runs.mu.Unlock()
-			if f == nil || !f.restored {
+			v, _ := c2.cells.Load(k)
+			if f, _ := v.(*flight[Outcome]); f == nil || !f.restored {
 				t.Error("replayed cell not seeded as a restored cache entry")
 			}
 			if err := c2.store.Gate("p", 1000); !errors.As(err, &le) || !le.Poison {
@@ -128,7 +126,7 @@ func TestPermanentFaultLatchesImmediately(t *testing.T) {
 	calls := countingRunFn(c, func(int) (*Result, error) {
 		return nil, &poisonErr{msg: "poison"}
 	})
-	_, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000})
+	_, err := c.Do(context.Background(), RunCell(prof, &Options{MaxInsts: 1000}))
 	var pe *poisonErr
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want the poison error", err)
@@ -138,7 +136,7 @@ func TestPermanentFaultLatchesImmediately(t *testing.T) {
 	}
 
 	// The latch is served from the store now; nothing re-executes.
-	_, err = c.Run(context.Background(), prof, Options{MaxInsts: 1000})
+	_, err = c.Do(context.Background(), RunCell(prof, &Options{MaxInsts: 1000}))
 	var le *LatchedError
 	if !errors.As(err, &le) || !le.Poison {
 		t.Fatalf("second request err = %v, want the poison latch", err)
@@ -187,23 +185,23 @@ func TestExecutorSeam(t *testing.T) {
 	c.SetExecutor(ex)
 
 	for i := 0; i < 2; i++ {
-		res, err := c.Run(context.Background(), prof, Options{MaxInsts: 1000})
+		out, err := c.Do(context.Background(), RunCell(prof, &Options{MaxInsts: 1000}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Bench != prof.ID() {
-			t.Fatalf("result = %+v", res)
+		if out.Run.Bench != prof.ID() {
+			t.Fatalf("result = %+v", out.Run)
 		}
 	}
 	if ex.runs != 1 {
 		t.Errorf("executor ran %d times, want 1 (second request is a hit)", ex.runs)
 	}
 
-	in, out, cb, err := c.Traffic(context.Background(), prof, pipeline.PolicySVF, 8<<10, 1000, 0)
+	out, err := c.Do(context.Background(), TrafficCell(prof, pipeline.PolicySVF, 8<<10, 1000, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in != 1 || out != 2 || cb != 3 || ex.traffics != 1 {
-		t.Errorf("traffic = (%d,%d,%d) via %d executor calls", in, out, cb, ex.traffics)
+	if want := (Outcome{In: 1, Out: 2, CtxBytes: 3}); out != want || ex.traffics != 1 {
+		t.Errorf("traffic = %+v via %d executor calls, want %+v", out, ex.traffics, want)
 	}
 }

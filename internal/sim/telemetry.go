@@ -141,9 +141,9 @@ func (o *Observer) observeRunFinish(res *Result, fp string, dur time.Duration) {
 // the request's context carries a trace, as a zero-width span named by how
 // it was served: journal.replay (the restart path's provenance marker),
 // cache.join or cache.hit.
-func (c *RunCache) served(ctx context.Context, bench, key string, how serve) {
+func (c *RunCache) served(ctx context.Context, cell *Cell, how serve) {
 	o := c.obs
-	ev := telemetry.Event{Type: "cache_hit", Bench: bench, Key: key}
+	ev := telemetry.Event{Type: "cache_hit", Key: cell.key}
 	span := "cache.hit"
 	switch how {
 	case restoredHit:
@@ -153,13 +153,13 @@ func (c *RunCache) served(ctx context.Context, bench, key string, how serve) {
 		ev.Detail, span = "joined in-flight simulation", "cache.join"
 	}
 	if o.Events != nil {
-		ev.Fingerprint = shortKey(key)
+		ev.Bench, ev.Fingerprint = cell.Prof.ID(), shortKey(cell.key)
 		o.Events.Emit(ev)
 	}
 	o.Count("svf_cache_hits_total", 1)
 	if sp := o.StartSpan(telemetry.SpanFromContext(ctx), span); sp != nil {
-		sp.SetAttr("bench", bench)
-		sp.SetAttr("key", key)
+		sp.SetAttr("bench", cell.Prof.ID())
+		sp.SetAttr("key", cell.key)
 		sp.End()
 	}
 }

@@ -252,14 +252,14 @@ func TestJournaledResumeEmitsRestoreRetryLatchEvents(t *testing.T) {
 	c1.SetRetries(1) // budget: 2 executions
 	c1.SetBackoff(time.Millisecond, time.Second, 42, noSleep)
 	c1.SetObserver(&Observer{Events: l1})
-	if _, err := c1.Run(ctx, prof, okOpt); err != nil {
+	if _, err := c1.Do(ctx, RunCell(prof, &okOpt)); err != nil {
 		t.Fatal(err)
 	}
 	countingRunFn(c1, func(int) (*Result, error) {
 		return nil, &Fault{Bench: prof.ID(), Panic: "deterministic"}
 	})
 	var f *Fault
-	if _, err := c1.Run(ctx, prof, latchOpt); !errors.As(err, &f) {
+	if _, err := c1.Do(ctx, RunCell(prof, &latchOpt)); !errors.As(err, &f) {
 		t.Fatalf("err = %v, want the fault", err)
 	}
 	data, err := json.Marshal(faultPayload{Bench: prof.ID(), Msg: "killed mid-retry"})
@@ -293,14 +293,14 @@ func TestJournaledResumeEmitsRestoreRetryLatchEvents(t *testing.T) {
 	c2.SetBackoff(time.Millisecond, time.Second, 42, noSleep)
 	c2.SetObserver(&Observer{Events: l2})
 	countingRunFn(c2, func(int) (*Result, error) { return &Result{Bench: prof.ID()}, nil })
-	if _, err := c2.Run(ctx, prof, okOpt); err != nil { // served from disk
+	if _, err := c2.Do(ctx, RunCell(prof, &okOpt)); err != nil { // served from disk
 		t.Fatal(err)
 	}
-	if _, err := c2.Run(ctx, prof, retryOpt); err != nil { // pending → retried
+	if _, err := c2.Do(ctx, RunCell(prof, &retryOpt)); err != nil { // pending → retried
 		t.Fatal(err)
 	}
 	var le *LatchedError
-	if _, err := c2.Run(ctx, prof, latchOpt); !errors.As(err, &le) { // refused
+	if _, err := c2.Do(ctx, RunCell(prof, &latchOpt)); !errors.As(err, &le) { // refused
 		t.Fatalf("err = %v, want LatchedError", err)
 	}
 	if err := l2.Close(); err != nil {

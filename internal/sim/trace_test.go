@@ -75,11 +75,11 @@ func TestTracedRunsAreByteIdenticalToUntraced(t *testing.T) {
 		var out []*Result
 		for _, prof := range profs {
 			for _, opt := range traceConfigs() {
-				r, err := c.Run(ctx, prof, opt)
+				r, err := c.Do(ctx, RunCell(prof, &opt))
 				if err != nil {
 					t.Fatalf("%s: %v", prof.ID(), err)
 				}
-				out = append(out, r)
+				out = append(out, r.Run)
 			}
 		}
 		buf, err := json.Marshal(out)
@@ -147,10 +147,10 @@ func TestServeAndRetrySpans(t *testing.T) {
 	trace := telemetry.MintTraceID("svf-job|serve-spans")
 	cell := tracer.StartSpan(telemetry.SpanContext{Trace: trace}, "cell[0]")
 	ctx := telemetry.ContextWithSpan(context.Background(), cell.Context())
-	if _, err := c.Run(ctx, prof, opt); err != nil {
+	if _, err := c.Do(ctx, RunCell(prof, &opt)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(ctx, prof, opt); err != nil { // cache hit
+	if _, err := c.Do(ctx, RunCell(prof, &opt)); err != nil { // cache hit
 		t.Fatal(err)
 	}
 	cell.End()
@@ -194,7 +194,7 @@ func TestQuarantineSpan(t *testing.T) {
 	cell := tracer.StartSpan(telemetry.SpanContext{Trace: trace}, "cell[0]")
 	ctx := telemetry.ContextWithSpan(context.Background(), cell.Context())
 	var f *Fault
-	if _, err := c.Run(ctx, prof, Options{MaxInsts: 1_000}); !errors.As(err, &f) {
+	if _, err := c.Do(ctx, RunCell(prof, &Options{MaxInsts: 1_000})); !errors.As(err, &f) {
 		t.Fatalf("err = %v, want the fault", err)
 	}
 	cell.End()

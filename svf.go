@@ -241,8 +241,26 @@ func NewRunCache() *RunCache { return sim.NewRunCache() }
 // harnesses use when ExperimentConfig.Cache is nil. Use it directly for
 // ad-hoc runs that should reuse the experiments' results:
 //
-//	r, err := svf.SharedRunCache().Run(ctx, prof, opt)
+//	out, err := svf.SharedRunCache().Do(ctx, svf.RunCell(prof, &opt))
 func SharedRunCache() *RunCache { return sim.SharedCache() }
+
+// Cell is one unit of work a RunCache executes: a timing run when Opt is
+// set, a stack-traffic run otherwise. RunCell and TrafficCell build one
+// and derive its cache key.
+type Cell = sim.Cell
+
+// Outcome is what a Cell produced: a timing run's Result, or a traffic
+// run's quadwords in and out and bytes per context switch.
+type Outcome = sim.Outcome
+
+// RunCell is the timing cell of opt on prof. The cell keeps opt, so
+// neither the caller nor the cache may modify it afterwards.
+func RunCell(prof *Profile, opt *Options) *Cell { return sim.RunCell(prof, opt) }
+
+// TrafficCell is the stack-traffic cell StackTraffic would run.
+func TrafficCell(prof *Profile, policy StackPolicy, sizeBytes, maxInsts int, ctxPeriod uint64) *Cell {
+	return sim.TrafficCell(prof, policy, sizeBytes, maxInsts, ctxPeriod)
+}
 
 // Journal is a crash-safe, append-only on-disk campaign journal; pair it
 // with NewJournaledRunCache for sweeps that survive process death (the

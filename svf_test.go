@@ -2,6 +2,7 @@ package svf_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -49,9 +50,13 @@ func TestPublicAPICharacterize(t *testing.T) {
 }
 
 func TestPublicAPITraffic(t *testing.T) {
-	scIn, _, _, err := svf.StackTraffic(svf.ByName("176.gcc"), svf.PolicyStackCache, 2<<10, 200_000, 0)
+	scIn, scOut, scCtx, err := svf.StackTraffic(svf.ByName("176.gcc"), svf.PolicyStackCache, 2<<10, 200_000, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cached, err := svf.NewRunCache().Do(context.Background(), svf.TrafficCell(svf.ByName("176.gcc"), svf.PolicyStackCache, 2<<10, 200_000, 0))
+	if want := (svf.Outcome{In: scIn, Out: scOut, CtxBytes: scCtx}); err != nil || cached != want {
+		t.Errorf("cached traffic cell = %+v, %v; want StackTraffic's %+v", cached, err, want)
 	}
 	svfIn, _, _, err := svf.StackTrafficSVF(svf.ByName("176.gcc"), svf.SVFConfig{SizeBytes: 2 << 10}, 200_000, 0)
 	if err != nil {
@@ -271,7 +276,7 @@ func TestPublicAPIJournaledCampaign(t *testing.T) {
 	if restored.Restored() != 0 {
 		t.Fatalf("fresh journal restored %d cells", restored.Restored())
 	}
-	first, err := c.Run(nil, prof, opt)
+	first, err := c.Do(nil, svf.RunCell(prof, &opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +293,13 @@ func TestPublicAPIJournaledCampaign(t *testing.T) {
 	if restored2.Runs != 1 {
 		t.Fatalf("restore stats = %+v, want the completed run", restored2)
 	}
-	again, err := c2.Run(nil, prof, opt)
+	again, err := c2.Do(nil, svf.RunCell(prof, &opt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Pipe.Cycles != first.Pipe.Cycles || again.Pipe.Committed != first.Pipe.Committed {
+	if again.Run.Pipe.Cycles != first.Run.Pipe.Cycles || again.Run.Pipe.Committed != first.Run.Pipe.Committed {
 		t.Errorf("restored run differs: %d/%d cycles, %d/%d committed",
-			again.Pipe.Cycles, first.Pipe.Cycles, again.Pipe.Committed, first.Pipe.Committed)
+			again.Run.Pipe.Cycles, first.Run.Pipe.Cycles, again.Run.Pipe.Committed, first.Run.Pipe.Committed)
 	}
 	if st := c2.Stats(); st.Misses != 0 {
 		t.Errorf("restored cell simulated (%+v)", st)
