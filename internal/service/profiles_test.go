@@ -1,5 +1,3 @@
-//go:build !race
-
 package service
 
 import (
@@ -20,8 +18,7 @@ import (
 // and that every cell the server interned still holds the options and the
 // key it was resolved with: the cache receives an interned cell's own
 // Options, and a write into a shared profile or Options would silently
-// re-key or reconfigure every later cell that names it. It builds every
-// bundled program, too slow for the race detector.
+// re-key or reconfigure every later cell that names it.
 func TestSharedProfilesStayUnmodified(t *testing.T) {
 	fresh := append(synth.BenchmarkInputs(), synth.Families()...)
 	var cells []string

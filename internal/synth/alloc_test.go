@@ -24,3 +24,19 @@ func TestByNameAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildProgramAllocs guards the pinned build: a bundled profile's
+// program is one draw, 538 allocations for crafty, where a fall-back to
+// calibration's draw-and-measure rounds allocates about 42,800.
+func TestBuildProgramAllocs(t *testing.T) {
+	prof := Bundled("186.crafty")
+	const max = 538
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := BuildProgram(prof); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > max {
+		t.Errorf("BuildProgram(%s) allocates %v times, want at most %v", prof.ID(), got, max)
+	}
+}

@@ -18,16 +18,14 @@ func mustBuild(t *testing.T, prof *Profile) *Program {
 	return p
 }
 
+// rawDraws are the profile's own targets, uncorrected by calibration.
+func rawDraws(prof *Profile) draws {
+	return draws{memP: prof.MemFrac, stackP: prof.StackFrac,
+		methodW: [3]float64{prof.SPFrac, prof.FPFrac, 1 - prof.SPFrac - prof.FPFrac}}
+}
+
 func testBuilder(prof *Profile) *builder {
-	b := &builder{
-		prof:   prof,
-		rng:    rand.New(rand.NewPCG(1, 2)),
-		memP:   prof.MemFrac,
-		stackP: prof.StackFrac,
-		methodW: [3]float64{
-			prof.SPFrac, prof.FPFrac, 1 - prof.SPFrac - prof.FPFrac,
-		},
-	}
+	b := &builder{prof: prof, rng: rand.New(rand.NewPCG(1, 2)), draws: rawDraws(prof)}
 	b.initSharedMixers()
 	b.resetSlotMixer()
 	return b
@@ -191,8 +189,7 @@ func TestCalibrationConverges(t *testing.T) {
 	// buildOnce with raw parameters vs the calibrated BuildProgram: the
 	// calibrated program must land closer to the targets.
 	prof := Vortex()
-	raw, err := buildOnce(prof, prof.MemFrac, prof.StackFrac,
-		[3]float64{prof.SPFrac, prof.FPFrac, 1 - prof.SPFrac - prof.FPFrac})
+	raw, err := buildOnce(prof, rawDraws(prof))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,31 +119,59 @@ var pointerRegs = []uint8{27, 28, 29}
 // fully deterministic in the profile's seed.
 //
 // Because structural overhead (prologue/epilogue spills, loop back-edges,
-// guarded-call branches) dilutes the drawn instruction mix, the build
-// self-calibrates: it measures the achieved memory and stack fractions on a
-// short functional run and re-draws the program with corrected
-// probabilities until the dynamic mix matches the profile's targets.
+// guarded-call branches) dilutes the drawn instruction mix, the draw
+// probabilities are calibrated (see calibrate) until the dynamic mix
+// matches the profile's targets. The bundled profiles — the seventeen
+// BenchmarkInputs, the four Families and the twelve
+// X86Variant(Benchmarks()) — have their calibrated draws pinned in
+// pinnedDraws, keyed by Fingerprint, so building one is a single draw.
+// Any other profile (custom, mutated, or a new WithInput seed) calibrates
+// at build time, about 170 ms. After any change to the builder, the
+// generator, measureMix or a bundled profile, regenerate the table with
+// `go test ./internal/synth -run TestPinnedDraws -update-golden`.
 func BuildProgram(prof *Profile) (*Program, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
+	if d, ok := pinnedDraws[prof.Fingerprint()]; ok {
+		return buildOnce(prof, d)
+	}
+	prog, _, err := calibrate(prof)
+	return prog, err
+}
+
+// draws are the calibrated draw probabilities one buildOnce round uses.
+type draws struct {
+	memP    float64    // memory-op draw probability
+	stackP  float64    // stack-ref draw probability
+	methodW [3]float64 // $sp/$fp/$gpr draw weights
+}
+
+// calibrate draws the program, measures the achieved memory, stack and
+// method fractions on a short functional run, and re-draws it with
+// corrected probabilities, for up to six rounds, until the dynamic mix
+// matches the profile's targets. It returns the closest round's program
+// and the draws that built it, which are not always the last round's.
+func calibrate(prof *Profile) (*Program, draws, error) {
 	memP, stackP := prof.MemFrac, prof.StackFrac
 	fpT := prof.FPFrac
 	gprT := 1 - prof.SPFrac - prof.FPFrac
 	methodW := [3]float64{prof.SPFrac, fpT, gprT}
 	var prog, best *Program
+	var bestDraws draws
 	bestErr := 1e9
 	for iter := 0; iter < 6; iter++ {
+		d := draws{memP: memP, stackP: stackP, methodW: methodW}
 		var err error
-		prog, err = buildOnce(prof, memP, stackP, methodW)
+		prog, err = buildOnce(prof, d)
 		if err != nil {
-			return nil, err
+			return nil, draws{}, err
 		}
 		m := measureMix(prog, calibrationInsts)
 		e := absF(m.mem-prof.MemFrac) + absF(m.stack-prof.StackFrac) +
 			absF(m.fp-fpT) + absF(m.gpr-gprT)
 		if e < bestErr {
-			bestErr, best = e, prog
+			bestErr, best, bestDraws = e, prog, d
 		}
 		if within(m.mem, prof.MemFrac, 0.02) && within(m.stack, prof.StackFrac, 0.03) &&
 			within(m.fp, fpT, 0.02) && within(m.gpr, gprT, 0.02) {
@@ -169,7 +197,7 @@ func BuildProgram(prof *Profile) (*Program, error) {
 		}
 		methodW[0] = clampF(1-methodW[1]-methodW[2], 0.05, 1)
 	}
-	return best, nil
+	return best, bestDraws, nil
 }
 
 // damp pulls a multiplicative correction ratio toward 1 (square root).
@@ -257,10 +285,10 @@ func measureMix(prog *Program, n int) measuredMix {
 
 // buildOnce draws the static program with the given (possibly corrected)
 // draw probabilities.
-func buildOnce(prof *Profile, memP, stackP float64, methodW [3]float64) (*Program, error) {
+func buildOnce(prof *Profile, d draws) (*Program, error) {
 	rng := rand.New(rand.NewPCG(prof.Seed, prof.Seed^0xdeadbeefcafef00d))
 	p := &Program{Prof: prof, Layout: regions.DefaultLayout()}
-	b := &builder{prof: prof, rng: rng, memP: memP, stackP: stackP, methodW: methodW}
+	b := &builder{prof: prof, rng: rng, draws: d}
 	b.initSharedMixers()
 	for i := 0; i < prof.NumFuncs; i++ {
 		p.funcs = append(p.funcs, b.buildFunction(i))
@@ -292,11 +320,9 @@ type builder struct {
 	prof     *Profile
 	rng      *rand.Rand
 	lastDst  uint8
-	lastLoad bool       // the most recent value producer was a load
-	isMain   bool       // building function 0, the dispatcher
-	memP     float64    // calibrated memory-op draw probability
-	stackP   float64    // calibrated stack-ref draw probability
-	methodW  [3]float64 // calibrated $sp/$fp/$gpr draw weights
+	lastLoad bool // the most recent value producer was a load
+	isMain   bool // building function 0, the dispatcher
+	draws         // calibrated draw probabilities
 
 	// Stratified category mixers. slotMix is reset per function (main is
 	// call-heavy); the others persist across the whole program so that

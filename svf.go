@@ -71,7 +71,9 @@ func ByName(name string) *Profile { return synth.ByName(name) }
 // future work.
 func X86Variant(p *Profile) *Profile { return synth.X86Variant(p) }
 
-// BuildProgram expands and calibrates a profile into a static program.
+// BuildProgram expands a profile into a static program: one draw for a
+// bundled profile, whose calibrated draws are pinned, and build-time
+// calibration for any other.
 func BuildProgram(p *Profile) (*Program, error) { return synth.BuildProgram(p) }
 
 // NewGenerator builds a profile's program and returns its trace generator.
