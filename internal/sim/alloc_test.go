@@ -79,3 +79,35 @@ func TestRunCacheHitAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestTrafficOnlyAllocs guards the functional traffic loop over a
+// trace-cache hit, which every Table 3 and Table 4 cell pays: a replayed
+// TrafficOnly of each stack policy may not allocate more than it does now,
+// so reading the replay may cost no more than its stream header, whatever
+// the loop builds to skip what it does not act on.
+func TestTrafficOnlyAllocs(t *testing.T) {
+	prof := synth.Crafty()
+	ctx := context.Background()
+	for _, c := range []struct {
+		policy pipeline.StackPolicy
+		max    float64
+	}{
+		{pipeline.PolicySVF, 10},
+		{pipeline.PolicyStackCache, 10},
+		{pipeline.PolicyRSE, 15},
+	} {
+		run := func() {
+			if _, _, _, err := TrafficOnly(ctx, prof, c.policy, 8<<10, 50_000, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // records the trace, outside the count
+		hits := TraceCacheStats().Hits
+		if got := testing.AllocsPerRun(20, run); got > c.max {
+			t.Errorf("%s: a replayed TrafficOnly allocates %v times, want at most %v", c.policy, got, c.max)
+		}
+		if TraceCacheStats().Hits == hits {
+			t.Fatalf("%s: the runs did not replay a recording", c.policy)
+		}
+	}
+}

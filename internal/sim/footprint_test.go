@@ -13,10 +13,11 @@ import (
 
 // TestCampaignRecordingsFitDefaultBudget records every campaign-traffic
 // workload — the 17 benchmark inputs and the 4 families — at the default
-// 2M-instruction traffic budget, and checks that together they fit the
-// default trace-cache budget, so a campaign records each workload once
-// and evicts nothing. It records 42M instructions, too slow for the race
-// detector.
+// 2M-instruction traffic budget, and checks that together they fit half
+// the default trace-cache budget: a campaign records each workload once
+// and evicts nothing, with room to spare. Stored as full addresses, 8
+// bytes each instead of a 16-bit offset, they would take about 216 MiB
+// and fail. It records 42M instructions, too slow for the race detector.
 func TestCampaignRecordingsFitDefaultBudget(t *testing.T) {
 	const insts = 2_000_000
 	var total int64
@@ -33,8 +34,8 @@ func TestCampaignRecordingsFitDefaultBudget(t *testing.T) {
 		total += rec.Bytes()
 	}
 	t.Logf("total %.1f MiB of %d MiB", float64(total)/(1<<20), DefaultTraceCacheBytes>>20)
-	if total > DefaultTraceCacheBytes {
-		t.Errorf("the campaign's recordings take %d bytes, over the %d-byte default budget", total, DefaultTraceCacheBytes)
+	if total > DefaultTraceCacheBytes/2 {
+		t.Errorf("the campaign's recordings take %d bytes, over half the %d-byte default budget", total, DefaultTraceCacheBytes)
 	}
 }
 

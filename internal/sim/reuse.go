@@ -30,9 +30,12 @@ import (
 )
 
 // DefaultTraceCacheBytes is the recorded-trace budget when no override is
-// set. A recording takes about 5–6 bytes per instruction, so this holds
-// all 21 campaign workloads (17 benchmark inputs and 4 families) at the
-// default 2M-instruction traffic budget, about 216 MiB together.
+// set. A recording takes about 3 bytes per instruction (4.6 for mcf), so
+// this holds all 21 campaign workloads (17 benchmark inputs and 4
+// families) at the default 2M-instruction traffic budget, about 119 MiB
+// together. A recording is made only when its worst case, 12 bytes per
+// instruction, fits, so the longest recordable run is about 22.4M
+// instructions.
 const DefaultTraceCacheBytes = 256 << 20
 
 var traceCache = tracecache.New(DefaultTraceCacheBytes)

@@ -334,8 +334,8 @@ func (r *Result) setStack(st *pipeline.StackStructs) {
 	}
 }
 
-// trafficCtxCheckMask is how often (in instructions, power of two minus
-// one) the functional traffic loop polls its context.
+// trafficCtxCheckMask is how often (in stream positions, power of two
+// minus one) the functional traffic loop polls its context.
 const trafficCtxCheckMask = 1<<16 - 1
 
 // TrafficOnly runs just the stack structure against the trace (no timing
@@ -401,43 +401,60 @@ func trafficLoop(ctx context.Context, prof *synth.Profile, policy pipeline.Stack
 	}
 	layout := regions.DefaultLayout()
 
+	// Only loads, stores and $sp adjustments touch the stack side, so the
+	// reader skips the rest; a context switch that falls on a skipped
+	// instruction is taken before the next reference, or at the end.
+	refs := trace.NewRefReader(gen, maxInsts)
 	var in isa.Inst
-	var committed uint64
+	var committed uint64 // at a fault: instructions committed, its own included
 	nextCtx := ctxPeriod
 	cell := func() string { return trafficCellKey(fp, policy, svfCfg.SizeBytes, maxInsts, ctxPeriod) }
+	reading := false // while set, a panic is the stream's, at the instruction it reads
 	defer func() {
 		if r := recover(); r != nil {
+			if reading {
+				committed = uint64(refs.Pos())
+			}
 			err = trafficFault(prof, cell(), committed, r, nil)
 		}
 	}()
-	for i := 0; i < maxInsts; i++ {
-		if i&trafficCtxCheckMask == 0 && ctx.Err() != nil {
-			return 0, 0, 0, fmt.Errorf("sim: %s: %w", prof.ID(), ctx.Err())
+	switchUpTo := func(n uint64) {
+		for ; nextCtx > 0 && nextCtx <= n; nextCtx += ctxPeriod {
+			committed = nextCtx
+			st.ContextSwitch()
 		}
-		if !gen.Next(&in) {
+	}
+	for poll := 0; ; {
+		reading = true
+		p, ok := refs.Next(&in)
+		reading = false
+		if !ok {
 			break
 		}
-		committed++
-		if nextCtx > 0 && committed >= nextCtx {
-			st.ContextSwitch()
-			nextCtx += ctxPeriod
+		if p >= poll {
+			if ctx.Err() != nil {
+				return 0, 0, 0, fmt.Errorf("sim: %s: %w", prof.ID(), ctx.Err())
+			}
+			poll = p&^trafficCtxCheckMask + trafficCtxCheckMask + 1
 		}
-		switch {
-		case in.Kind == isa.KindSPAdjust:
+		switchUpTo(uint64(p) + 1)
+		committed = uint64(p) + 1
+		if in.Kind == isa.KindSPAdjust {
 			if serr := st.AdjustSP(&in); serr != nil {
 				return 0, 0, 0, trafficFault(prof, cell(), committed, nil, serr)
 			}
-		case in.IsMem():
-			if in.SPRelative() {
-				if serr := st.AnchorSP(&in); serr != nil {
-					return 0, 0, 0, trafficFault(prof, cell(), committed, nil, serr)
-				}
-			}
-			if rt := st.Route(&in, layout.InStack(in.Addr)); rt != pipeline.RouteDL1 {
-				st.Access(rt, &in, !in.SPRelative())
+			continue
+		}
+		if in.SPRelative() {
+			if serr := st.AnchorSP(&in); serr != nil {
+				return 0, 0, 0, trafficFault(prof, cell(), committed, nil, serr)
 			}
 		}
+		if rt := st.Route(&in, layout.InStack(in.Addr)); rt != pipeline.RouteDL1 {
+			st.Access(rt, &in, !in.SPRelative())
+		}
 	}
+	switchUpTo(uint64(refs.Pos()))
 	qwIn, qwOut, ctxBytes = st.Traffic()
 	// Only a clean run's hierarchy is pooled; a faulted or cancelled one
 	// is dropped, as runStream drops its machine.

@@ -6,7 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"svf/internal/cache"
+	"svf/internal/core"
+	"svf/internal/isa"
 	"svf/internal/pipeline"
+	"svf/internal/regions"
 	"svf/internal/synth"
 	"svf/internal/trace"
 )
@@ -35,6 +39,10 @@ func replayOpt() Options {
 // prefixBudgets is how many seeded budgets below replayInsts each profile
 // runs as a prefix of its recording.
 const prefixBudgets = 3
+
+// switchEveryInsts bounds the prefix of a traffic run that takes a context
+// switch every instruction or two.
+const switchEveryInsts = 4_000
 
 // generatorRun executes prof with a live generator, bypassing the trace
 // cache entirely (RunStream never consults it).
@@ -66,6 +74,47 @@ func (c prefixTraffic) run(t *testing.T, prof *synth.Profile) trafficCell {
 		t.Fatal(err)
 	}
 	return trafficCell{in, out, cb}
+}
+
+// stepTraffic is c's functional traffic loop as it was before it skipped
+// instructions: it steps every instruction of s, takes a context switch on
+// the instruction whose commit reaches the next period, and drives the
+// stack side with each load, store and $sp adjustment.
+func stepTraffic(t *testing.T, s trace.Stream, c prefixTraffic) trafficCell {
+	t.Helper()
+	hier, err := cache.NewHierarchy(cache.DefaultHierarchyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := newStack(c.policy, core.Config{SizeBytes: 2 << 10}, hier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := regions.DefaultLayout()
+	var in isa.Inst
+	nextCtx := c.period
+	for committed := uint64(1); committed <= uint64(c.n) && s.Next(&in); committed++ {
+		if nextCtx > 0 && committed >= nextCtx {
+			st.ContextSwitch()
+			nextCtx += c.period
+		}
+		switch {
+		case in.Kind == isa.KindSPAdjust:
+			err = st.AdjustSP(&in)
+		case in.IsMem():
+			if in.SPRelative() {
+				err = st.AnchorSP(&in)
+			}
+			if rt := st.Route(&in, layout.InStack(in.Addr)); rt != pipeline.RouteDL1 {
+				st.Access(rt, &in, !in.SPRelative())
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	qwIn, qwOut, ctxBytes := st.Traffic()
+	return trafficCell{qwIn, qwOut, ctxBytes}
 }
 
 // TestTraceReplayMatchesGenerator holds the trace cache to observational
@@ -128,8 +177,17 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 				if want := generatorRun(t, prof, opt); !reflect.DeepEqual(got, want) {
 					t.Errorf("prefix run at %d insts diverges from generator-fed run:\n got %+v\nwant %+v", opt.MaxInsts, got, want)
 				}
-				for _, policy := range []pipeline.StackPolicy{pipeline.PolicySVF, pipeline.PolicyStackCache} {
-					c := prefixTraffic{policy: policy, n: opt.MaxInsts, period: uint64(1 + rng.Intn(opt.MaxInsts))}
+				// Each policy meets a random period and periods 1 and 2,
+				// one per budget; 1 and 2 put context switches on the
+				// instructions the traffic loop skips and at the stream's
+				// end. A switch flushes the structure, so a switch per
+				// instruction or two runs on a shorter prefix.
+				periods := []uint64{1, 2, uint64(1 + rng.Intn(opt.MaxInsts))}
+				for i, policy := range []pipeline.StackPolicy{pipeline.PolicySVF, pipeline.PolicyStackCache, pipeline.PolicyRSE} {
+					c := prefixTraffic{policy: policy, n: opt.MaxInsts, period: periods[(i+k)%len(periods)]}
+					if c.period <= 2 {
+						c.n = min(c.n, switchEveryInsts)
+					}
 					hits := traceCache.Stats().Hits
 					c.got = c.run(t, prof)
 					if traceCache.Stats().Hits != hits+1 {
@@ -138,13 +196,22 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 					cells = append(cells, c)
 				}
 			}
-			// The generator-fed reference: with recording disabled every
-			// traffic run streams live.
+			// The references: with recording disabled every traffic run
+			// streams live, and stepTraffic steps each instruction of the
+			// same prefix.
+			prog, err := ProgramFor(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := recordProgram(prog, replayInsts, trace.MaxShapes)
 			SetTraceCacheBudget(0)
 			defer SetTraceCacheBudget(DefaultTraceCacheBytes)
 			for _, c := range cells {
 				if want := c.run(t, prof); c.got != want {
 					t.Errorf("%s traffic at %d insts, period %d, diverges from generator-fed run: got %+v, want %+v", c.policy, c.n, c.period, c.got, want)
+				}
+				if want := stepTraffic(t, rec.Replay(c.n), c); c.got != want {
+					t.Errorf("%s traffic at %d insts, period %d, diverges from a step per instruction: got %+v, want %+v", c.policy, c.n, c.period, c.got, want)
 				}
 			}
 		})
@@ -156,8 +223,8 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 // with identical results.
 func TestTraceEvictionFallsBackToGenerator(t *testing.T) {
 	defer SetTraceCacheBudget(DefaultTraceCacheBytes)
-	profiles := synth.Families()
-	a, b := profiles[0], profiles[1]
+	profiles := append(synth.Families(), synth.Benchmarks()...)
+	a := profiles[0]
 
 	// Reference results, recorded under a roomy budget.
 	SetTraceCacheBudget(DefaultTraceCacheBytes)
@@ -166,27 +233,34 @@ func TestTraceEvictionFallsBackToGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A budget that holds exactly one recorded trace: running b must
-	// evict a's recording. Five thirds of a's recording still admits the
-	// worst case of a replayInsts recording with a's or b's shapes, so
-	// both record, but not a's and b's recordings together.
-	progA, err := ProgramFor(a)
-	if err != nil {
-		t.Fatal(err)
+	// A budget that admits the worst case of one replayInsts recording
+	// naming up to 4,096 shapes (the profiles name at most about 2,500),
+	// so every profile records, and that holds a few real recordings.
+	// Recording the other profiles in turn must evict a's, the least
+	// recently used.
+	budget := int64(replayInsts)*12 + 4096*33
+	if got := trace.ShapeLimit(replayInsts, budget); got != 4096 {
+		t.Fatalf("ShapeLimit = %d, want 4096", got)
 	}
-	SetTraceCacheBudget(recordProgram(progA, replayInsts, trace.MaxShapes).Bytes() * 5 / 3)
+	SetTraceCacheBudget(0) // empty the cache
+	SetTraceCacheBudget(budget)
 	if _, err := Run(a, replayOpt()); err != nil {
 		t.Fatal(err)
 	}
 	if st := traceCache.Stats(); st.Entries != 1 {
-		t.Fatalf("%d traces resident under the one-entry budget, want a's alone", st.Entries)
+		t.Fatalf("%d traces resident after a's run, want a's alone", st.Entries)
 	}
 	evictions := traceCache.Stats().Evictions
-	if _, err := Run(b, replayOpt()); err != nil {
-		t.Fatal(err)
+	for _, p := range profiles[1:] {
+		if _, err := Run(p, replayOpt()); err != nil {
+			t.Fatal(err)
+		}
+		if traceCache.Stats().Evictions != evictions {
+			break
+		}
 	}
 	if traceCache.Stats().Evictions == evictions {
-		t.Fatal("recording b did not evict a under a one-entry budget")
+		t.Fatalf("recording %d more profiles in turn evicted nothing", len(profiles)-1)
 	}
 	misses := traceCache.Stats().Misses
 	evicted, err := Run(a, replayOpt())
@@ -194,7 +268,7 @@ func TestTraceEvictionFallsBackToGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	if traceCache.Stats().Misses != misses+1 {
-		t.Fatal("a's trace was still resident after b's recording")
+		t.Fatal("a's trace was still resident after the eviction")
 	}
 	if !reflect.DeepEqual(evicted, wantA) {
 		t.Errorf("post-eviction run diverges:\n got %+v\nwant %+v", evicted, wantA)
@@ -214,14 +288,14 @@ func TestTraceEvictionFallsBackToGenerator(t *testing.T) {
 // TestUnrecordableWorkloadStreamsLive covers a workload with more
 // distinct shapes than its recording may name: it is not recorded, and
 // its runs stream from the live generator with identical results. The
-// budget leaves room for a replayInsts recording's ids and addresses and
-// 100 shapes; crafty's first replayInsts instructions have several
-// hundred.
+// budget leaves room for the worst case of a replayInsts recording's ids
+// and addresses, 12 bytes per instruction, and 100 shapes of 33 bytes;
+// crafty's first replayInsts instructions have several hundred.
 func TestUnrecordableWorkloadStreamsLive(t *testing.T) {
 	defer SetTraceCacheBudget(DefaultTraceCacheBytes)
 	prof := synth.Crafty()
 	want := generatorRun(t, prof, replayOpt())
-	budget := int64(replayInsts)*10 + 100*32
+	budget := int64(replayInsts)*12 + 100*33
 	if got := trace.ShapeLimit(replayInsts, budget); got != 100 {
 		t.Fatalf("ShapeLimit = %d, want 100", got)
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -88,9 +89,9 @@ func randInst(rng *rand.Rand) isa.Inst {
 }
 
 // randStream draws n instructions that repeat a pool of shapes, as a
-// program does: a repeated load or store gets a fresh address, anything
-// else repeats whole. One in twenty is a fresh instruction, and pool
-// entries may share a PC, so the recorder's front cache misses too.
+// program does: a repeated load or store gets another address (nearAddr),
+// anything else repeats whole. One in twenty is a fresh instruction, and
+// pool entries may share a PC, so the recorder's front cache misses too.
 func randStream(rng *rand.Rand, n int) []isa.Inst {
 	pool := make([]isa.Inst, 1+rng.IntN(300))
 	for i := range pool {
@@ -100,17 +101,54 @@ func randStream(rng *rand.Rand, n int) []isa.Inst {
 		}
 	}
 	out := make([]isa.Inst, n)
+	drawn := make([]bool, len(pool))
 	for i := range out {
 		if rng.IntN(20) == 0 {
 			out[i] = randInst(rng)
 			continue
 		}
-		out[i] = pool[rng.IntN(len(pool))]
-		if out[i].IsMem() {
-			out[i].Addr = rng.Uint64()
+		k := rng.IntN(len(pool))
+		out[i] = pool[k]
+		if out[i].IsMem() && drawn[k] {
+			out[i].Addr = nearAddr(rng, pool[k].Addr)
 		}
+		drawn[k] = true
 	}
 	return out
+}
+
+// nearAddr draws the address of a later execution of a load or store
+// whose first execution touched base: a whole number of words within
+// ±32767 of it, exactly 32767 words either side, -32768 or +32768 words
+// (one word out of reach, and -32768 the escape value itself), a byte off
+// a word within reach, or any address at all.
+func nearAddr(rng *rand.Rand, base uint64) uint64 {
+	words := func(w int) uint64 { return base + uint64(int64(w)*isa.WordSize) }
+	within := rng.IntN(2*math.MaxInt16+1) - math.MaxInt16
+	switch rng.IntN(10) {
+	case 0:
+		return words(math.MaxInt16)
+	case 1:
+		return words(-math.MaxInt16)
+	case 2:
+		return words(math.MinInt16)
+	case 3:
+		return words(math.MaxInt16 + 1)
+	case 4:
+		return words(within) + 1
+	case 5:
+		return rng.Uint64()
+	default:
+		return words(within)
+	}
+}
+
+// escapes reports whether a load's or store's address a is stored in full
+// rather than as an offset from its shape's base: when it is not a whole
+// number of words within ±32767 of the base.
+func escapes(base, a uint64) bool {
+	d := int64(a - base)
+	return d%isa.WordSize != 0 || d/isa.WordSize < -math.MaxInt16 || d/isa.WordSize > math.MaxInt16
 }
 
 // shapesOf counts the distinct shapes of insts.
@@ -125,11 +163,35 @@ func shapesOf(insts []isa.Inst) int {
 	return len(seen)
 }
 
+// memOf counts the loads and stores of insts, and how many of their
+// addresses escape their shape's base, the first address of the shape.
+func memOf(insts []isa.Inst) (mem, far int) {
+	base := map[isa.Inst]uint64{}
+	for _, in := range insts {
+		if !in.IsMem() {
+			continue
+		}
+		mem++
+		a := in.Addr
+		in.Addr = 0
+		if b, ok := base[in]; !ok {
+			base[in] = a
+		} else if escapes(b, a) {
+			far++
+		}
+	}
+	return mem, far
+}
+
 // TestRecordingReplaysEveryPrefix holds the compact form to exactness on
 // random streams: recording the first n instructions and replaying any
 // prefix m yields exactly the first min(m, n), every field and every kind
-// included, and a reset replay starts over.
+// included, and a reset replay starts over. The recording's size is
+// exactly its parts': 2 bytes per id, 2 per load's or store's offset, 8
+// per address that escapes its base, and per shape 32 and its
+// $sp-adjustment flag.
 func TestRecordingReplaysEveryPrefix(t *testing.T) {
+	var escaped int
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
 		insts := randStream(rng, 1+rng.IntN(3000))
@@ -142,14 +204,10 @@ func TestRecordingReplaysEveryPrefix(t *testing.T) {
 			t.Fatalf("seed %d: Len = %d, want %d", seed, rec.Len(), n)
 		}
 		want := insts[:n]
-		mem := 0
-		for _, in := range want {
-			if in.IsMem() {
-				mem++
-			}
-		}
-		if got, exact := rec.Bytes(), int64(2*n+8*mem+32*shapesOf(want)); got != exact {
-			t.Errorf("seed %d: Bytes = %d, want %d (ids, addresses and dictionary, exactly sized)", seed, got, exact)
+		mem, far := memOf(want)
+		escaped += far
+		if got, exact := rec.Bytes(), int64(2*n+2*mem+8*far+33*shapesOf(want)); got != exact {
+			t.Errorf("seed %d: Bytes = %d, want %d (ids, offsets, far addresses and dictionary, exactly sized)", seed, got, exact)
 		}
 		for _, m := range []int{0, 1, n / 2, n, n + 7, rng.IntN(n + 1), rng.IntN(n + 1)} {
 			got := drain(rec.Replay(m))
@@ -163,6 +221,9 @@ func TestRecordingReplaysEveryPrefix(t *testing.T) {
 		if got := drain(s); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: a reset replay diverges", seed)
 		}
+	}
+	if escaped == 0 {
+		t.Error("no address escaped to the far stream: the streams do not test it")
 	}
 }
 
@@ -225,7 +286,7 @@ func TestShapeLimitBoundsBytes(t *testing.T) {
 		budget := rng.Int64N(int64(42*n) + 64)
 		limit := ShapeLimit(n, budget)
 		if limit == 0 {
-			if budget >= int64(10*n+32) {
+			if budget >= int64(12*n+33) {
 				t.Fatalf("ShapeLimit(%d, %d) = 0, but one shape fits", n, budget)
 			}
 			continue
@@ -239,5 +300,54 @@ func TestShapeLimitBoundsBytes(t *testing.T) {
 	}
 	if got := ShapeLimit(1000, 1<<40); got != MaxShapes {
 		t.Errorf("ShapeLimit under a huge budget = %d, want MaxShapes", got)
+	}
+}
+
+// ref is an instruction RefReader yields, at its position.
+type ref struct {
+	pos int
+	in  isa.Inst
+}
+
+// readRefs drains r, and returns what it yielded and its final Pos.
+func readRefs(r RefReader) ([]ref, int) {
+	var out []ref
+	var in isa.Inst
+	for {
+		p, ok := r.Next(&in)
+		if !ok {
+			return out, r.Pos()
+		}
+		if r.Pos() != p+1 {
+			panic("Pos is not one past the position Next returned")
+		}
+		out = append(out, ref{p, in})
+	}
+}
+
+// TestRefReaderYieldsReferences holds RefReader to its stream: over a
+// replay and over any other stream, it yields exactly the loads, stores
+// and $sp adjustments among the instructions it may read, at their
+// positions, and ends at the count of instructions there were.
+func TestRefReaderYieldsReferences(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewPCG(seed, seed^0x4ef5))
+		insts := randStream(rng, 1+rng.IntN(3000))
+		n := rng.IntN(len(insts) + 1)
+		rec := record(NewSliceStream(insts), n, MaxShapes)
+		for _, limit := range []int{-1, 0, 1, n / 2, n, n + 7, rng.IntN(n + 1)} {
+			end := min(n, max(limit, 0))
+			var want []ref
+			for p, in := range insts[:end] {
+				if in.IsMem() || in.Kind == isa.KindSPAdjust {
+					want = append(want, ref{p, in})
+				}
+			}
+			for name, s := range map[string]Stream{"replay": rec.Replay(n), "live stream": NewSliceStream(insts[:n])} {
+				if got, pos := readRefs(NewRefReader(s, limit)); !slices.Equal(got, want) || pos != end {
+					t.Fatalf("seed %d, %s of %d: %d references ending at %d, want %d ending at %d", seed, name, limit, len(got), pos, len(want), end)
+				}
+			}
+		}
 	}
 }

@@ -47,8 +47,8 @@ func (s *SliceStream) Next(in *isa.Inst) bool {
 	return true
 }
 
-// Trace file format, version 2: a Recording's three parts as they are held
-// in memory, little-endian, in this order:
+// Trace file format, version 2: a Recording's parts, little-endian, in
+// this order:
 //
 //	magic       "SVFTRC2\x00"
 //	count       u64: the instructions recorded
@@ -57,6 +57,10 @@ func (s *SliceStream) Next(in *isa.Inst) bool {
 //	            stores have Addr 0
 //	ids         count u16 shape ids, the top bit marking a load or store
 //	addresses   one u64 per marked id, in program order
+//
+// A file holds every address in full, where memory holds a word offset
+// from the shape's base; Read takes each shape's first address as its
+// base.
 //
 // Version 1 ("SVFTRC1\x00") stored every instruction as a 28-byte record.
 
@@ -80,15 +84,19 @@ var errTruncated = errors.New("trace: truncated trace file: it ends before the p
 func Write(w io.Writer, rec *Recording) error {
 	b := binary.LittleEndian.AppendUint64([]byte(magic), uint64(len(rec.ids)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rec.shapes)))
-	for i := range rec.shapes {
-		b = appendRecord(b, &rec.shapes[i])
+	for _, shape := range rec.shapes {
+		if shape.IsMem() {
+			shape.Addr = 0
+		}
+		b = appendRecord(b, &shape)
 	}
 	for _, id := range rec.ids {
 		b = binary.LittleEndian.AppendUint16(b, id)
 	}
-	for _, chunk := range rec.addrs {
-		for _, a := range chunk {
-			b = binary.LittleEndian.AppendUint64(b, a)
+	var in isa.Inst
+	for s := rec.Replay(rec.Len()); s.Next(&in); {
+		if in.IsMem() {
+			b = binary.LittleEndian.AppendUint64(b, in.Addr)
 		}
 	}
 	if _, err := w.Write(b); err != nil {
@@ -149,17 +157,22 @@ func Read(r io.Reader) (*Recording, error) {
 	if b = b[idBytes*len(ids):]; len(b) < addrBytes*mem {
 		return nil, errTruncated
 	}
-	// The address stream comes back in the chunks Record builds: full
-	// ones of addrChunk, then an exact-length last one.
-	var addrs [][]uint64
-	for start := 0; start < mem; start += addrChunk {
-		chunk := make([]uint64, min(mem-start, addrChunk))
-		for i := range chunk {
-			chunk[i] = binary.LittleEndian.Uint64(b[addrBytes*(start+i):])
+	// A shape's base is its first address; each address is then stored as
+	// Record stores it.
+	addrs := newAddrStreams(len(ids))
+	seen := make([]bool, len(shapes))
+	for _, id := range ids {
+		if id&memBit == 0 {
+			continue
 		}
-		addrs = append(addrs, chunk)
+		s, a := id&^memBit, binary.LittleEndian.Uint64(b)
+		b = b[addrBytes:]
+		if !seen[s] {
+			seen[s], shapes[s].Addr = true, a
+		}
+		addrs.add(shapes[s].Addr, a)
 	}
-	return &Recording{shapes: shapes, ids: ids, addrs: addrs}, nil
+	return newRecording(shapes, ids, addrs), nil
 }
 
 // appendRecord appends in's 28-byte record; its last byte is reserved.

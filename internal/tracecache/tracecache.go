@@ -3,9 +3,9 @@
 // run of one workload consumes a prefix of the same infinite stream —
 // yet each run used to re-execute the generator's control-flow machinery
 // per instruction. The cache records the generator's output once as a
-// compact trace.Recording (a shape dictionary, 16-bit shape ids and the
-// load/store address stream, about 5–6 bytes per instruction) and
-// replays it for every later run.
+// compact trace.Recording (a shape dictionary, 16-bit shape ids and a
+// 16-bit offset per load's or store's address, about 3 bytes per
+// instruction) and replays it for every later run.
 //
 // A workload has at most one recording. A run of n instructions replays
 // the first n of it, so every budget up to the recorded length shares the

@@ -144,7 +144,9 @@ func RunContext(ctx context.Context, p *Profile, opt Options) (*Result, error) {
 	return sim.RunContext(ctx, p, opt)
 }
 
-// Recording is a compact recorded trace, about 5–6 bytes per instruction.
+// Recording is a compact recorded trace, about 3 bytes per instruction in
+// memory (each load's and store's address a 16-bit offset from its first
+// one) and 5–6 in a trace file, which holds every address in full.
 type Recording = trace.Recording
 
 // RecordTrace records the first n instructions of a workload. It fails if
