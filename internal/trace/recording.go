@@ -301,14 +301,14 @@ const farFirst = 1 << 8
 type addrStreams struct {
 	offs chunks[int16]
 	far  chunks[uint64]
-	// first is the capacity of a new offset chunk: addrChunk, or the
-	// recording's length if that is smaller.
-	first int
 }
 
 // newAddrStreams returns the address streams of a recording of up to n
-// instructions.
-func newAddrStreams(n int) *addrStreams { return &addrStreams{first: min(n, addrChunk)} }
+// instructions: an offset chunk starts at addrChunk items, or n if that is
+// smaller.
+func newAddrStreams(n int) *addrStreams {
+	return &addrStreams{offs: chunks[int16]{first: min(n, addrChunk)}, far: chunks[uint64]{first: farFirst}}
+}
 
 // add appends the address a of a load or store whose shape has base as its
 // base.
@@ -316,22 +316,23 @@ func (s *addrStreams) add(base, a uint64) {
 	off, ok := offsetOf(base, a)
 	if !ok {
 		off = farOffset
-		s.far.add(a, farFirst)
+		s.far.add(a)
 	}
-	s.offs.add(off, s.first)
+	s.offs.add(off)
 }
 
 // chunks gathers one address stream: full chunks of addrChunk items, then
 // the current one.
 type chunks[T int16 | uint64] struct {
-	full [][]T
-	cur  []T
+	full  [][]T
+	cur   []T
+	first int // the capacity of a new chunk
 }
 
 // add appends v, making room first when the current chunk is full.
-func (c *chunks[T]) add(v T, first int) {
+func (c *chunks[T]) add(v T) {
 	if len(c.cur) == cap(c.cur) {
-		c.grow(first)
+		c.grow()
 	}
 	c.cur = append(c.cur, v)
 }
@@ -339,15 +340,15 @@ func (c *chunks[T]) add(v T, first int) {
 // grow makes room in a full current chunk. A new chunk starts at capacity
 // first and doubles while it is below addrChunk; a full one of addrChunk
 // items is set aside.
-func (c *chunks[T]) grow(first int) {
+func (c *chunks[T]) grow() {
 	switch {
 	case c.cur == nil:
-		c.cur = make([]T, 0, first)
+		c.cur = make([]T, 0, c.first)
 	case cap(c.cur) < addrChunk:
 		c.cur = append(make([]T, 0, min(2*cap(c.cur), addrChunk)), c.cur...)
 	default:
 		c.full = append(c.full, c.cur)
-		c.cur = make([]T, 0, first)
+		c.cur = make([]T, 0, c.first)
 	}
 }
 
