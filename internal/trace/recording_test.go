@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"svf/internal/isa"
@@ -269,17 +270,23 @@ func TestRecordDeclinesTooManyShapes(t *testing.T) {
 
 // TestShapeLimitBoundsBytes holds ShapeLimit to its promise: whatever the
 // stream, a recording made under ShapeLimit(n, budget) fits the budget,
-// the worst case included (every instruction a load or store of a new
-// shape).
+// both worst cases included: every instruction a load of a new shape, and
+// loads of one shape whose addresses all escape to the far stream.
 func TestShapeLimitBoundsBytes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
-	worst := make([]isa.Inst, 4000)
-	for i := range worst {
-		worst[i] = isa.Inst{PC: uint64(i), Addr: rng.Uint64(), Kind: isa.KindLoad}
+	// Every instruction a load of a new shape fills the dictionary; loads
+	// of one shape at random addresses fill the far stream.
+	newShapes, farAddrs := make([]isa.Inst, 4000), make([]isa.Inst, 4000)
+	for i := range newShapes {
+		newShapes[i] = isa.Inst{PC: uint64(i), Addr: rng.Uint64(), Kind: isa.KindLoad}
+		farAddrs[i] = isa.Inst{PC: 4, Addr: rng.Uint64(), Kind: isa.KindLoad}
 	}
-	for trial := 0; trial < 200; trial++ {
-		insts := worst
-		if trial%2 == 1 {
+	for trial := 0; trial < 300; trial++ {
+		insts := newShapes
+		switch trial % 3 {
+		case 1:
+			insts = farAddrs
+		case 2:
 			insts = randStream(rng, 4000)
 		}
 		n := rng.IntN(len(insts) + 1)
@@ -293,6 +300,14 @@ func TestShapeLimitBoundsBytes(t *testing.T) {
 		}
 		if rec := record(NewSliceStream(insts), n, limit); rec != nil && rec.Bytes() > budget {
 			t.Fatalf("recording of %d instructions under ShapeLimit %d holds %d bytes, over the %d budget", n, limit, rec.Bytes(), budget)
+		}
+	}
+	// The tightest budget that admits a recording at all still holds the
+	// far-heavy one.
+	for _, n := range []int{1, 100, len(farAddrs)} {
+		tight := int64(sort.Search(1<<30, func(b int) bool { return ShapeLimit(n, int64(b)) > 0 }))
+		if rec := record(NewSliceStream(farAddrs), n, ShapeLimit(n, tight)); rec == nil || rec.Bytes() > tight {
+			t.Fatalf("%d loads of one shape at far addresses do not fit %d bytes, the least budget ShapeLimit admits", n, tight)
 		}
 	}
 	if ShapeLimit(-1, 1<<30) != 0 || ShapeLimit(10, 0) != 0 {
